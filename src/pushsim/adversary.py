@@ -94,8 +94,11 @@ def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
     unrecoverable: list[int] = []
     for k, rec in enumerate(trace.rounds):
         weights = np.array([rec.weights.p[j - 1, t] for j, _ in out_edges])
+        if weights.size == 0:
+            unrecoverable.append(k)
+            continue
         best = int(np.argmax(np.abs(weights)))
-        if weights.size == 0 or weights[best] == 0.0:
+        if weights[best] == 0.0:
             unrecoverable.append(k)
             continue
         j_best, _ = out_edges[best]

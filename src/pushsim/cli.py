@@ -48,7 +48,7 @@ def _add_config_flags(sub) -> None:
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    summary = harness.run_scenario(cfg, workers=args.workers, verbose=True)
+    summary = harness.run_scenario(cfg, verbose=True)
     print(f"wrote {cfg.resolved_output_dir()}/summary.json ({len(summary['runs'])} runs)")
     return 0
 
@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario and write its output bundle")
     _add_config_flags(p_run)
-    p_run.add_argument("--workers", type=int, default=1, help="seed-level worker threads")
     p_run.set_defaults(func=cmd_run)
 
     p_attack = sub.add_parser("attack", help="run the eavesdropper against a trace file")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -96,6 +96,29 @@ class ExperimentConfig:
         return path
 
 
+def _integer(value, name: str) -> int:
+    """An integer config field; booleans and values int() cannot take are rejected."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _finite(value, name: str) -> float:
+    """A finite float config field; booleans, null, NaN and infinities are rejected."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: must be finite, got {number}")
+    return number
+
+
 def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
     """Validate a raw config dict, applying defaults for missing keys."""
     if not isinstance(data, dict):
@@ -110,28 +133,31 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"protocol: unknown tag {tag!r}; registered: {', '.join(protocol.registered_protocols())}"
         )
-    try:
-        rounds = int(merged["rounds"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"rounds: {exc}") from exc
+    rounds = _integer(merged["rounds"], "rounds")
     if rounds < 1:
         raise ConfigError(f"rounds: must be positive, got {rounds}")
     seeds = merged["seeds"]
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError("seeds: must be a non-empty list of integers")
-    try:
-        seeds = [int(s) for s in seeds]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seeds: {exc}") from exc
-    spread = float(merged["M"])
+    seeds = [_integer(s, "seeds") for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds: duplicates in {seeds}; each seed writes its own seed_<s>/")
+    spread = _finite(merged["M"], "M")
     if spread <= 0:
         raise ConfigError(f"M: must be positive, got {spread}")
-    threshold = float(merged["c"])
+    threshold = _finite(merged["c"], "c")
     if threshold <= 0:
         raise ConfigError(f"c: must be positive, got {threshold}")
     initials = merged["initials"]
     if not isinstance(initials, dict) or initials.get("dist") not in ("uniform", "constant"):
         raise ConfigError("initials: need {'dist': 'uniform'|'constant', ...}")
+    if initials["dist"] == "uniform":
+        low = _finite(initials.get("low", 0.0), "initials.low")
+        high = _finite(initials.get("high", 50.0), "initials.high")
+        if low > high:
+            raise ConfigError(f"initials: low {low} is above high {high}")
+    else:
+        _finite(initials.get("value", 0.0), "initials.value")
     gspec = merged["graph"]
     if not isinstance(gspec, dict) or not any(k in gspec for k in ("demo", "file", "generator")):
         raise ConfigError("graph: need one of demo, file, generator")
@@ -144,8 +170,8 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
         threshold=threshold,
         initials=initials,
         graph_spec=gspec,
-        attack_target=None if merged["attack_target"] is None else int(merged["attack_target"]),
-        extra_rounds_hint=None if merged["L"] is None else int(merged["L"]),
+        attack_target=None if merged["attack_target"] is None else _integer(merged["attack_target"], "attack_target"),
+        extra_rounds_hint=None if merged["L"] is None else _integer(merged["L"], "L"),
         output_dir=str(merged["output_dir"]),
     )
     g = cfg.resolve_graph()
@@ -154,7 +180,7 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc
     declared_n = data.get("n", n_hint)
-    if declared_n is not None and int(declared_n) != g.n:
+    if declared_n is not None and _integer(declared_n, "n") != g.n:
         raise ConfigError(f"n: declared {declared_n}, but the graph has {g.n} nodes")
     if cfg.attack_target is not None and not 1 <= cfg.attack_target <= g.n:
         raise ConfigError(f"attack_target: {cfg.attack_target} outside 1..{g.n}")
@@ -205,23 +231,17 @@ def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int) -> dict
     return result
 
 
-def run_scenario(cfg: ExperimentConfig, workers: int = 1, verbose: bool = False) -> dict:
+def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
     """Run every seed of a scenario and write the output bundle.
 
-    Seeds run independently (optionally on a thread pool); all files are
-    written by this thread afterwards, in seed order, so the bundle content
-    never depends on scheduling.
+    Seeds run one after another, then every file is written in seed order.
     """
     g = cfg.resolve_graph()
     chash = cfg.config_hash()
     outdir = cfg.resolved_output_dir()
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _run_one_seed(cfg, g, s), cfg.seeds))
-    else:
-        results = [_run_one_seed(cfg, g, s) for s in cfg.seeds]
+    results = [_run_one_seed(cfg, g, s) for s in cfg.seeds]
 
     with open(outdir / "config.json", "w", encoding="utf-8") as fh:
         json.dump({**cfg.materialized(), "config_hash": chash}, fh, sort_keys=True)

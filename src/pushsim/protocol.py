@@ -46,6 +46,14 @@ class SeedStreams:
     as an entropy tuple.  Identical arguments always give an identical
     stream, so a single node's draws for a single round can be replayed
     without touching any other stream.
+
+    ``uniform_block`` returns the first ``count`` U(0,1) draws of many such
+    streams at once, bit-identical to ``stream(...).random(count)`` per
+    stream.  It runs SeedSequence's uint32 mixing and PCG64 (XSL-RR output
+    over a 128-bit LCG, multiplied in uint64 halves) as numpy array
+    arithmetic over the batch.  When any entropy word lies outside
+    [0, 2**32) it builds each stream through ``stream`` instead: a wider word
+    changes SeedSequence's mixing and a negative one must raise ValueError.
     """
 
     def __init__(self, seed: int):
@@ -53,6 +61,84 @@ class SeedStreams:
 
     def stream(self, purpose: int, node: int, k: int = 0) -> np.random.Generator:
         return np.random.default_rng((self.seed, purpose, node, k))
+
+    def uniform_block(self, purpose: int, nodes, ks, count: int) -> np.ndarray:
+        """Draws of the streams (purpose, node, k), shape (*broadcast(nodes, ks).shape, count)."""
+        nodes, ks = np.broadcast_arrays(np.asarray(nodes, np.int64), np.asarray(ks, np.int64))
+        shape = nodes.shape + (count,)
+        if nodes.size == 0:
+            return np.empty(shape)
+        words = (self.seed, purpose, int(nodes.min()), int(nodes.max()), int(ks.min()), int(ks.max()))
+        if min(words) < 0 or max(words) > _MASK32:
+            rows = [self.stream(purpose, int(i), int(k)).random(count) for i, k in zip(nodes.flat, ks.flat)]
+            return np.array(rows).reshape(shape)
+        size = nodes.size
+        entropy = [np.full(size, self.seed, np.uint32), np.full(size, purpose, np.uint32),
+                   nodes.ravel().astype(np.uint32), ks.ravel().astype(np.uint32)]
+        s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(entropy)
+        # pcg64_set_seed: inc = seq << 1 | 1; state = 0, step, += initstate, step
+        inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+        lo = inc_lo + s_lo
+        hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+        out = np.empty((size, count))
+        for j in range(count):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            x, rot = hi ^ lo, hi >> 58
+            out[:, j] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+        return out.reshape(shape)
+
+
+# numpy's SeedSequence hash constants and PCG64's default 128-bit multiplier.
+_MASK32 = 0xFFFFFFFF
+_MULT_A, _MULT_B = 0x931E8875, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """(xor, multiplier) of each successive SeedSequence hash step."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return list(zip(consts, consts[1:]))
+
+
+# 4 initial + 12 cross hashmix calls for a 4-word pool; 8 generate_state words
+_HASH_A = _hash_consts(0x43B0D7E5, _MULT_A, 16)
+_HASH_B = _hash_consts(0x8B51F9DD, _MULT_B, 8)
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(4 uint32 words).generate_state(4, uint64), one entry per batch row."""
+    consts = iter(_HASH_A)
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> 16
+    words = []
+    for t, (xor, mult) in enumerate(_HASH_B):
+        value = (pool[t % 4] ^ xor) * mult
+        words.append((value ^ value >> 16).astype(np.uint64))
+    return [low | high << 32 for low, high in zip(words[::2], words[1::2])]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on uint64 halves."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = _PCG_LO & _MASK32, _PCG_LO >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    lo2 = lo * _PCG_LO + inc_lo
+    return carry + hi * _PCG_LO + lo * _PCG_HI + inc_hi + (lo2 < inc_lo), lo2
 
 
 @dataclass
@@ -191,27 +277,57 @@ def _positive_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
     return draws
 
 
-def sample_push_sum_weights(g: Digraph, k: int, streams: SeedStreams) -> RoundWeights:
+def _round_indices(k) -> tuple[bool, np.ndarray]:
+    """Whether k is a single round, and the rounds it names as an int64 array."""
+    single = isinstance(k, (int, np.integer))
+    return single, np.array([k] if single else k, dtype=np.int64).reshape(-1)
+
+
+def _fill_uniform(g: Digraph, streams: SeedStreams, ks: np.ndarray, pos: np.ndarray,
+                  p: np.ndarray, alpha: np.ndarray | None = None) -> None:
+    """Write normalized U(0,1) weights of rounds ks into p[pos] (and alpha[pos]).
+
+    Sender i's stream (PURPOSE_WEIGHTS, i, k) gives one draw per sorted
+    receiver, one for itself and, when alpha is given, one retention draw.
+    Senders are grouped by draw count so that each group's draws form one
+    contiguous (rounds, senders, count) block: summing its last axis then
+    groups the terms exactly as the 1-D sum of one sender's draws does, which
+    a zero-padded block would not once count reaches 8.  A row holding an
+    exact 0.0 is redrawn from its scalar stream by _positive_uniform.
+    """
+    extra = 1 if alpha is None else 2
+    groups: dict[int, list[int]] = {}
+    for i in g.nodes:
+        groups.setdefault(len(g.out_neighbors[i]) + extra, []).append(i)
+    for count, senders in groups.items():
+        block = streams.uniform_block(PURPOSE_WEIGHTS, senders, ks[:, None], count)
+        for r, m in zip(*np.nonzero((block == 0.0).any(axis=-1))):
+            block[r, m] = _positive_uniform(streams.stream(PURPOSE_WEIGHTS, senders[m], int(ks[r])), count)
+        block /= block.sum(axis=-1, keepdims=True)
+        cols = np.array(senders)[:, None] - 1
+        rows = np.array([g.out_neighbors[i] + (i,) for i in senders]) - 1
+        p[pos[:, None, None], rows, cols] = block[..., : rows.shape[1]]
+        if alpha is not None:
+            alpha[pos[:, None], cols[:, 0]] = block[..., -1]
+
+
+def sample_push_sum_weights(g: Digraph, k: int | Iterable[int], streams: SeedStreams):
     """Uniform column-stochastic weights with no retention.
 
     Each sender i draws one value per out-neighbor plus one for itself from
     U(0,1), in sorted-receiver-then-self order, and normalizes the column
-    to sum one.
+    to sum one.  An int k gives that round's RoundWeights; a sequence of
+    rounds gives a list of them, whose p matrices are views into one
+    (rounds, n, n) array.
     """
-    n = g.n
-    p = np.zeros((n, n))
-    for i in g.nodes:
-        receivers = g.out_neighbors[i]
-        rng = streams.stream(PURPOSE_WEIGHTS, i, k)
-        draws = _positive_uniform(rng, len(receivers) + 1)
-        draws /= draws.sum()
-        for idx, j in enumerate(receivers):
-            p[j - 1, i - 1] = draws[idx]
-        p[i - 1, i - 1] = draws[-1]
-    return RoundWeights(p=p, alpha=np.zeros(n))
+    single, ks = _round_indices(k)
+    p, alpha = np.zeros((ks.size, g.n, g.n)), np.zeros((ks.size, g.n))
+    _fill_uniform(g, streams, ks, np.arange(ks.size), p)
+    weights = [RoundWeights(p=p[r], alpha=alpha[r]) for r in range(ks.size)]
+    return weights[0] if single else weights
 
 
-def sample_round_weights(g: Digraph, k: int, spread: float, streams: SeedStreams) -> RoundWeights:
+def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, streams: SeedStreams):
     """Weights for the decomposed protocol.
 
     Each sender draws one value per out-neighbor, one self-weight, and one
@@ -220,27 +336,27 @@ def sample_round_weights(g: Digraph, k: int, spread: float, streams: SeedStreams
     so normalized entries may fall outside (0, 1); whenever the normalizer
     magnitude falls below REDRAW_GUARD the node redraws the whole set.  From
     k = 1 on the draws are U(0,1), giving entries strictly inside (0, 1).
-    The column plus retention always sums to one.
+    The column plus retention always sums to one.  An int k gives that
+    round's RoundWeights; a sequence of rounds gives a list of them, whose p
+    and alpha are views into one (rounds, n, n) and one (rounds, n) array.
     """
-    n = g.n
-    p = np.zeros((n, n))
-    alpha = np.zeros(n)
-    for i in g.nodes:
-        receivers = g.out_neighbors[i]
-        count = len(receivers) + 2
-        rng = streams.stream(PURPOSE_WEIGHTS, i, k)
-        if k == 0:
+    single, ks = _round_indices(k)
+    p, alpha = np.zeros((ks.size, g.n, g.n)), np.zeros((ks.size, g.n))
+    for r in np.flatnonzero(ks == 0):
+        for i in g.nodes:
+            receivers = g.out_neighbors[i]
+            count = len(receivers) + 2
+            rng = streams.stream(PURPOSE_WEIGHTS, i, 0)
             draws = rng.normal(0.0, np.sqrt(spread), count)
             while abs(draws.sum()) < REDRAW_GUARD:
                 draws = rng.normal(0.0, np.sqrt(spread), count)
-        else:
-            draws = _positive_uniform(rng, count)
-        draws /= draws.sum()
-        for idx, j in enumerate(receivers):
-            p[j - 1, i - 1] = draws[idx]
-        p[i - 1, i - 1] = draws[-2]
-        alpha[i - 1] = draws[-1]
-    return RoundWeights(p=p, alpha=alpha)
+            draws /= draws.sum()
+            p[r, np.array(receivers + (i,)) - 1, i - 1] = draws[:-1]
+            alpha[r, i - 1] = draws[-1]
+    later = np.flatnonzero(ks != 0)
+    _fill_uniform(g, streams, ks[later], later, p, alpha)
+    weights = [RoundWeights(p=p[r], alpha=alpha[r]) for r in range(ks.size)]
+    return weights[0] if single else weights
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +484,7 @@ def _run_push_sum(g: Digraph, x0: np.ndarray, rounds: int, spread: float, seed: 
     streams = SeedStreams(seed)
     state = init_push_sum(x0)
     trace = Trace("push_sum", g, x0.copy(), seed, spread, state.copy())
-    for k in range(rounds):
-        w = sample_push_sum_weights(g, k, streams)
+    for k, w in enumerate(sample_push_sum_weights(g, range(rounds), streams)):
         state, products = push_sum_round(state, w, g)
         trace.rounds.append(RoundRecord(k, w, state, products))
     return trace
@@ -379,8 +494,7 @@ def _run_decomposed(g: Digraph, x0: np.ndarray, rounds: int, spread: float, seed
     streams = SeedStreams(seed)
     state = init_decomposed(x0, spread, streams)
     trace = Trace("decomposed", g, x0.copy(), seed, spread, state.copy())
-    for k in range(rounds):
-        w = sample_round_weights(g, k, spread, streams)
+    for k, w in enumerate(sample_round_weights(g, range(rounds), spread, streams)):
         state, products = decomposed_round(state, w, g)
         trace.rounds.append(RoundRecord(k, w, state, products))
     return trace

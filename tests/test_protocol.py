@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pushsim import (
     DecomposedState,
@@ -18,6 +19,7 @@ from pushsim import (
     init_decomposed,
     init_push_sum,
     push_sum_round,
+    random_strongly_connected,
     read_trace,
     registered_protocols,
     replay,
@@ -28,7 +30,8 @@ from pushsim import (
     write_estimates_csv,
     write_trace,
 )
-from pushsim.protocol import conserved_sums, sample_initial_values
+from pushsim import protocol
+from pushsim.protocol import PURPOSE_WEIGHTS, conserved_sums, sample_initial_values
 from pushsim.traceio import trace_lines
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
@@ -124,6 +127,115 @@ def test_weight_sampling_deterministic_per_node() -> None:
     # a different round uses a different substream
     w3 = sample_round_weights(g, 4, 100.0, SeedStreams(8))
     assert not np.array_equal(w1.p, w3.p)
+
+
+def test_weight_sampling_round_range_matches_single_rounds() -> None:
+    g = demo_digraph()
+    for sample in (
+        lambda k: sample_push_sum_weights(g, k, SeedStreams(6)),
+        lambda k: sample_round_weights(g, k, 100.0, SeedStreams(6)),
+    ):
+        batch = sample(range(4))
+        assert len(batch) == 4
+        for k, w in enumerate(batch):
+            single = sample(k)
+            assert np.array_equal(w.p, single.p) and np.array_equal(w.alpha, single.alpha)
+
+
+# ---------------------------------------------------------------------------
+# batched uniform draws against the per-stream reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    purpose=st.integers(0, 2),
+    nodes=st.lists(st.integers(0, 100), min_size=1, max_size=12),
+    k=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 20),
+)
+@example(seed=0, purpose=0, nodes=[0], k=0, count=1)
+@example(seed=2**32 - 1, purpose=1, nodes=[100], k=2**32 - 1, count=20)
+@example(seed=2**32 + 5, purpose=1, nodes=[1, 2], k=0, count=7)  # scalar fallback
+def test_uniform_block_matches_default_rng(seed, purpose, nodes, k, count) -> None:
+    block = SeedStreams(seed).uniform_block(purpose, nodes, k, count)
+    ref = np.array([np.random.default_rng((seed, purpose, i, k)).random(count) for i in nodes])
+    assert block.shape == (len(nodes), count)
+    assert block.tobytes() == ref.tobytes()
+
+
+def loop_weights(g, k: int, streams: SeedStreams, retention: bool) -> RoundWeights:
+    """The per-sender reference sampler: one stream and one 1-D sum per sender."""
+    p, alpha = np.zeros((g.n, g.n)), np.zeros(g.n)
+    for i in g.nodes:
+        receivers = g.out_neighbors[i]
+        draws = streams.stream(PURPOSE_WEIGHTS, i, k).random(len(receivers) + 1 + retention)
+        draws /= draws.sum()
+        for idx, j in enumerate(receivers + (i,)):
+            p[j - 1, i - 1] = draws[idx]
+        if retention:
+            alpha[i - 1] = draws[-1]
+    return RoundWeights(p=p, alpha=alpha)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    prob=st.floats(0.0, 1.0),
+    graph_seed=st.integers(0, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_weights_match_per_sender_loop(n, prob, graph_seed, seed) -> None:
+    g = random_strongly_connected(n, prob, graph_seed)
+    streams = SeedStreams(seed)
+    ks = range(1, 4)
+    for retention, batch in (
+        (False, sample_push_sum_weights(g, ks, streams)),
+        (True, sample_round_weights(g, ks, 100.0, streams)),
+    ):
+        for k, w in zip(ks, batch):
+            ref = loop_weights(g, k, streams, retention)
+            assert w.p.tobytes() == ref.p.tobytes()
+            assert w.alpha.tobytes() == ref.alpha.tobytes()
+
+
+def test_zero_draw_row_is_redrawn_from_scalar_stream(monkeypatch) -> None:
+    g = demo_digraph()
+    streams = SeedStreams(3)
+    clean = sample_push_sum_weights(g, range(4), streams)
+    real_block, real_redraw = SeedStreams.uniform_block, protocol._positive_uniform
+    zeroed, redrawn = [], []
+
+    def block_with_zero(self, purpose, nodes, ks, count):
+        block = real_block(self, purpose, nodes, ks, count)
+        block[2, 0, 1] = 0.0  # round 2, first sender of this draw-count group
+        zeroed.append((nodes[0], count))
+        return block
+
+    def spy_redraw(rng, count):
+        draws = real_redraw(rng, count)
+        redrawn.append(draws.copy())
+        return draws
+
+    monkeypatch.setattr(SeedStreams, "uniform_block", block_with_zero)
+    monkeypatch.setattr(protocol, "_positive_uniform", spy_redraw)
+    patched = sample_push_sum_weights(g, range(4), streams)
+    assert len(redrawn) == len(zeroed) >= 1
+    for (i, count), draws in zip(zeroed, redrawn):
+        expected = real_redraw(streams.stream(PURPOSE_WEIGHTS, i, 2), count)
+        assert draws.tobytes() == expected.tobytes()
+        expected /= expected.sum()
+        rows = [j - 1 for j in g.out_neighbors[i]] + [i - 1]
+        assert patched[2].p[rows, i - 1].tobytes() == expected.tobytes()
+    for w, ref in zip(patched, clean):
+        assert np.array_equal(w.p, ref.p)
+
+
+def test_negative_seed_still_raises() -> None:
+    with pytest.raises(ValueError):
+        SeedStreams(-1).uniform_block(PURPOSE_WEIGHTS, [1, 2], 0, 3)
+    with pytest.raises(ValueError):
+        run_protocol(demo_digraph(), np.ones(5), "push_sum", 3, seed=-1)
 
 
 # ---------------------------------------------------------------------------
