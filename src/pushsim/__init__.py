@@ -11,10 +11,7 @@ from .graph import (
     save_digraph,
 )
 from .protocol import (
-    DecomposedState,
-    PushSumState,
-    RoundRecord,
-    RoundWeights,
+    PROTOCOLS,
     SeedStreams,
     Trace,
     conserved_sums,
@@ -23,14 +20,12 @@ from .protocol import (
     estimate_series,
     init_decomposed,
     init_push_sum,
-    push_sum_round,
-    register_protocol,
-    registered_protocols,
     replay,
     retained_ratio_series,
     run_protocol,
     sample_push_sum_weights,
     sample_round_weights,
+    transmissions,
 )
 from .traceio import TraceFormatError, read_trace, write_estimates_csv, write_trace
 from .adversary import (

@@ -22,17 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Digraph
-from .protocol import (
-    ESTIMATE_GUARD,
-    DecomposedState,
-    Trace,
-    estimate_average,
-)
+from .protocol import ESTIMATE_GUARD, Trace, estimate_average
+from .traceio import csv_writer
 
 # Round from which exceedance statistics are counted in summaries: early
 # rounds are dominated by the decaying start-up residual rather than by the
@@ -63,12 +59,6 @@ class EavesdropperState:
     unrecoverable_rounds: list[int] = field(default_factory=list)
 
 
-def _exchanged_value(state) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(state, DecomposedState):
-        return state.x_alpha_1, state.x_alpha_2
-    return state.x1, state.x2
-
-
 def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
     """Run the wire-tap observer against one node of a recorded trace.
 
@@ -79,48 +69,42 @@ def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
     in-edge products plus an assumed self-weight of one minus the target's
     known out-weights.  The estimate is the ratio of the two books.
     """
-    if not trace.rounds:
+    if not trace.n_rounds:
         raise ValueError("trace has no rounds to observe")
     g = trace.graph
     if target not in g.nodes:
         raise ValueError(f"target {target} not a node of the digraph")
     n_rounds = trace.n_rounds
     t = target - 1
-    out_edges = [(j, target) for j in g.out_neighbors[target]]
-    in_nodes = g.in_neighbors[target]
+    out_edges = [g.edge_position[(j, target)] for j in g.out_neighbors[target]]
+    in_edges = [g.edge_position[(target, j)] for j in g.in_neighbors[target]]
 
-    # Recover the target's exchanged state at every observed round.
+    # Recover the target's exchanged state at every observed round from the
+    # out-edge with the largest weight magnitude.
     x_plus = np.full((n_rounds, 2), np.nan)
-    unrecoverable: list[int] = []
-    for k, rec in enumerate(trace.rounds):
-        weights = np.array([rec.weights.p[j - 1, t] for j, _ in out_edges])
-        if weights.size == 0:
-            unrecoverable.append(k)
-            continue
-        best = int(np.argmax(np.abs(weights)))
-        if weights[best] == 0.0:
-            unrecoverable.append(k)
-            continue
-        j_best, _ = out_edges[best]
-        pair = rec.transmitted[(j_best, target)]
-        x_plus[k, 0] = pair[0] / weights[best]
-        x_plus[k, 1] = pair[1] / weights[best]
+    if out_edges:
+        weights = trace.p[:, [j - 1 for j in g.out_neighbors[target]], t]
+        best = np.argmax(np.abs(weights), axis=1)
+        rows = np.arange(n_rounds)
+        divisor = weights[rows, best]
+        known = divisor != 0.0
+        x_plus[known] = trace.sent[rows, np.array(out_edges)[best]][known] / divisor[known, None]
+        unrecoverable = [int(k) for k in np.flatnonzero(~known)]
+    else:
+        unrecoverable = list(range(n_rounds))
 
+    cols = np.ascontiguousarray(trace.p[:-1, :, t])
+    assumed_self = 1.0 - (cols.sum(axis=1) - cols[:, t])
+    inflow = assumed_self[:, None] * x_plus[:-1]
+    for e in in_edges:  # one in-neighbor at a time, in sorted order
+        inflow += trace.sent[:-1, e]
     s = np.full((n_rounds, 2), np.nan)
     s[0] = x_plus[0]
     for k in range(n_rounds - 1):
-        rec = trace.rounds[k]
-        col = rec.weights.p[:, t]
-        assumed_self = 1.0 - (col.sum() - col[t])
-        for l in (0, 1):
-            inflow = assumed_self * x_plus[k, l]
-            for j in in_nodes:
-                inflow += rec.transmitted[(target, j)][l]
-            s[k + 1, l] = s[k, l] + x_plus[k + 1, l] - inflow
+        s[k + 1] = s[k] + x_plus[k + 1] - inflow[k]
 
-    estimates = np.array([estimate_average(s[k, 0], s[k, 1]) for k in range(n_rounds)])
     return EavesdropperState(
-        target=target, s1=s[:, 0], s2=s[:, 1], estimates=estimates,
+        target=target, s1=s[:, 0], s2=s[:, 1], estimates=estimate_average(s[:, 0], s[:, 1]),
         unrecoverable_rounds=unrecoverable,
     )
 
@@ -163,17 +147,16 @@ def eavesdropper_diagnostics(trace: Trace, target: int, threshold: float = 500.0
         raise ValueError(f"target {target} not a node of the digraph")
     t = target - 1
     n_rounds = trace.n_rounds
-    states = trace.states()
     average = float(np.mean(trace.x0))
     initial_offset = float(trace.x0[t]) - average
 
+    # round k's books see the retention of round k-1 applied to the state before it
+    alpha_prev = trace.alpha[:-1, t]
+    prev = trace.states[: n_rounds - 1, :, t]
     retained_mass = np.full(n_rounds, np.nan)
     residual = np.full(n_rounds, np.nan)
-    for k in range(1, n_rounds):
-        alpha_prev = trace.rounds[k - 1].weights.alpha[t]
-        prev = states[k - 1]
-        retained_mass[k] = alpha_prev * prev.x_alpha_2[t]
-        residual[k] = average * retained_mass[k] - alpha_prev * prev.x_alpha_1[t]
+    retained_mass[1:] = alpha_prev * prev[:, 1]
+    residual[1:] = average * retained_mass[1:] - alpha_prev * prev[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         predicted_error = np.abs(
             (initial_offset * retained_mass + residual) / (2.0 - retained_mass)
@@ -225,11 +208,9 @@ def write_attack_json(report: dict, path, extra: dict | None = None) -> None:
 
 
 def write_attack_csv(report: dict, path, comment: str | None = None) -> None:
-    from .traceio import _csv_writer
-
     truth = report["true_initial"]
     with open(path, "w", encoding="utf-8") as fh:
-        writer = _csv_writer(fh, comment)
+        writer = csv_writer(fh, comment)
         writer.writerow(["k", "estimate", "abs_error"])
         for k, est in enumerate(report["estimates"]):
             if est is None:
@@ -276,32 +257,18 @@ def build_coalition_view(trace: Trace, coalition) -> CoalitionView:
         raise ValueError(f"coalition {sorted(members)} contains non-nodes")
     if members == set(g.nodes):
         raise ValueError("coalition of all nodes is rejected: no one is left to protect")
-    states = trace.states()
-    n_rounds = trace.n_rounds
-    substates: dict[int, np.ndarray] = {}
-    weight_columns: dict[int, np.ndarray] = {}
-    retention: dict[int, np.ndarray] = {}
-    received: dict[int, dict[int, np.ndarray]] = {}
-    for a in sorted(members):
-        ai = a - 1
-        sub = np.empty((n_rounds + 1, 4))
-        for k, st in enumerate(states):
-            sub[k] = (st.x_alpha_1[ai], st.x_alpha_2[ai], st.x_beta_1[ai], st.x_beta_2[ai])
-        substates[a] = sub
-        weight_columns[a] = np.stack([rec.weights.p[:, ai] for rec in trace.rounds])
-        retention[a] = np.array([rec.weights.alpha[ai] for rec in trace.rounds])
-        received[a] = {
-            p: np.array([rec.transmitted[(a, p)] for rec in trace.rounds])
-            for p in g.in_neighbors[a]
-        }
+    order = sorted(members)
     return CoalitionView(
         coalition=members,
         graph=g,
-        n_rounds=n_rounds,
-        substates=substates,
-        weight_columns=weight_columns,
-        retention=retention,
-        received=received,
+        n_rounds=trace.n_rounds,
+        substates={a: trace.states[:, :, a - 1].copy() for a in order},
+        weight_columns={a: trace.p[:, :, a - 1].copy() for a in order},
+        retention={a: trace.alpha[:, a - 1].copy() for a in order},
+        received={
+            a: {p: trace.sent[:, g.edge_position[(a, p)]].copy() for p in g.in_neighbors[a]}
+            for a in order
+        },
     )
 
 
@@ -348,49 +315,32 @@ def equivalent_trace(trace: Trace, i: int, m: int, e: float) -> Trace:
         raise ValueError(f"node {m} is not a neighbor of node {i}")
 
     out = Trace(
-        trace.protocol,
-        g,
-        trace.x0.copy(),
-        trace.seed,
-        trace.spread,
-        trace.initial_state.copy(),
-        [
-            replace(
-                rec, weights=rec.weights.copy(), state=rec.state.copy(),
-                transmitted=dict(rec.transmitted),
-            )
-            for rec in trace.rounds
-        ],
+        trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread, trace.p.copy(),
+        trace.alpha.copy(), trace.states.copy(), trace.sent.copy(),
     )
     if e == 0:
         return out
 
     out.x0[i - 1] += e
     out.x0[m - 1] -= e
-    out.initial_state.x_beta_1[i - 1] += 2.0 * e
-    out.initial_state.x_beta_1[m - 1] -= 2.0 * e
+    out.states[0, 2, i - 1] += 2.0 * e
+    out.states[0, 2, m - 1] -= 2.0 * e
 
     # Repair round 0: the adjusted sender's value flow must shift by 2e
     # between its self-term and its edge to the other node.
     sender = m if to_i else i
     receiver = i if to_i else m
     sign = 1.0 if to_i else -1.0
-    s = sender - 1
-    divisor = trace.initial_state.x_alpha_1[s]
+    s, r = sender - 1, receiver - 1
+    divisor = trace.states[0, 0, s]
     if abs(divisor) < DIVISOR_GUARD:
         raise ValueError(
             f"node {sender}'s round-0 exchanged value {divisor!r} is too small to rebalance"
         )
-    w0 = out.rounds[0].weights
-    w0.p[s, s] = (trace.rounds[0].weights.p[s, s] * divisor + sign * 2.0 * e) / divisor
-    w0.p[receiver - 1, s] = (
-        trace.rounds[0].weights.p[receiver - 1, s] * divisor - sign * 2.0 * e
-    ) / divisor
-    x2 = trace.initial_state.x_alpha_2[s]
-    out.rounds[0].transmitted[(receiver, sender)] = (
-        float(w0.p[receiver - 1, s] * divisor),
-        float(w0.p[receiver - 1, s] * x2),
-    )
+    p0 = out.p[0]
+    p0[s, s] = (trace.p[0, s, s] * divisor + sign * 2.0 * e) / divisor
+    p0[r, s] = (trace.p[0, r, s] * divisor - sign * 2.0 * e) / divisor
+    out.sent[0, g.edge_position[(receiver, sender)]] = p0[r, s] * trace.states[0, :2, s]
     return out
 
 

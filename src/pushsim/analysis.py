@@ -11,40 +11,35 @@ bound follows from the smallest positive entry seen in the sequence.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import (
-    RoundWeights,
-    Trace,
-    estimate_series,
-)
+from .protocol import Trace, estimate_series
+from .traceio import csv_cell, csv_writer
 
 COLUMN_SUM_TOL = 1e-9
 
 
-def augmented_matrix(w: RoundWeights) -> np.ndarray:
+def augmented_matrix(p_k: np.ndarray, alpha_k: np.ndarray) -> np.ndarray:
     """Stacked one-round transition matrix [[P, I], [diag(alpha), 0]].
 
     Multiplying the stacked vector [exchanged; retained] by this matrix
     performs exactly one decomposed round.  Column sums are one whenever
-    w's columns plus retention sum to one.
+    the columns of p_k plus alpha_k sum to one.
     """
-    n = w.p.shape[0]
+    n = p_k.shape[0]
     out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = w.p
+    out[:n, :n] = p_k
     out[:n, n:] = np.eye(n)
-    out[n:, :n] = np.diag(w.alpha)
+    out[n:, :n] = np.diag(alpha_k)
     return out
 
 
-def stack_state(state) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked vectors (value, weight) for a decomposed state."""
-    return (
-        np.concatenate([state.x_alpha_1, state.x_beta_1]),
-        np.concatenate([state.x_alpha_2, state.x_beta_2]),
-    )
+def stack_state(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked vectors (value, weight) of a (4, n) state: [x_alpha_l; x_beta_l]."""
+    return np.concatenate([state[0], state[2]]), np.concatenate([state[1], state[3]])
 
 
 def ergodicity_coefficient(m: np.ndarray) -> float:
@@ -52,13 +47,13 @@ def ergodicity_coefficient(m: np.ndarray) -> float:
 
     delta(m) = max over rows of (row max - row min); zero exactly when all
     columns are identical.  Rejects matrices whose columns do not sum to
-    one within COLUMN_SUM_TOL.
+    one within COLUMN_SUM_TOL, including any with a non-finite column sum.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
     col_err = np.abs(m.sum(axis=0) - 1.0).max()
-    if col_err > COLUMN_SUM_TOL:
+    if not col_err <= COLUMN_SUM_TOL:
         raise ValueError(
             f"columns must sum to 1 within {COLUMN_SUM_TOL}, worst error {col_err:.3e}"
         )
@@ -98,22 +93,22 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     """
     if trace.protocol != "decomposed":
         raise ValueError("forward products are defined for decomposed traces")
-    last = trace.rounds[-1].k if k is None else int(k)
-    if last < 1 or last > trace.rounds[-1].k:
-        raise ValueError(f"k must be in 1..{trace.rounds[-1].k}, got {last}")
+    final = trace.n_rounds - 1
+    last = final if k is None else int(k)
+    if last < 1 or last > final:
+        raise ValueError(f"k must be in 1..{final}, got {last}")
     n = trace.graph.n
     product = np.eye(2 * n)
     epsilon = np.inf
-    rounds, deltas = [], []
-    for rec in trace.rounds[1 : last + 1]:
-        m = augmented_matrix(rec.weights)
+    deltas = []
+    for r in range(1, last + 1):
+        m = augmented_matrix(trace.p[r], trace.alpha[r])
         positive = m[m > 0.0]
         if positive.size:
             epsilon = min(epsilon, float(positive.min()))
         product = m @ product
-        rounds.append(rec.k)
         deltas.append(ergodicity_coefficient(product))
-    rounds_arr = np.asarray(rounds, dtype=np.int64)
+    rounds_arr = np.arange(1, last + 1, dtype=np.int64)
     bound = (1.0 - epsilon**n) ** np.floor_divide(rounds_arr, n)
     return ErgodicityReport(
         rounds=rounds_arr,
@@ -173,19 +168,15 @@ def convergence_round(errors: np.ndarray, tol: float = 1e-8) -> int | None:
 
 def write_analysis_csv(report: ErgodicityReport, metrics: RunMetrics, path, comment: str | None = None) -> None:
     """Joined contraction/error table: columns k, delta, bound, mse."""
-    from .traceio import _cell, _csv_writer
-
     with open(path, "w", encoding="utf-8") as fh:
-        writer = _csv_writer(fh, comment)
+        writer = csv_writer(fh, comment)
         writer.writerow(["k", "delta", "bound", "mse"])
         for t, k in enumerate(report.rounds):
             mse = metrics.mse[k] if k < metrics.mse.shape[0] else float("nan")
-            writer.writerow([int(k), repr(float(report.delta[t])), repr(float(report.bound[t])), _cell(mse)])
+            writer.writerow([int(k), repr(float(report.delta[t])), repr(float(report.bound[t])), csv_cell(mse)])
 
 
 def write_analysis_json(report: ErgodicityReport, conv_round: int | None, path, extra: dict | None = None) -> None:
-    import json
-
     payload = {
         "epsilon": report.epsilon,
         "final_delta": float(report.delta[-1]),

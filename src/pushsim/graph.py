@@ -44,6 +44,11 @@ class Digraph:
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
+    @cached_property
+    def edge_position(self) -> dict[Edge, int]:
+        """Index of each edge in sorted_edges, which is the edge axis of a trace."""
+        return {edge: e for e, edge in enumerate(self.sorted_edges)}
+
 
 def build_digraph(n: int, edges) -> Digraph:
     """Validate and build a Digraph.

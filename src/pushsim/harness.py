@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, analysis, graph as graphmod, protocol, traceio
+from .traceio import csv_cell, csv_writer
 
 ENV_OUTPUT_ROOT = "PUSHSIM_OUTPUT_ROOT"
 
@@ -50,7 +51,7 @@ class ExperimentConfig:
     initials: dict
     graph_spec: dict
     attack_target: int | None
-    extra_rounds_hint: int | None  # the L knob: accepted for plug-ins, unused here
+    extra_rounds_hint: int | None  # the L knob: accepted and hashed, unused here
     output_dir: str
 
     def resolve_graph(self) -> graphmod.Digraph:
@@ -97,8 +98,12 @@ class ExperimentConfig:
 
 
 def _integer(value, name: str) -> int:
-    """An integer config field; booleans and values int() cannot take are rejected."""
-    if isinstance(value, bool):
+    """An integer config field.
+
+    Booleans, floats with a fractional part and values int() cannot take are
+    rejected; an integral float such as 3.0 is taken as 3.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
     try:
         return int(value)
@@ -129,10 +134,8 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
     merged = {**DEFAULTS, **data}
 
     tag = merged["protocol"]
-    if tag not in protocol.registered_protocols():
-        raise ConfigError(
-            f"protocol: unknown tag {tag!r}; registered: {', '.join(protocol.registered_protocols())}"
-        )
+    if tag not in protocol.PROTOCOLS:
+        raise ConfigError(f"protocol: unknown tag {tag!r}; registered: {', '.join(protocol.PROTOCOLS)}")
     rounds = _integer(merged["rounds"], "rounds")
     if rounds < 1:
         raise ConfigError(f"rounds: must be positive, got {rounds}")
@@ -335,12 +338,13 @@ def check_invariants(trace_or_path) -> InvariantReport:
     g = trace.graph
     n = g.n
 
+    # Each check is written as "not (error <= tolerance)" so that a NaN
+    # fails it: every comparison with NaN is false.
     s1, s2 = protocol.conserved_sums(trace)
-    bad = None
-    for k in range(len(s1)):
-        if abs(s1[k] - s1[0]) > 1e-9 * max(1.0, abs(s1[0])) or abs(s2[k] - s2[0]) > 1e-9 * max(1.0, abs(s2[0])):
-            bad = k
-            break
+    held = (np.abs(s1 - s1[0]) <= 1e-9 * max(1.0, abs(s1[0]))) & (
+        np.abs(s2 - s2[0]) <= 1e-9 * max(1.0, abs(s2[0]))
+    )
+    bad = _first(~held)
     items.append(
         InvariantResult(
             "conservation",
@@ -352,12 +356,10 @@ def check_invariants(trace_or_path) -> InvariantReport:
     )
 
     bad_detail = None
-    for rec in trace.rounds:
-        err = np.abs(rec.weights.p.sum(axis=0) + rec.weights.alpha - 1.0)
-        if err.max() > 1e-12:
-            col = int(err.argmax())
-            bad_detail = f"round {rec.k}, sender {col + 1}: column sum off by {err.max():.3e}"
-            break
+    err = np.abs(trace.p.sum(axis=1) + trace.alpha - 1.0)
+    k = _first(~(err <= 1e-12).all(axis=1))
+    if k is not None:
+        bad_detail = f"round {k}, sender {int(np.argmax(err[k])) + 1}: column sum off by {err[k].max():.3e}"
     items.append(
         InvariantResult(
             "column_stochasticity",
@@ -367,14 +369,13 @@ def check_invariants(trace_or_path) -> InvariantReport:
     )
 
     bad_detail = None
-    for rec in trace.rounds:
-        nz = np.argwhere(rec.weights.p != 0.0)
-        for j0, i0 in nz:
-            if j0 != i0 and (int(j0) + 1, int(i0) + 1) not in g.edges:
-                bad_detail = f"round {rec.k}: weight on missing edge ({int(j0) + 1}, {int(i0) + 1})"
-                break
-        if bad_detail:
-            break
+    allowed = np.eye(n, dtype=bool)
+    for j, i in g.edges:
+        allowed[j - 1, i - 1] = True
+    stray = np.argwhere((trace.p != 0.0) & ~allowed)
+    if len(stray):
+        k, j0, i0 = (int(v) for v in stray[0])
+        bad_detail = f"round {k}: weight on missing edge ({j0 + 1}, {i0 + 1})"
     items.append(
         InvariantResult(
             "zero_pattern",
@@ -385,27 +386,16 @@ def check_invariants(trace_or_path) -> InvariantReport:
 
     bad_detail = None
     redone = protocol.replay(trace)
-    for rec, rrec in zip(trace.rounds, redone.rounds):
-        state_pairs = (
-            (rec.state.x1, rrec.state.x1, "x1"), (rec.state.x2, rrec.state.x2, "x2")
-        ) if isinstance(rec.state, protocol.PushSumState) else (
-            (rec.state.x_alpha_1, rrec.state.x_alpha_1, "x_alpha_1"),
-            (rec.state.x_alpha_2, rrec.state.x_alpha_2, "x_alpha_2"),
-            (rec.state.x_beta_1, rrec.state.x_beta_1, "x_beta_1"),
-            (rec.state.x_beta_2, rrec.state.x_beta_2, "x_beta_2"),
-        )
-        for recorded, replayed, label in state_pairs:
-            if not np.allclose(recorded, replayed, rtol=1e-9, atol=1e-12):
-                bad_detail = f"round {rec.k}: recorded {label} diverges from replay"
-                break
-        if bad_detail is None:
-            for edge in g.sorted_edges:
-                a, b = rec.transmitted[edge], rrec.transmitted[edge]
-                if not np.allclose(a, b, rtol=1e-9, atol=1e-12):
-                    bad_detail = f"round {rec.k}: transmitted product on edge {edge} diverges from replay"
-                    break
-        if bad_detail:
-            break
+    labels = traceio.STATE_KEYS[trace.protocol]
+    rows = len(labels)
+    state_off = ~np.isclose(trace.states[1:, :rows], redone.states[1:, :rows], rtol=1e-9, atol=1e-12).all(axis=2)
+    sent_off = ~np.isclose(trace.sent, redone.sent, rtol=1e-9, atol=1e-12).all(axis=2)
+    k = _first(state_off.any(axis=1) | sent_off.any(axis=1))
+    if k is not None and state_off[k].any():
+        bad_detail = f"round {k}: recorded {labels[int(np.argmax(state_off[k]))]} diverges from replay"
+    elif k is not None:
+        edge = g.sorted_edges[int(np.argmax(sent_off[k]))]
+        bad_detail = f"round {k}: transmitted product on edge {edge} diverges from replay"
     items.append(
         InvariantResult(
             "replay_consistency",
@@ -421,9 +411,8 @@ def check_invariants(trace_or_path) -> InvariantReport:
             # e.g. recorded weights whose columns no longer sum to one
             items.append(InvariantResult("ergodicity_bound", "fail", str(exc)))
             return InvariantReport(items)
-        excess = report.delta - (report.bound + 1e-12)
-        if (excess > 0).any():
-            t = int(np.argmax(excess > 0))
+        t = _first(~(report.delta <= report.bound + 1e-12))
+        if t is not None:
             items.append(
                 InvariantResult(
                     "ergodicity_bound",
@@ -446,6 +435,12 @@ def check_invariants(trace_or_path) -> InvariantReport:
     return InvariantReport(items)
 
 
+def _first(flags: np.ndarray) -> int | None:
+    """Index of the first true entry of a 1-D mask, or None."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
+
+
 # ---------------------------------------------------------------------------
 # protocol comparison
 
@@ -459,10 +454,8 @@ def compare_protocols(cfg: ExperimentConfig, protocols: list[str] | None = None)
     """
     tags = protocols if protocols else ["push_sum", "decomposed"]
     for tag in tags:
-        if tag not in protocol.registered_protocols():
-            raise ConfigError(
-                f"unknown protocol {tag!r}; registered: {', '.join(protocol.registered_protocols())}"
-            )
+        if tag not in protocol.PROTOCOLS:
+            raise ConfigError(f"unknown protocol {tag!r}; registered: {', '.join(protocol.PROTOCOLS)}")
     g = cfg.resolve_graph()
     chash = cfg.config_hash()
     outdir = cfg.resolved_output_dir()
@@ -478,14 +471,12 @@ def compare_protocols(cfg: ExperimentConfig, protocols: list[str] | None = None)
             trace = protocol.run_protocol(g, x0_by_seed[seed], tag, cfg.rounds, cfg.spread, seed)
             mse[(tag, seed)] = analysis.run_metrics(trace).mse
 
-    from .traceio import _cell, _csv_writer
-
     with open(outdir / "compare.csv", "w", encoding="utf-8") as fh:
-        writer = _csv_writer(fh, f"config_hash={chash}")
+        writer = csv_writer(fh, f"config_hash={chash}")
         writer.writerow(["seed", "k"] + [f"mse_{tag}" for tag in tags])
         for seed in cfg.seeds:
             for k in range(cfg.rounds + 1):
-                writer.writerow([seed, k] + [_cell(mse[(tag, seed)][k]) for tag in tags])
+                writer.writerow([seed, k] + [csv_cell(mse[(tag, seed)][k]) for tag in tags])
 
     payload = {
         "config_hash": chash,

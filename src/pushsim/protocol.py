@@ -1,6 +1,6 @@
 """Push-sum style averaging protocols.
 
-Two built-in protocols share one trace format:
+Two protocols share one state layout, one round update and one trace:
 
 * ``push_sum``: each node keeps a value/weight pair (x1, x2) and in every
   round splits both across its out-edges and itself with fresh random
@@ -11,7 +11,8 @@ Two built-in protocols share one trace format:
   retained substate (x_beta_1, x_beta_2) that never leaves the node.  Round
   0 uses sign-unrestricted Gaussian weights; later rounds use uniform ones.
   The retention weight alpha_i(k) moves a slice of the exchanged substate
-  into the retained one each round.
+  into the retained one each round.  With alpha = 0 and an empty retained
+  substate this update is push_sum, which is how push_sum runs.
 
 Weight matrices are column stochastic: p[j-1, i-1] is the weight sender i
 assigns to receiver j, and column i plus alpha_i sums to one.  All
@@ -20,12 +21,12 @@ one master seed, so any node's draws replay independently of the others.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .graph import Digraph, Edge, check_protocol_usable
+from .graph import Digraph, check_protocol_usable
 
 # Guard below which a ratio estimate is reported as undefined (NaN).
 ESTIMATE_GUARD = 1e-12
@@ -141,101 +142,54 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return carry + hi * _PCG_LO + lo * _PCG_HI + inc_hi + (lo2 < inc_lo), lo2
 
 
-@dataclass
-class PushSumState:
-    """Value and weight vectors (index 0 holds node 1)."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-
-    def copy(self) -> "PushSumState":
-        return PushSumState(self.x1.copy(), self.x2.copy())
-
-
-@dataclass
-class DecomposedState:
-    """Exchanged (alpha) and retained (beta) substate vectors."""
-
-    x_alpha_1: np.ndarray
-    x_alpha_2: np.ndarray
-    x_beta_1: np.ndarray
-    x_beta_2: np.ndarray
-
-    def copy(self) -> "DecomposedState":
-        return DecomposedState(
-            self.x_alpha_1.copy(),
-            self.x_alpha_2.copy(),
-            self.x_beta_1.copy(),
-            self.x_beta_2.copy(),
-        )
-
-
-State = PushSumState | DecomposedState
-
-
-@dataclass
-class RoundWeights:
-    """One round of sampled weights.
-
-    p[j-1, i-1] is sender i's weight toward receiver j; alpha[i-1] is the
-    retention weight (all zeros for ``push_sum``).  Nonzero off-diagonal
-    entries of p appear only on edges of the digraph.
-    """
-
-    p: np.ndarray
-    alpha: np.ndarray
-
-    def copy(self) -> "RoundWeights":
-        return RoundWeights(self.p.copy(), self.alpha.copy())
-
-
-@dataclass
-class RoundRecord:
-    """What one round leaves behind: weights, post-update state, transmissions.
-
-    ``transmitted`` maps each edge (receiver, sender) to the pair of values
-    (l=1, l=2) that crossed it this round, i.e. weight times the sender's
-    pre-update exchanged state.
-    """
-
-    k: int
-    weights: RoundWeights
-    state: State
-    transmitted: dict[Edge, tuple[float, float]]
+# ---------------------------------------------------------------------------
+# the trace
 
 
 @dataclass
 class Trace:
-    """Complete record of one protocol run."""
+    """Complete record of one protocol run, as arrays indexed by round.
+
+    With R rounds on n nodes and E = len(graph.sorted_edges) edges:
+
+    * ``p`` (R, n, n): p[k, j-1, i-1] is sender i's round-k weight toward
+      receiver j (j = i is the self-weight);
+    * ``alpha`` (R, n): retention weights, all zero for ``push_sum``;
+    * ``states`` (R+1, 4, n): the state after k rounds, rows x_alpha_1,
+      x_alpha_2, x_beta_1, x_beta_2.  A ``push_sum`` state keeps x1, x2 in
+      the first two rows and zeros in the retained ones;
+    * ``sent`` (R, E, 2): the values (l=1, l=2) that crossed edge
+      graph.sorted_edges[e] in round k, i.e. the edge weight times the
+      sender's pre-round exchanged state.  They are recorded, not derived,
+      so a check can catch a trace file whose products disagree with it.
+    """
 
     protocol: str
     graph: Digraph
     x0: np.ndarray
     seed: int
     spread: float | None
-    initial_state: State
-    rounds: list[RoundRecord] = field(default_factory=list)
-
-    def states(self) -> list[State]:
-        """State at every time step: index k holds the state after k rounds."""
-        return [self.initial_state] + [r.state for r in self.rounds]
+    p: np.ndarray
+    alpha: np.ndarray
+    states: np.ndarray
+    sent: np.ndarray
 
     @property
     def n_rounds(self) -> int:
-        return len(self.rounds)
+        return self.p.shape[0]
 
 
 # ---------------------------------------------------------------------------
 # initialization
 
 
-def init_push_sum(x0: np.ndarray) -> PushSumState:
-    """Start state for push_sum: x1 = initial values, x2 = ones."""
+def init_push_sum(x0: np.ndarray) -> np.ndarray:
+    """Start state for push_sum: x1 = initial values, x2 = ones, no retained substate."""
     x0 = np.asarray(x0, dtype=np.float64)
-    return PushSumState(x1=x0.copy(), x2=np.ones_like(x0))
+    return np.stack([x0, np.ones_like(x0), np.zeros_like(x0), np.zeros_like(x0)])
 
 
-def init_decomposed(x0: np.ndarray, spread: float, streams: SeedStreams) -> DecomposedState:
+def init_decomposed(x0: np.ndarray, spread: float, streams: SeedStreams) -> np.ndarray:
     """Start state for the decomposed protocol.
 
     Each node draws its exchanged value substate uniformly from
@@ -256,12 +210,7 @@ def init_decomposed(x0: np.ndarray, spread: float, streams: SeedStreams) -> Deco
     for i in range(1, n + 1):
         rng = streams.stream(PURPOSE_INIT_SUBSTATE, i)
         x_alpha_1[i - 1] = rng.uniform(-spread, spread)
-    return DecomposedState(
-        x_alpha_1=x_alpha_1,
-        x_alpha_2=np.zeros(n),
-        x_beta_1=2.0 * x0 - x_alpha_1,
-        x_beta_2=np.full(n, 2.0),
-    )
+    return np.stack([x_alpha_1, np.zeros(n), 2.0 * x0 - x_alpha_1, np.full(n, 2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +265,13 @@ def sample_push_sum_weights(g: Digraph, k: int | Iterable[int], streams: SeedStr
 
     Each sender i draws one value per out-neighbor plus one for itself from
     U(0,1), in sorted-receiver-then-self order, and normalizes the column
-    to sum one.  An int k gives that round's RoundWeights; a sequence of
-    rounds gives a list of them, whose p matrices are views into one
-    (rounds, n, n) array.
+    to sum one.  Returns (p, alpha) with alpha all zeros: shapes (n, n) and
+    (n,) for an int k, (rounds, n, n) and (rounds, n) for a sequence.
     """
     single, ks = _round_indices(k)
     p, alpha = np.zeros((ks.size, g.n, g.n)), np.zeros((ks.size, g.n))
     _fill_uniform(g, streams, ks, np.arange(ks.size), p)
-    weights = [RoundWeights(p=p[r], alpha=alpha[r]) for r in range(ks.size)]
-    return weights[0] if single else weights
+    return (p[0], alpha[0]) if single else (p, alpha)
 
 
 def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, streams: SeedStreams):
@@ -336,9 +283,9 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
     so normalized entries may fall outside (0, 1); whenever the normalizer
     magnitude falls below REDRAW_GUARD the node redraws the whole set.  From
     k = 1 on the draws are U(0,1), giving entries strictly inside (0, 1).
-    The column plus retention always sums to one.  An int k gives that
-    round's RoundWeights; a sequence of rounds gives a list of them, whose p
-    and alpha are views into one (rounds, n, n) and one (rounds, n) array.
+    The column plus retention always sums to one.  Returns (p, alpha):
+    shapes (n, n) and (n,) for an int k, (rounds, n, n) and (rounds, n) for
+    a sequence.
     """
     single, ks = _round_indices(k)
     p, alpha = np.zeros((ks.size, g.n, g.n)), np.zeros((ks.size, g.n))
@@ -355,48 +302,48 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
             alpha[r, i - 1] = draws[-1]
     later = np.flatnonzero(ks != 0)
     _fill_uniform(g, streams, ks[later], later, p, alpha)
-    weights = [RoundWeights(p=p[r], alpha=alpha[r]) for r in range(ks.size)]
-    return weights[0] if single else weights
+    return (p[0], alpha[0]) if single else (p, alpha)
 
 
 # ---------------------------------------------------------------------------
-# round updates
+# the round update
 
 
-def _edge_products(g: Digraph, p: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> dict[Edge, tuple[float, float]]:
-    return {
-        (j, i): (float(p[j - 1, i - 1] * v1[i - 1]), float(p[j - 1, i - 1] * v2[i - 1]))
-        for (j, i) in g.sorted_edges
-    }
-
-
-def push_sum_round(state: PushSumState, w: RoundWeights, g: Digraph) -> tuple[PushSumState, dict[Edge, tuple[float, float]]]:
-    """One synchronous push_sum round.
-
-    Returns the post-update state and the transmitted products
-    weight * sender's pre-update state for every edge.
-    """
-    new = PushSumState(x1=w.p @ state.x1, x2=w.p @ state.x2)
-    products = _edge_products(g, w.p, state.x1, state.x2)
-    return new, products
-
-
-def decomposed_round(state: DecomposedState, w: RoundWeights, g: Digraph) -> tuple[DecomposedState, dict[Edge, tuple[float, float]]]:
-    """One synchronous round of the decomposed protocol.
+def decomposed_round(p_k: np.ndarray, alpha_k: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """One synchronous round, the only update either protocol uses.
 
     The exchanged substate mixes over in-edges and absorbs the retained
     substate; the new retained substate is the retention weight times the
-    pre-update exchanged substate.  Only exchanged-substate products ever
-    appear on the wire.
+    pre-update exchanged substate.  With alpha = 0 and an empty retained
+    substate this is push_sum.  Where alpha is zero the retained rows stay
+    +0.0 whatever the sign of the exchanged state, so a push_sum state's
+    retained rows are exact zeros.
     """
-    new = DecomposedState(
-        x_alpha_1=w.p @ state.x_alpha_1 + state.x_beta_1,
-        x_alpha_2=w.p @ state.x_alpha_2 + state.x_beta_2,
-        x_beta_1=w.alpha * state.x_alpha_1,
-        x_beta_2=w.alpha * state.x_alpha_2,
-    )
-    products = _edge_products(g, w.p, state.x_alpha_1, state.x_alpha_2)
-    return new, products
+    new = np.zeros_like(state)
+    new[0] = p_k @ state[0] + state[2]
+    new[1] = p_k @ state[1] + state[3]
+    np.multiply(alpha_k, state[:2], out=new[2:], where=alpha_k != 0.0)
+    return new
+
+
+def transmissions(g: Digraph, p: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """What crossed each edge in each round, shape (rounds, edges, 2).
+
+    Entry [k, e] is p[k, j-1, i-1] times sender i's exchanged state before
+    round k, for edge (j, i) = g.sorted_edges[e].
+    """
+    receivers, senders = np.array(g.sorted_edges, dtype=np.intp).reshape(-1, 2).T - 1
+    w = p[:, receivers, senders]
+    return np.stack([w * states[:-1, 0, senders], w * states[:-1, 1, senders]], axis=-1)
+
+
+def _evolve(p: np.ndarray, alpha: np.ndarray, state0: np.ndarray) -> np.ndarray:
+    """States after 0..R rounds of decomposed_round from state0."""
+    states = np.empty((p.shape[0] + 1,) + state0.shape)
+    states[0] = state0
+    for k in range(p.shape[0]):
+        states[k + 1] = decomposed_round(p[k], alpha[k], states[k])
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -425,127 +372,70 @@ def estimate_series(trace: Trace) -> np.ndarray:
     Row k holds each node's estimate after k rounds: x1/x2 for push_sum,
     exchanged-substate ratio for the decomposed protocol.
     """
-    rows = []
-    for state in trace.states():
-        if isinstance(state, PushSumState):
-            rows.append(estimate_average(state.x1, state.x2))
-        else:
-            rows.append(estimate_average(state.x_alpha_1, state.x_alpha_2))
-    return np.vstack(rows)
+    return estimate_average(trace.states[:, 0], trace.states[:, 1])
 
 
 def retained_ratio_series(trace: Trace) -> np.ndarray:
     """Retained-substate ratio per round for decomposed traces; NaN where undefined."""
-    rows = []
-    for state in trace.states():
-        if not isinstance(state, DecomposedState):
-            raise ValueError("retained ratios exist only for decomposed traces")
-        rows.append(estimate_average(state.x_beta_1, state.x_beta_2))
-    return np.vstack(rows)
+    if trace.protocol != "decomposed":
+        raise ValueError("retained ratios exist only for decomposed traces")
+    return estimate_average(trace.states[:, 2], trace.states[:, 3])
 
 
 # ---------------------------------------------------------------------------
 # running and replaying
 
-ProtocolRunner = Callable[[Digraph, np.ndarray, int, float, int], Trace]
-_PROTOCOLS: dict[str, ProtocolRunner] = {}
-
-
-def register_protocol(tag: str, runner: ProtocolRunner) -> None:
-    """Attach a protocol runner under a tag; external baselines plug in here."""
-    _PROTOCOLS[tag] = runner
-
-
-def registered_protocols() -> tuple[str, ...]:
-    return tuple(sorted(_PROTOCOLS))
+PROTOCOLS = ("decomposed", "push_sum")
 
 
 def run_protocol(g: Digraph, x0, protocol: str, rounds: int, spread: float = 100.0, seed: int = 0) -> Trace:
-    """Run a registered protocol and return its complete trace.
+    """Run a protocol and return its complete trace.
 
     Deterministic in all arguments: the same inputs give a bit-identical
     trace.  Rejects unknown tags, graphs unusable for protocol runs, an x0
     length mismatch, and a non-positive round count.
     """
-    if protocol not in _PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {protocol!r}; registered: {', '.join(registered_protocols())}"
-        )
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; registered: {', '.join(PROTOCOLS)}")
     check_protocol_usable(g)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (g.n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({g.n},)")
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
-    return _PROTOCOLS[protocol](g, x0, rounds, spread, seed)
-
-
-def _run_push_sum(g: Digraph, x0: np.ndarray, rounds: int, spread: float, seed: int) -> Trace:
     streams = SeedStreams(seed)
-    state = init_push_sum(x0)
-    trace = Trace("push_sum", g, x0.copy(), seed, spread, state.copy())
-    for k, w in enumerate(sample_push_sum_weights(g, range(rounds), streams)):
-        state, products = push_sum_round(state, w, g)
-        trace.rounds.append(RoundRecord(k, w, state, products))
-    return trace
-
-
-def _run_decomposed(g: Digraph, x0: np.ndarray, rounds: int, spread: float, seed: int) -> Trace:
-    streams = SeedStreams(seed)
-    state = init_decomposed(x0, spread, streams)
-    trace = Trace("decomposed", g, x0.copy(), seed, spread, state.copy())
-    for k, w in enumerate(sample_round_weights(g, range(rounds), spread, streams)):
-        state, products = decomposed_round(state, w, g)
-        trace.rounds.append(RoundRecord(k, w, state, products))
-    return trace
-
-
-register_protocol("push_sum", _run_push_sum)
-register_protocol("decomposed", _run_decomposed)
-
-
-def round_function(protocol: str):
-    """The single-round update used by a built-in protocol tag."""
     if protocol == "push_sum":
-        return push_sum_round
-    if protocol == "decomposed":
-        return decomposed_round
-    raise ValueError(f"no built-in round function for protocol {protocol!r}")
+        state0 = init_push_sum(x0)
+        p, alpha = sample_push_sum_weights(g, range(rounds), streams)
+    else:
+        state0 = init_decomposed(x0, spread, streams)
+        p, alpha = sample_round_weights(g, range(rounds), spread, streams)
+    states = _evolve(p, alpha, state0)
+    return Trace(protocol, g, x0.copy(), seed, spread, p, alpha, states, transmissions(g, p, states))
 
 
 def replay(trace: Trace) -> Trace:
     """Recompute a trace from its initial state and recorded weights.
 
-    Applies the protocol's round update to the stored weight sequence,
-    ignoring the recorded states and products.  For traces produced by
+    Applies the round update to the stored weight sequence, ignoring the
+    recorded later states and products.  For traces produced by
     run_protocol the result is bit-identical to the original.
     """
-    step = round_function(trace.protocol)
-    state = trace.initial_state.copy()
-    out = Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread, state.copy())
-    for rec in trace.rounds:
-        state, products = step(state, rec.weights, trace.graph)
-        out.rounds.append(RoundRecord(rec.k, rec.weights.copy(), state, products))
-    return out
+    p, alpha = trace.p.copy(), trace.alpha.copy()
+    states = _evolve(p, alpha, trace.states[0])
+    return Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread,
+                 p, alpha, states, transmissions(trace.graph, p, states))
 
 
 def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """Per-round totals of the value and weight coordinates.
 
-    For push_sum these are sum(x1) and sum(x2); for the decomposed protocol
-    the exchanged and retained substates are summed together.  Both stay
-    constant over rounds (push_sum: sum(x0) and n; decomposed: twice
-    sum(x0) and 2n).
+    The exchanged and retained substates are summed together (for push_sum
+    the retained ones are zero).  Both totals stay constant over rounds
+    (push_sum: sum(x0) and n; decomposed: twice sum(x0) and 2n).
     """
-    s1, s2 = [], []
-    for state in trace.states():
-        if isinstance(state, PushSumState):
-            s1.append(float(state.x1.sum()))
-            s2.append(float(state.x2.sum()))
-        else:
-            s1.append(float(state.x_alpha_1.sum() + state.x_beta_1.sum()))
-            s2.append(float(state.x_alpha_2.sum() + state.x_beta_2.sum()))
-    return np.array(s1), np.array(s2)
+    sums = trace.states.sum(axis=2)
+    return sums[:, 0] + sums[:, 2], sums[:, 1] + sums[:, 3]
 
 
 def sample_initial_values(n: int, dist: dict, streams: SeedStreams) -> np.ndarray:

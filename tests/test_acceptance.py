@@ -196,9 +196,9 @@ def test_criterion_8_cross_module_consistency(capsys) -> None:
             g = random_strongly_connected(n, rng.uniform(0.1, 0.5), int(rng.integers(1 << 30)))
             streams = SeedStreams(int(rng.integers(1 << 30)))
             state = init_decomposed(rng.uniform(-50, 50, n), 100.0, streams)
-            w = sample_round_weights(g, int(rng.integers(0, 4)), 100.0, streams)
-            nxt, _ = decomposed_round(state, w, g)
-            big = augmented_matrix(w)
+            p, alpha = sample_round_weights(g, int(rng.integers(0, 4)), 100.0, streams)
+            nxt = decomposed_round(p, alpha, state)
+            big = augmented_matrix(p, alpha)
             for before, after in zip(stack_state(state), stack_state(nxt)):
                 assert np.allclose(big @ before, after, rtol=1e-12, atol=1e-12)
 

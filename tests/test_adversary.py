@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pushsim import (
     attack_report,
@@ -13,18 +14,18 @@ from pushsim import (
     eavesdrop,
     eavesdropper_diagnostics,
     equivalent_trace,
+    random_strongly_connected,
     replay,
     run_protocol,
     views_allclose,
 )
 from pushsim.protocol import (
-    RoundRecord,
-    RoundWeights,
     SeedStreams,
     Trace,
+    decomposed_round,
     init_push_sum,
-    push_sum_round,
     sample_initial_values,
+    transmissions,
 )
 from pushsim.traceio import trace_lines
 
@@ -79,12 +80,12 @@ def test_eavesdrop_target_without_out_edges_is_unrecoverable() -> None:
     # node 3 only receives, so no round reveals its state to the wiretap
     g = build_digraph(3, [(2, 1), (3, 2), (1, 2)])
     p = np.array([[0.5, 0.3, 0.0], [0.5, 0.4, 0.0], [0.0, 0.3, 1.0]])
-    state = init_push_sum([1.0, 2.0, 3.0])
-    trace = Trace("push_sum", g, state.x1.copy(), 0, None, state.copy())
+    ps, alpha = np.stack([p] * 3), np.zeros((3, 3))
+    states = [init_push_sum([1.0, 2.0, 3.0])]
     for k in range(3):
-        w = RoundWeights(p=p, alpha=np.zeros(3))
-        state, products = push_sum_round(state, w, g)
-        trace.rounds.append(RoundRecord(k, w, state, products))
+        states.append(decomposed_round(ps[k], alpha[k], states[-1]))
+    states = np.stack(states)
+    trace = Trace("push_sum", g, states[0, 0].copy(), 0, None, ps, alpha, states, transmissions(g, ps, states))
     obs = eavesdrop(trace, 3)
     assert obs.unrecoverable_rounds == [0, 1, 2]
     assert np.isnan(obs.estimates).all()
@@ -117,11 +118,10 @@ def test_diagnostics_identity_and_accumulators() -> None:
         obs = eavesdrop(trace, 5)
         diag = eavesdropper_diagnostics(trace, 5)
         truth = trace.x0[4]
-        states = trace.states()
 
         for k in range(1, trace.n_rounds):
-            alpha_prev = trace.rounds[k - 1].weights.alpha[4]
-            retained_value = alpha_prev * states[k - 1].x_alpha_1[4]
+            alpha_prev = trace.alpha[k - 1, 4]
+            retained_value = alpha_prev * trace.states[k - 1, 0, 4]
             # accumulator identities, additive and float-robust
             assert obs.s2[k] == pytest.approx(2.0 - diag.retained_mass[k], abs=1e-9)
             assert obs.s1[k] == pytest.approx(2.0 * truth - retained_value, abs=1e-9)
@@ -161,15 +161,15 @@ def test_coalition_view_contents() -> None:
     trace = run_protocol(RING3, np.array([3.0, 6.0, 9.0]), "decomposed", 12, 50.0, seed=5)
     view = build_coalition_view(trace, {2})
     assert view.coalition == frozenset({2})
-    states = trace.states()
     for k in range(13):
-        assert view.substates[2][k, 0] == states[k].x_alpha_1[1]
-        assert view.substates[2][k, 3] == states[k].x_beta_2[1]
-    for k, rec in enumerate(trace.rounds):
-        assert np.array_equal(view.weight_columns[2][k], rec.weights.p[:, 1])
-        assert view.retention[2][k] == rec.weights.alpha[1]
+        assert view.substates[2][k, 0] == trace.states[k, 0, 1]
+        assert view.substates[2][k, 3] == trace.states[k, 3, 1]
+    edge_21 = RING3.sorted_edges.index((2, 1))
+    for k in range(trace.n_rounds):
+        assert np.array_equal(view.weight_columns[2][k], trace.p[k, :, 1])
+        assert view.retention[2][k] == trace.alpha[k, 1]
         # node 2's only in-neighbor on the ring is node 1
-        assert tuple(view.received[2][1][k]) == rec.transmitted[(2, 1)]
+        assert tuple(view.received[2][1][k]) == tuple(trace.sent[k, edge_21])
     assert set(view.received[2]) == {1}
 
 
@@ -204,7 +204,7 @@ def test_coalition_view_monotone() -> None:
 def test_equivalent_trace_zero_offset_is_identity() -> None:
     trace = demo_trace("decomposed", 3, rounds=20)
     rewritten = equivalent_trace(trace, 1, 5, 0.0)
-    assert trace_lines(rewritten) == trace_lines(trace)
+    assert list(trace_lines(rewritten)) == list(trace_lines(trace))
 
 
 def test_equivalent_trace_rejections() -> None:
@@ -220,7 +220,7 @@ def test_equivalent_trace_rejections() -> None:
 
 def test_equivalent_trace_divisor_guard() -> None:
     trace = demo_trace("decomposed", 3, rounds=10)
-    trace.initial_state.x_alpha_1[4] = 1e-15  # node 5 sends to 1: situation with m in-neighbor
+    trace.states[0, 0, 4] = 1e-15  # node 5 sends to 1: situation with m in-neighbor
     with pytest.raises(ValueError, match="too small"):
         equivalent_trace(trace, 1, 5, 1.0)
 
@@ -247,19 +247,41 @@ def test_equivalent_trace_views_match(i, m, coalition) -> None:
         assert views_allclose(view_a, view_b, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 12),
+    prob=st.floats(0.0, 1.0),
+    graph_seed=st.integers(0, 1000),
+    seed=st.integers(0, 2**32 - 1),
+    e=st.floats(-100.0, 100.0),
+)
+def test_equivalent_trace_leaves_outside_view_unchanged(data, n, prob, graph_seed, seed, e) -> None:
+    g = random_strongly_connected(n, prob, graph_seed)
+    i = data.draw(st.sampled_from(list(g.nodes)), label="i")
+    m = data.draw(st.sampled_from(sorted(set(g.in_neighbors[i]) | set(g.out_neighbors[i]))), label="m")
+    others = sorted(set(g.nodes) - {i, m})
+    coalition = data.draw(st.sets(st.sampled_from(others), min_size=1), label="coalition")
+    x0 = sample_initial_values(n, {"dist": "uniform", "low": -50, "high": 50}, SeedStreams(seed))
+    trace = run_protocol(g, x0, "decomposed", 8, 100.0, seed)
+    view_a = build_coalition_view(trace, coalition)
+    view_b = build_coalition_view(equivalent_trace(trace, i, m, e), coalition)
+    assert views_allclose(view_a, view_b, rtol=0.0, atol=0.0)
+
+
 def test_equivalent_trace_later_rounds_unchanged() -> None:
     trace = demo_trace("decomposed", 14, rounds=60)
     rewritten = equivalent_trace(trace, 1, 5, 10.0)
     redone = replay(rewritten)
     for k in range(1, 60):
         assert np.allclose(
-            redone.rounds[k].state.x_alpha_1, trace.rounds[k].state.x_alpha_1,
+            redone.states[k + 1, 0], trace.states[k + 1, 0],
             rtol=1e-9, atol=1e-9,
         )
     # only the two designated retained substates moved at round 0
-    assert rewritten.initial_state.x_beta_1[0] == trace.initial_state.x_beta_1[0] + 20.0
-    assert rewritten.initial_state.x_beta_1[4] == trace.initial_state.x_beta_1[4] - 20.0
-    assert np.array_equal(rewritten.initial_state.x_alpha_1, trace.initial_state.x_alpha_1)
+    assert rewritten.states[0, 2, 0] == trace.states[0, 2, 0] + 20.0
+    assert rewritten.states[0, 2, 4] == trace.states[0, 2, 4] - 20.0
+    assert np.array_equal(rewritten.states[0, 0], trace.states[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ from pushsim.protocol import (
 
 def test_augmented_matrix_layout() -> None:
     g = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
-    w = sample_round_weights(g, 1, 100.0, SeedStreams(3))
-    big = augmented_matrix(w)
+    p, alpha = sample_round_weights(g, 1, 100.0, SeedStreams(3))
+    big = augmented_matrix(p, alpha)
     assert big.shape == (6, 6)
-    assert np.array_equal(big[:3, :3], w.p)
+    assert np.array_equal(big[:3, :3], p)
     assert np.array_equal(big[:3, 3:], np.eye(3))
-    assert np.array_equal(big[3:, :3], np.diag(w.alpha))
+    assert np.array_equal(big[3:, :3], np.diag(alpha))
     assert np.array_equal(big[3:, 3:], np.zeros((3, 3)))
     assert np.allclose(big.sum(axis=0), 1.0, atol=1e-12)
 
@@ -61,9 +61,9 @@ def test_augmented_matrix_reproduces_round_update() -> None:
         streams = SeedStreams(int(rng.integers(1 << 30)))
         state = init_decomposed(rng.uniform(-50, 50, n), 100.0, streams)
         k = int(rng.integers(0, 4))
-        w = sample_round_weights(g, k, 100.0, streams)
-        nxt, _ = decomposed_round(state, w, g)
-        big = augmented_matrix(w)
+        p, alpha = sample_round_weights(g, k, 100.0, streams)
+        nxt = decomposed_round(p, alpha, state)
+        big = augmented_matrix(p, alpha)
         v1, v2 = stack_state(state)
         u1, u2 = stack_state(nxt)
         assert np.allclose(big @ v1, u1, rtol=1e-12, atol=1e-12)
@@ -73,8 +73,8 @@ def test_augmented_matrix_reproduces_round_update() -> None:
 
 def test_forward_product_first_factor_and_order() -> None:
     trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 3, seed=2)
-    a1 = augmented_matrix(trace.rounds[1].weights)
-    a2 = augmented_matrix(trace.rounds[2].weights)
+    a1 = augmented_matrix(trace.p[1], trace.alpha[1])
+    a2 = augmented_matrix(trace.p[2], trace.alpha[2])
     r1 = forward_product(trace, k=1)
     assert np.array_equal(r1.product, a1)
     r2 = forward_product(trace, k=2)
@@ -94,7 +94,7 @@ def test_forward_product_bound_and_conservation() -> None:
     assert deltas[-1] < deltas[0]
     # products of column-stochastic factors stay column stochastic
     assert np.allclose(report.product.sum(axis=0), 1.0, atol=1e-9)
-    v1, _ = stack_state(trace.rounds[1].state)
+    v1, _ = stack_state(trace.states[2])
     assert (report.product @ v1).sum() == pytest.approx(v1.sum(), abs=1e-9)
 
 

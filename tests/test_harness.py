@@ -14,6 +14,7 @@ from pushsim import (
     demo_digraph,
     load_digraph,
     parse_config,
+    run_protocol,
     run_scenario,
 )
 from pushsim.cli import main as cli_main
@@ -85,10 +86,14 @@ def test_parse_config_rejections() -> None:
         ({"initials": {"dist": "uniform", "low": 5.0, "high": 1.0}}, "initials: low 5.0 is above high 1.0"),
         ({"initials": {"dist": "uniform", "high": None}}, "initials.high"),
         ({"attack_target": [1]}, "attack_target"),
+        ({"rounds": 2.5}, "rounds: expected an integer, got 2.5"),
+        ({"seeds": [1.9, 2]}, "seeds: expected an integer, got 1.9"),
+        ({"attack_target": 2.5}, "attack_target: expected an integer, got 2.5"),
     ],
     ids=[
         "M-null", "c-null", "M-nan", "M-inf", "c-nan", "c-neg-inf", "rounds-bool",
         "seeds-duplicate", "initials-low-above-high", "initials-high-null", "attack_target-list",
+        "rounds-fractional", "seeds-fractional", "attack_target-fractional",
     ],
 )
 def test_parse_config_rejects_value(data, needle) -> None:
@@ -283,6 +288,36 @@ def test_check_invariants_catches_bad_state(tmp_path: Path) -> None:
     report = check_invariants(bad)
     failed = {item.name for item in report.items if item.status == "fail"}
     assert "replay_consistency" in failed or "conservation" in failed
+
+
+@pytest.mark.parametrize(
+    "where, index, must_fail",
+    [
+        ("p", (5, 1, 0), {"column_stochasticity", "ergodicity_bound"}),
+        ("states", (7, 0, 2), {"conservation"}),
+    ],
+    ids=["weight", "state"],
+)
+def test_check_invariants_fails_on_nan(where, index, must_fail) -> None:
+    trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 20, 100.0, seed=3)
+    assert check_invariants(trace).ok
+    getattr(trace, where)[index] = np.nan
+    failed = {item.name for item in check_invariants(trace).items if item.status == "fail"}
+    assert must_fail <= failed
+
+
+def test_header_only_trace(tmp_path: Path, capsys) -> None:
+    path = write_small_trace(tmp_path)
+    header_only = path.with_name("header_only.jsonl")
+    header_only.write_text(path.read_text().splitlines()[0] + "\n")
+    assert read_trace(header_only).n_rounds == 0
+
+    assert cli_main(["check", str(header_only)]) == 0
+    statuses = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert statuses == ["PASS"] * 4 + ["SKIP"]
+
+    assert cli_main(["attack", str(header_only)]) == 2
+    assert "trace has no rounds to observe" in capsys.readouterr().err
 
 
 def test_corrupt_line_raises_format_error(tmp_path: Path) -> None:
