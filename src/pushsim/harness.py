@@ -12,7 +12,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,8 +54,15 @@ class ExperimentConfig:
     attack_target: int | None
     extra_rounds_hint: int | None  # the L knob: accepted and hashed, unused here
     output_dir: str
+    # the graph resolve_graph built, so a run loads it only once
+    _graph: graphmod.Digraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def resolve_graph(self) -> graphmod.Digraph:
+        if self._graph is None:
+            self._graph = self._build_graph()
+        return self._graph
+
+    def _build_graph(self) -> graphmod.Digraph:
         spec = self.graph_spec
         if spec.get("demo"):
             return graphmod.demo_digraph()
@@ -209,19 +217,24 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 # scenario runs
 
 
-def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int) -> dict:
+def _lap(stage_s: dict[str, float], stage: str, start: float) -> float:
+    """Add the time since start to stage_s[stage]; return the current time."""
+    now = time.perf_counter()
+    stage_s[stage] += now - start
+    return now
+
+
+def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, stage_s: dict[str, float]) -> dict:
+    start = time.perf_counter()
     x0 = protocol.sample_initial_values(g.n, cfg.initials, protocol.SeedStreams(seed))
     trace = protocol.run_protocol(g, x0, cfg.protocol, cfg.rounds, cfg.spread, seed)
+    start = _lap(stage_s, "simulate", start)
     metrics = analysis.run_metrics(trace)
-    conv = analysis.convergence_round(metrics.abs_error)
-    target = cfg.attack_target if cfg.attack_target is not None else g.n
-    attack = adversary.attack_report(trace, target, cfg.threshold)
     result = {
         "seed": seed,
         "trace": trace,
         "metrics": metrics,
-        "attack": attack,
-        "convergence_round": conv,
+        "convergence_round": analysis.convergence_round(metrics.abs_error),
         "final_max_error": float(np.nanmax(metrics.abs_error[-1])),
         "beta_convergence_round": None,
         "ergodicity": None,
@@ -231,6 +244,10 @@ def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int) -> dict
         result["beta_convergence_round"] = analysis.convergence_round(beta_err)
         if cfg.rounds >= 2:
             result["ergodicity"] = analysis.forward_product(trace)
+    start = _lap(stage_s, "analyse", start)
+    target = cfg.attack_target if cfg.attack_target is not None else g.n
+    result["attack"] = adversary.attack_report(trace, target, cfg.threshold)
+    _lap(stage_s, "attack", start)
     return result
 
 
@@ -238,14 +255,18 @@ def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
     """Run every seed of a scenario and write the output bundle.
 
     Seeds run one after another, then every file is written in seed order.
+    The summary's metadata block records the wall time of each stage,
+    summed over seeds.
     """
     g = cfg.resolve_graph()
     chash = cfg.config_hash()
     outdir = cfg.resolved_output_dir()
     outdir.mkdir(parents=True, exist_ok=True)
 
-    results = [_run_one_seed(cfg, g, s) for s in cfg.seeds]
+    stage_s = dict.fromkeys(("simulate", "analyse", "attack", "write"), 0.0)
+    results = [_run_one_seed(cfg, g, s, stage_s) for s in cfg.seeds]
 
+    start = time.perf_counter()
     with open(outdir / "config.json", "w", encoding="utf-8") as fh:
         json.dump({**cfg.materialized(), "config_hash": chash}, fh, sort_keys=True)
         fh.write("\n")
@@ -291,10 +312,11 @@ def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
             conv = res["convergence_round"]
             print(f"seed {seed}: converged at k={conv}" if conv is not None else f"seed {seed}: no convergence within {cfg.rounds} rounds")
 
+    _lap(stage_s, "write", start)
     summary = {
         "config": cfg.materialized(),
         "config_hash": chash,
-        "metadata": {"created_utc": datetime.now(timezone.utc).isoformat()},
+        "metadata": {"created_utc": datetime.now(timezone.utc).isoformat(), "stage_s": stage_s},
         "runs": runs_summary,
     }
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:

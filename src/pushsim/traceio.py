@@ -16,11 +16,12 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .graph import digraph_from_dict, digraph_to_dict
+from .graph import Digraph, digraph_from_dict, digraph_to_dict
 from .protocol import Trace, estimate_series
 
 # Names of the state rows a trace file stores, per protocol; a push_sum
-# file leaves out the two retained rows, which are zero.
+# file leaves out the two retained rows, which are zero.  Each tuple is in
+# sorted order, the order in which json lists them under sort_keys=True.
 STATE_KEYS = {
     "push_sum": ("x1", "x2"),
     "decomposed": ("x_alpha_1", "x_alpha_2", "x_beta_1", "x_beta_2"),
@@ -43,8 +44,53 @@ def _state_rows(data: dict, protocol: str, n: int) -> np.ndarray:
     return np.array(rows)
 
 
+def _json_float(value: float) -> float | str:
+    """A finite float as itself, a non-finite one as json spells it."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return value
+
+
+def _slots(count: int) -> str:
+    return ", ".join(["%s"] * count)
+
+
+def _round_template(g: Digraph, keys: tuple[str, ...]) -> tuple[str, np.ndarray]:
+    """The %-format of one round line, and the order of the sent values in it.
+
+    The template is the text the json module writes for a round record with
+    sort_keys=True, every number replaced by %s.  Its fields, in order: n
+    alpha values, k, the n*n row-major weights, n values per state key, and
+    one value per transmission, listed by (from, to, l).
+    """
+    n = g.n
+    state = ", ".join(f'"{key}": [{_slots(n)}]' for key in keys)
+    # sorted_edges is ordered by (to, from); the file lists (from, to)
+    order = sorted(range(len(g.sorted_edges)), key=lambda e: g.sorted_edges[e][::-1])
+    sent = ", ".join(
+        f'{{"from": {i}, "l": {l}, "to": {j}, "value": %s}}'
+        for j, i in (g.sorted_edges[e] for e in order)
+        for l in (1, 2)
+    )
+    template = (
+        f'{{"alpha": [{_slots(n)}], "k": %s, "p": [{_slots(n * n)}], '
+        f'"state": {{{state}}}, "transmitted": [{sent}]}}'
+    )
+    sent_order = (2 * np.asarray(order, dtype=np.intp)[:, None] + np.arange(2)).reshape(-1)
+    return template, sent_order
+
+
 def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]:
-    """Yield a trace's JSON lines (no trailing newlines), one round at a time."""
+    """Yield a trace's JSON lines (no trailing newlines), one round at a time.
+
+    Each line is byte for byte what the json module writes with sort_keys=True:
+    %s on a float is its shortest repr, as in json, and the rounds that hold
+    a non-finite value spell it NaN, Infinity or -Infinity.
+    """
     g = trace.graph
     keys = STATE_KEYS[trace.protocol]
     header = {
@@ -59,25 +105,23 @@ def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]
     if extra_header:
         header.update(extra_header)
     yield json.dumps(header, sort_keys=True)
-    # sorted_edges is ordered by (to, from); the file lists (from, to)
-    order = sorted(range(len(g.sorted_edges)), key=lambda e: g.sorted_edges[e][::-1])
-    edges = [(e, *g.sorted_edges[e]) for e in order]
+    template, sent_order = _round_template(g, keys)
+    rows = len(keys)
+    finite = (
+        np.isfinite(trace.alpha).all(axis=1)
+        & np.isfinite(trace.p).all(axis=(1, 2))
+        & np.isfinite(trace.states[1:, :rows]).all(axis=(1, 2))
+        & np.isfinite(trace.sent).all(axis=(1, 2))
+    )
     for k in range(trace.n_rounds):
-        values = trace.sent[k].tolist()
-        yield json.dumps(
-            {
-                "k": k,
-                "p": trace.p[k].reshape(-1).tolist(),
-                "alpha": trace.alpha[k].tolist(),
-                "state": dict(zip(keys, trace.states[k + 1].tolist())),
-                "transmitted": [
-                    {"from": i, "to": j, "l": l, "value": values[e][l - 1]}
-                    for e, j, i in edges
-                    for l in (1, 2)
-                ],
-            },
-            sort_keys=True,
-        )
+        fields = trace.alpha[k].tolist()
+        fields.append(k)
+        fields += trace.p[k].reshape(-1).tolist()
+        fields += trace.states[k + 1, :rows].reshape(-1).tolist()
+        fields += trace.sent[k].reshape(-1)[sent_order].tolist()
+        if not finite[k]:
+            fields = [_json_float(v) for v in fields]
+        yield template % tuple(fields)
 
 
 def write_trace(trace: Trace, path, extra_header: dict | None = None) -> None:
@@ -191,7 +235,11 @@ def write_estimates_csv(trace: Trace, path, comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         writer = csv_writer(fh, comment)
         writer.writerow(["k", "node", "estimate", "abs_error"])
-        for k in range(est.shape[0]):
-            for node in range(1, trace.graph.n + 1):
-                e = est[k, node - 1]
-                writer.writerow([k, node, csv_cell(e), csv_cell(abs(e - target))])
+        # the rows csv.writer would write: no cell needs quoting
+        for k, row in enumerate(est.tolist()):
+            fh.write(
+                "".join(
+                    "%s,%s,%s,%s\n" % (k, node, csv_cell(e), csv_cell(abs(e - target)))
+                    for node, e in enumerate(row, start=1)
+                )
+            )

@@ -17,6 +17,7 @@ from pushsim import (
     run_protocol,
     run_scenario,
 )
+from pushsim import graph as graphmod
 from pushsim.cli import main as cli_main
 from pushsim.harness import ENV_OUTPUT_ROOT, load_config
 from pushsim.protocol import SeedStreams, sample_initial_values
@@ -118,6 +119,18 @@ def test_parse_config_n_crosscheck_passes() -> None:
     assert cfg.resolve_graph().n == 5
 
 
+def test_graph_file_is_loaded_once_per_run(tmp_path: Path, monkeypatch) -> None:
+    path = tmp_path / "g.json"
+    graphmod.save_digraph(demo_digraph(), path)
+    loads = []
+    monkeypatch.setattr(graphmod, "load_digraph", lambda p: loads.append(p) or load_digraph(p))
+    cfg = parse_config(small_config(tmp_path, rounds=5, graph={"file": str(path)}))
+    run_scenario(cfg)
+    compare_protocols(cfg)
+    assert loads == [str(path)]
+    assert cfg.resolve_graph() == demo_digraph()
+
+
 def test_load_config_overrides(tmp_path: Path) -> None:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"rounds": 80, "seeds": [4]}))
@@ -195,6 +208,9 @@ def test_run_scenario_bundle(tmp_path: Path) -> None:
         assert run["ergodicity"]["epsilon"] > 0
     on_disk = json.loads((out / "summary.json").read_text())
     assert "created_utc" in on_disk["metadata"]
+    stage_s = on_disk["metadata"]["stage_s"]
+    assert set(stage_s) == {"simulate", "analyse", "attack", "write"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in stage_s.values())
 
 
 def test_run_scenario_deterministic_bundles(tmp_path: Path) -> None:

@@ -1,13 +1,18 @@
 """Protocol state machinery: sampling, rounds, runs, traces, serialization."""
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pushsim import (
     PROTOCOLS,
     SeedStreams,
+    Trace,
     TraceFormatError,
     build_digraph,
     decomposed_round,
@@ -29,7 +34,8 @@ from pushsim import (
 )
 from pushsim import protocol
 from pushsim.protocol import PURPOSE_WEIGHTS, conserved_sums, sample_initial_values
-from pushsim.traceio import trace_lines
+from pushsim.graph import digraph_to_dict
+from pushsim.traceio import STATE_KEYS, trace_lines
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
 
@@ -453,6 +459,83 @@ def test_roundtrip_and_replay_are_bit_exact(tmp_path_factory, n, prob, graph_see
     assert trace_arrays(replay(trace)) == trace_arrays(trace)
 
 
+def reference_trace_lines(trace, extra_header=None) -> list[str]:
+    """The trace lines as json.dumps writes them: the writer's oracle."""
+    g = trace.graph
+    keys = STATE_KEYS[trace.protocol]
+    header = {
+        "protocol": trace.protocol,
+        "n": g.n,
+        "seed": trace.seed,
+        "M": trace.spread,
+        "x0": trace.x0.tolist(),
+        "graph": digraph_to_dict(g),
+        "state0": dict(zip(keys, trace.states[0].tolist())),
+    }
+    if extra_header:
+        header.update(extra_header)
+    lines = [json.dumps(header, sort_keys=True)]
+    order = sorted(range(len(g.sorted_edges)), key=lambda e: g.sorted_edges[e][::-1])
+    edges = [(e, *g.sorted_edges[e]) for e in order]
+    for k in range(trace.n_rounds):
+        values = trace.sent[k].tolist()
+        lines.append(
+            json.dumps(
+                {
+                    "k": k,
+                    "p": trace.p[k].reshape(-1).tolist(),
+                    "alpha": trace.alpha[k].tolist(),
+                    "state": dict(zip(keys, trace.states[k + 1].tolist())),
+                    "transmitted": [
+                        {"from": i, "to": j, "l": l, "value": values[e][l - 1]}
+                        for e, j, i in edges
+                        for l in (1, 2)
+                    ],
+                },
+                sort_keys=True,
+            )
+        )
+    return lines
+
+
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-310, 1e16, 1.2345678901234567e300)
+TRACE_FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+
+
+@st.composite
+def array_traces(draw):
+    """A Trace filled straight from arrays, on a strongly connected graph."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        g = build_digraph(1, [])
+    elif n == 2:
+        g = build_digraph(2, [(1, 2), (2, 1)])
+    else:
+        g = random_strongly_connected(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 1000)))
+    rounds = draw(st.integers(0, 6))
+
+    def fill(shape):
+        return draw(arrays(np.float64, shape, elements=TRACE_FLOATS))
+
+    return Trace(
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        graph=g,
+        x0=fill((n,)),
+        seed=draw(st.integers(0, 2**40)),
+        spread=draw(st.one_of(st.none(), st.floats(1.0, 1e3))),
+        p=fill((rounds, n, n)),
+        alpha=fill((rounds, n)),
+        states=fill((rounds + 1, 4, n)),
+        sent=fill((rounds, len(g.sorted_edges), 2)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=array_traces(), extra=st.sampled_from([None, {}, {"config_hash": "abc"}]))
+def test_trace_lines_match_json_dumps(trace, extra) -> None:
+    assert list(trace_lines(trace, extra)) == reference_trace_lines(trace, extra)
+
+
 def test_trace_file_rejects_corruption(tmp_path) -> None:
     g = demo_digraph()
     trace = run_protocol(g, np.arange(5.0), "decomposed", 5, 100.0, seed=1)
@@ -464,8 +547,6 @@ def test_trace_file_rejects_corruption(tmp_path) -> None:
     broken.write_text("\n".join(lines[:3] + ["{not json"] + lines[4:]) + "\n")
     with pytest.raises(TraceFormatError, match="line 4"):
         read_trace(broken)
-
-    import json
 
     rec = json.loads(lines[2])
     del rec["alpha"]
