@@ -38,7 +38,6 @@ from .adversary import (
     eavesdrop,
     eavesdropper_diagnostics,
     equivalent_trace,
-    views_allclose,
 )
 from .analysis import (
     ErgodicityReport,

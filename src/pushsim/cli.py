@@ -135,13 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (harness.ConfigError, traceio.TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and TraceFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

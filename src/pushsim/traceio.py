@@ -1,14 +1,30 @@
 """Trace files and estimate tables.
 
-A trace file is JSON lines: line 0 is a header object
-{protocol, n, seed, M, x0, graph, state0, ...}, every following line is one
-round record {k, p, alpha, state, transmitted}.  The weight matrix is dense
-row-major; transmissions are listed as {from, to, l, value} sorted by
-(from, to, l).  Floats are written with Python's shortest-roundtrip repr,
-so loading a file restores every value bit for bit.
+A trace file is JSON lines, each written by json.dumps with sort_keys=True.
+Line 1 is a header object {protocol, n, seed, M, x0, graph, state0,
+format: 2, ...}; every following line is one round record
+
+    {alpha, edge_w, k, self_w, sent, state}
+
+whose arrays are base64 strings of little-endian float64 ("<f8") bytes:
+``alpha`` the n retention weights, ``edge_w`` the weight p[k, j-1, i-1] of
+each edge (j, i) in graph.sorted_edges order, ``self_w`` the n self-weights
+(the diagonal of p[k]), ``state`` the post-round STATE_KEYS rows of n values
+each, and ``sent`` the E x 2 transmitted values, row-major.  The bytes are
+the values themselves, so every float reads back bit for bit, NaN and +-inf
+included.  Weights off the edges and the diagonal are not stored; they read
+back as 0.0, and write_trace refuses a trace that holds anything else there.
+
+Files without a "format" key are format v1 and still read: there every
+round is {k, p, alpha, state, transmitted}, with the dense row-major
+weight matrix and the transmissions as {from, to, l, value} objects, all
+numbers as JSON text.  The zero_pattern invariant can only fail on a v1
+file or an in-memory trace.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import json
 import math
@@ -19,13 +35,17 @@ import numpy as np
 from .graph import Digraph, digraph_from_dict, digraph_to_dict
 from .protocol import Trace, estimate_series
 
-# Names of the state rows a trace file stores, per protocol; a push_sum
-# file leaves out the two retained rows, which are zero.  Each tuple is in
-# sorted order, the order in which json lists them under sort_keys=True.
+FORMAT = 2
+
+# Names of the state rows a trace file stores, per protocol, in the order of
+# the rows of Trace.states; a push_sum file leaves out the two retained
+# rows, which are zero.
 STATE_KEYS = {
     "push_sum": ("x1", "x2"),
     "decomposed": ("x_alpha_1", "x_alpha_2", "x_beta_1", "x_beta_2"),
 }
+
+ROUND_KEYS = ("alpha", "edge_w", "k", "self_w", "sent", "state")
 
 
 class TraceFormatError(ValueError):
@@ -44,56 +64,45 @@ def _state_rows(data: dict, protocol: str, n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _json_float(value: float) -> float | str:
-    """A finite float as itself, a non-finite one as json spells it."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return value
+def _weight_index(g: Digraph) -> np.ndarray:
+    """Flat indices into an n x n weight matrix: the entry p[j-1, i-1] of each
+    edge (j, i) in sorted_edges order, then the n diagonal entries."""
+    edges = np.array(g.sorted_edges, dtype=np.intp).reshape(-1, 2) - 1
+    return np.concatenate([edges[:, 0] * g.n + edges[:, 1], np.arange(g.n) * (g.n + 1)])
 
 
-def _slots(count: int) -> str:
-    return ", ".join(["%s"] * count)
+def _b64(values: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _round_template(g: Digraph, keys: tuple[str, ...]) -> tuple[str, np.ndarray]:
-    """The %-format of one round line, and the order of the sent values in it.
-
-    The template is the text the json module writes for a round record with
-    sort_keys=True, every number replaced by %s.  Its fields, in order: n
-    alpha values, k, the n*n row-major weights, n values per state key, and
-    one value per transmission, listed by (from, to, l).
-    """
-    n = g.n
-    state = ", ".join(f'"{key}": [{_slots(n)}]' for key in keys)
-    # sorted_edges is ordered by (to, from); the file lists (from, to)
-    order = sorted(range(len(g.sorted_edges)), key=lambda e: g.sorted_edges[e][::-1])
-    sent = ", ".join(
-        f'{{"from": {i}, "l": {l}, "to": {j}, "value": %s}}'
-        for j, i in (g.sorted_edges[e] for e in order)
-        for l in (1, 2)
-    )
-    template = (
-        f'{{"alpha": [{_slots(n)}], "k": %s, "p": [{_slots(n * n)}], '
-        f'"state": {{{state}}}, "transmitted": [{sent}]}}'
-    )
-    sent_order = (2 * np.asarray(order, dtype=np.intp)[:, None] + np.arange(2)).reshape(-1)
-    return template, sent_order
+def _check_weight_pattern(trace: Trace) -> None:
+    """Raise ValueError at the first weight off the edges and the diagonal
+    that is not +0.0, which format v2 has no place for."""
+    n = trace.graph.n
+    off = np.setdiff1d(np.arange(n * n), _weight_index(trace.graph))
+    bits = np.ascontiguousarray(trace.p, dtype=np.float64).view(np.uint64).reshape(-1, n * n)
+    for k in range(trace.n_rounds):
+        stray = np.flatnonzero(bits[k, off])
+        if stray.size:
+            j, i = divmod(int(off[stray[0]]), n)
+            raise ValueError(
+                f"round {k}: weight p[{j + 1}, {i + 1}] = {float(trace.p[k, j, i])!r} is off the edges "
+                f"and the diagonal; a trace file stores only +0.0 there"
+            )
 
 
 def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]:
-    """Yield a trace's JSON lines (no trailing newlines), one round at a time.
+    """Yield a trace's format-v2 JSON lines (no trailing newlines), one
+    round at a time.
 
-    Each line is byte for byte what the json module writes with sort_keys=True:
-    %s on a float is its shortest repr, as in json, and the rounds that hold
-    a non-finite value spell it NaN, Infinity or -Infinity.
+    Raises ValueError, before the header is yielded, if a weight off the
+    edges and the diagonal is anything but +0.0.
     """
     g = trace.graph
     keys = STATE_KEYS[trace.protocol]
+    _check_weight_pattern(trace)
     header = {
+        "format": FORMAT,
         "protocol": trace.protocol,
         "n": g.n,
         "seed": trace.seed,
@@ -105,56 +114,59 @@ def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]
     if extra_header:
         header.update(extra_header)
     yield json.dumps(header, sort_keys=True)
-    template, sent_order = _round_template(g, keys)
-    rows = len(keys)
-    finite = (
-        np.isfinite(trace.alpha).all(axis=1)
-        & np.isfinite(trace.p).all(axis=(1, 2))
-        & np.isfinite(trace.states[1:, :rows]).all(axis=(1, 2))
-        & np.isfinite(trace.sent).all(axis=(1, 2))
-    )
+    n_edges = len(g.sorted_edges)
+    index = _weight_index(g)
+    weights = trace.p.reshape(trace.n_rounds, g.n * g.n)
     for k in range(trace.n_rounds):
-        fields = trace.alpha[k].tolist()
-        fields.append(k)
-        fields += trace.p[k].reshape(-1).tolist()
-        fields += trace.states[k + 1, :rows].reshape(-1).tolist()
-        fields += trace.sent[k].reshape(-1)[sent_order].tolist()
-        if not finite[k]:
-            fields = [_json_float(v) for v in fields]
-        yield template % tuple(fields)
+        w = weights[k].take(index)
+        # the line json.dumps(..., sort_keys=True) writes: base64 needs no escapes
+        yield (
+            f'{{"alpha": "{_b64(trace.alpha[k])}", "edge_w": "{_b64(w[:n_edges])}", "k": {k}, '
+            f'"self_w": "{_b64(w[n_edges:])}", "sent": "{_b64(trace.sent[k])}", '
+            f'"state": "{_b64(trace.states[k + 1, : len(keys)])}"}}'
+        )
 
 
 def write_trace(trace: Trace, path, extra_header: dict | None = None) -> None:
+    """Write a trace file in format v2.
+
+    Raises ValueError, before the file is opened, if a weight off the edges
+    and the diagonal is anything but +0.0.
+    """
+    lines = trace_lines(trace, extra_header)
+    header = next(lines)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in trace_lines(trace, extra_header):
+        fh.write(header)
+        fh.write("\n")
+        for line in lines:
             fh.write(line)
             fh.write("\n")
 
 
+def _parse_line(path, line_no: int, text: str) -> dict:
+    """One line as a JSON object; line_no counts from 1."""
+    try:
+        obj = json.loads(text.rstrip("\n"))
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"{path}: line {line_no} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"{path}: line {line_no} is not an object")
+    return obj
+
+
 def read_trace(path) -> Trace:
-    """Load and validate a trace file.
+    """Load and validate a trace file of format v2 or v1.
 
     Raises TraceFormatError naming the first malformed line.  Rounds are
     parsed one line at a time into arrays sized by a first pass that counts
     the lines.
     """
-
-    def parse(line_no: int, text: str) -> dict:
-        try:
-            obj = json.loads(text.rstrip("\n"))
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{path}: line {line_no + 1} is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise TraceFormatError(f"{path}: line {line_no + 1} is not an object")
-        return obj
-
     with open(path, "r", encoding="utf-8") as fh:
         n_lines = sum(1 for _ in fh)
         if not n_lines:
             raise TraceFormatError(f"{path}: empty trace file")
         fh.seek(0)
-        head = parse(0, fh.readline())
-        rounds = n_lines - 1
+        head = _parse_line(path, 1, fh.readline())
         try:
             protocol = head["protocol"]
             n = int(head["n"])
@@ -169,47 +181,98 @@ def read_trace(path) -> Trace:
             raise TraceFormatError(f"{path}: line 1 header invalid: unknown protocol {protocol!r}")
         if graph.n != n or x0.shape != (n,):
             raise TraceFormatError(f"{path}: line 1 header invalid: n, graph and x0 disagree")
+        if "format" not in head:
+            read_rounds = _read_rounds_v1
+        elif type(head["format"]) is int and head["format"] == FORMAT:
+            read_rounds = _read_rounds_v2
+        else:
+            raise TraceFormatError(f"{path}: line 1 header invalid: unknown format {head['format']!r}")
 
-        edge_position = graph.edge_position
-        n_edges = len(edge_position)
+        rounds = n_lines - 1
         states = np.zeros((rounds + 1, 4, n))
         states[0, : len(state0)] = state0
-        p = np.empty((rounds, n, n))
+        p = np.zeros((rounds, n, n))
         alpha = np.empty((rounds, n))
-        sent = np.empty((rounds, n_edges, 2))
-        for line_no, text in enumerate(fh, start=1):
-            obj = parse(line_no, text)
-            r = line_no - 1
-            try:
-                k = int(obj["k"])
-                p[r] = np.asarray(obj["p"], dtype=np.float64).reshape(n, n)
-                alpha_r = np.asarray(obj["alpha"], dtype=np.float64)
-                state = _state_rows(obj["state"], protocol, n)
-                sent_list = obj["transmitted"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: {exc}") from exc
-            if alpha_r.shape != (n,):
-                raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: alpha length")
-            alpha[r] = alpha_r
-            states[line_no, : len(state)] = state
-            if k != r:
-                raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: k={k}, expected {r}")
-            values = [math.nan] * (2 * n_edges)
-            try:
-                for item in sent_list:
-                    i, j, l, value = int(item["from"]), int(item["to"]), int(item["l"]), float(item["value"])
-                    e = edge_position.get((j, i))
-                    if e is None or l not in (1, 2):
-                        raise ValueError(f"transmission ({i}->{j}, l={l}) does not fit the graph")
-                    values[2 * e + l - 1] = value
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: {exc}") from exc
-            sent[r] = np.reshape(values, (n_edges, 2))
-            if np.isnan(sent[r]).any():
-                raise TraceFormatError(
-                    f"{path}: line {line_no + 1} record invalid: incomplete transmission list"
-                )
+        sent = np.empty((rounds, len(graph.sorted_edges), 2))
+        read_rounds(path, fh, graph, protocol, p, alpha, states, sent)
     return Trace(protocol, graph, x0, seed, spread, p, alpha, states, sent)
+
+
+def _read_rounds_v2(path, fh, graph: Digraph, protocol: str, p, alpha, states, sent) -> None:
+    """Fill the arrays from the base64 round lines of a v2 file."""
+    n = graph.n
+    n_edges = len(graph.sorted_edges)
+    n_rows = len(STATE_KEYS[protocol])
+    weight_index = _weight_index(graph)
+    weights = p.reshape(len(p), n * n)
+    sizes = {"alpha": n, "edge_w": n_edges, "self_w": n, "sent": 2 * n_edges, "state": n_rows * n}
+
+    def decode(line_no: int, obj: dict, key: str) -> bytes:
+        try:
+            raw = base64.b64decode(obj[key], validate=True)
+        except (binascii.Error, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: {key} is not base64: {exc}") from exc
+        if len(raw) != 8 * sizes[key]:
+            raise TraceFormatError(
+                f"{path}: line {line_no} record invalid: {key} holds {len(raw)} bytes, expected {8 * sizes[key]}"
+            )
+        return raw
+
+    for line_no, text in enumerate(fh, start=2):
+        obj = _parse_line(path, line_no, text)
+        r = line_no - 2
+        missing = [key for key in ROUND_KEYS if key not in obj]
+        if missing:
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: missing {', '.join(missing)}")
+        k = obj["k"]
+        if type(k) is not int or k != r:
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: k={k!r}, expected {r}")
+        alpha[r] = np.frombuffer(decode(line_no, obj, "alpha"), dtype="<f8")
+        weights[r, weight_index] = np.frombuffer(
+            decode(line_no, obj, "edge_w") + decode(line_no, obj, "self_w"), dtype="<f8"
+        )
+        sent[r] = np.frombuffer(decode(line_no, obj, "sent"), dtype="<f8").reshape(n_edges, 2)
+        states[r + 1, :n_rows] = np.frombuffer(decode(line_no, obj, "state"), dtype="<f8").reshape(n_rows, n)
+
+
+def _read_rounds_v1(path, fh, graph: Digraph, protocol: str, p, alpha, states, sent) -> None:
+    """Fill the arrays from the JSON-text round lines of a v1 file."""
+    n = graph.n
+    edge_position = graph.edge_position
+    n_edges = len(edge_position)
+    for line_no, text in enumerate(fh, start=1):
+        obj = _parse_line(path, line_no + 1, text)
+        r = line_no - 1
+        try:
+            k = int(obj["k"])
+            p[r] = np.asarray(obj["p"], dtype=np.float64).reshape(n, n)
+            alpha_r = np.asarray(obj["alpha"], dtype=np.float64)
+            state = _state_rows(obj["state"], protocol, n)
+            sent_list = obj["transmitted"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: {exc}") from exc
+        if alpha_r.shape != (n,):
+            raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: alpha length")
+        alpha[r] = alpha_r
+        states[line_no, : len(state)] = state
+        if k != r:
+            raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: k={k}, expected {r}")
+        # None marks a slot no transmission filled; NaN is a value a file can hold
+        values = [None] * (2 * n_edges)
+        try:
+            for item in sent_list:
+                i, j, l, value = int(item["from"]), int(item["to"]), int(item["l"]), float(item["value"])
+                e = edge_position.get((j, i))
+                if e is None or l not in (1, 2):
+                    raise ValueError(f"transmission ({i}->{j}, l={l}) does not fit the graph")
+                values[2 * e + l - 1] = value
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: {exc}") from exc
+        if None in values:
+            raise TraceFormatError(
+                f"{path}: line {line_no + 1} record invalid: incomplete transmission list"
+            )
+        sent[r] = np.reshape(values, (n_edges, 2))
 
 
 def csv_writer(fh, comment: str | None):

@@ -31,7 +31,6 @@ from pushsim import (
     run_metrics,
     run_protocol,
     run_scenario,
-    views_allclose,
 )
 from pushsim.analysis import augmented_matrix, stack_state
 from pushsim.protocol import (
@@ -43,6 +42,8 @@ from pushsim.protocol import (
     sample_round_weights,
 )
 from pushsim.graph import random_strongly_connected
+
+from helpers import views_allclose
 
 DEMO = demo_digraph()
 INITIALS = {"dist": "uniform", "low": 0.0, "high": 50.0}

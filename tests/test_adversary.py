@@ -17,7 +17,6 @@ from pushsim import (
     random_strongly_connected,
     replay,
     run_protocol,
-    views_allclose,
 )
 from pushsim.protocol import (
     SeedStreams,
@@ -28,6 +27,8 @@ from pushsim.protocol import (
     transmissions,
 )
 from pushsim.traceio import trace_lines
+
+from helpers import views_allclose
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
 

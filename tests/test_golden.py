@@ -5,7 +5,9 @@ bundle file with a digest committed here.  ``summary.json`` is hashed
 without its ``metadata`` block, the one place allowed to vary between runs.
 The cases cover both protocols on the demo graph, a generated 24-node graph
 whose senders draw eight or more weights per round, and the seeds 0 and
-2**32 + 5 (an entropy word that does not fit in 32 bits).
+2**32 + 5 (an entropy word that does not fit in 32 bits).  A second test
+hashes the arrays that read_trace restores from each trace file, so a new
+trace format must keep every recorded value.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from pushsim.cli import main as cli_main
+from pushsim.traceio import read_trace
 
 ROUNDS = "40"
 GRAPH24 = ["gen-graph", "--n", "24", "--extra-edge-prob", "0.3", "--seed", "7", "--out", "g24.json"]
@@ -28,6 +31,8 @@ CASES = {
 }
 
 # Computed with the per-stream sampler, one default_rng per node and round.
+# The trace.jsonl digests are of trace format v2; GOLDEN_VALUES shows that
+# the values in them are those of the earlier v1 files.
 GOLDEN = {
     "decomposed_demo": {
         "config.json": "43d49612049d4bdf764aebc484db8ff965c8a4e336871b12433a3cb51f8141a3",
@@ -36,13 +41,13 @@ GOLDEN = {
         "seed_0/ergodicity.csv": "5dbd7ceca29f23334a8dd733be84b26fa141063259e9a535181c1c0cdb84be11",
         "seed_0/ergodicity.json": "7adcd2176d90cf031734eb1a7f01cd7ac10a3420dea45fa127a6f628fb0cb88a",
         "seed_0/estimates.csv": "8edb13629ad760b49c4a23647fca245da83ff33fd0cde0103f28fbb6faa509c3",
-        "seed_0/trace.jsonl": "7776e0208295110610d563e6ff1063eae0518cce8d69697e377538e4b45c1d14",
+        "seed_0/trace.jsonl": "f46cdbedd0d76c28e07239f9328e9a4b9d0b96880085415ff66ee2a2b6ab9438",
         "seed_4294967301/attack.csv": "8d3f43d19ad2895e378bd696288793dc7bef264791031a61d5301120e1c183d2",
         "seed_4294967301/attack.json": "e0fb40e8ff7c5c1b3de042cdffbd67f1eab89913ac08605d5ee5650d2b0d679d",
         "seed_4294967301/ergodicity.csv": "87cb6a3c2c5ccf503da2347b961b05b8a8a8b57cee46152a98e6a21d4e490c48",
         "seed_4294967301/ergodicity.json": "000cbd0c7e6696d7a8c153c3ac304b2e74ad4ea13e4efa4c61795d57839b5374",
         "seed_4294967301/estimates.csv": "af02e6cfe02a1451fc649bf24d3c9256fe504d4b7bef44adb72ebf0d80e92cdb",
-        "seed_4294967301/trace.jsonl": "f751da299a3af26f76cfe796eb7c981c0775e596c8fe27bb529302ec82a6e809",
+        "seed_4294967301/trace.jsonl": "f16ab977669f3e389a9744ee3760ea16b7767e5d02493420909644316e29581d",
         "summary.json": "5af2788776b26d10cdab65cea69924f8f164dde95578333338e400c8bf0b536c",
     },
     "decomposed_rand24": {
@@ -52,7 +57,7 @@ GOLDEN = {
         "seed_5/ergodicity.csv": "fe9af600c65a8b1a7cd696ac63cb1dc34bd9c12e2e5415c1a3d0aabe3c8b88c7",
         "seed_5/ergodicity.json": "ba7968267f4ee0098b8eed7095c4696fa68800f5950ce97aff212cf7fd5100f5",
         "seed_5/estimates.csv": "cb7ca62a39a506575cea8093300d58a92757962a966291c50ee55d6ddc3e0271",
-        "seed_5/trace.jsonl": "4eb88eb4c677f7bbd434fe109aa825284b7d833947b9296faedf77aafd722783",
+        "seed_5/trace.jsonl": "81a7bd8a069cab59344b1eb9bd8d9eb7a34dd900a39f4d2b84fc666c9252ba74",
         "summary.json": "774e0e4ed14a3405d600f11347286bfe1adfdf0797ef0acde3e7ef4caeeacf91",
     },
     "push_sum_demo": {
@@ -60,11 +65,11 @@ GOLDEN = {
         "seed_0/attack.csv": "f42bd0dd28af855152c28b38b361afa183022b429c07f7dcca9d95fdeda789ce",
         "seed_0/attack.json": "1cccf29874497b1ba043d4d1bdef8634118739de7f8ba6b4f0085e6b994a8317",
         "seed_0/estimates.csv": "078fbb5cda2da2bb2f4c9477e8f5cea39509f3098ecbde9ceafda1fdc3754b81",
-        "seed_0/trace.jsonl": "51f3539217894979a69e40b254c9a8fc5ec9197bde80e467dca5f9c58e17c73c",
+        "seed_0/trace.jsonl": "bf4f081e0393fdd1c40f0f73769bb3ba4ded3797a441b741f4b1ed8fe6f9dd01",
         "seed_4294967301/attack.csv": "6b71857d2fca8c56d82c3f6f17790eecba944bd409bdb34f536fc86ef8baefe3",
         "seed_4294967301/attack.json": "0ed95a56f3e1ad5b5af2002516ca2fa68f8be904fa87cce76de80d7043bb914f",
         "seed_4294967301/estimates.csv": "6a9d03cb116122126dfdd3bcd11702767f3ebab81d0fd937f5cd2a76b715b0a4",
-        "seed_4294967301/trace.jsonl": "603aa2d4df50de4cdc5d36ee09ae8a825b36e7f68e67b7b147586d42bbee21d9",
+        "seed_4294967301/trace.jsonl": "315d2849638f529ccfb3c0b6e120d12bcc9f9e7e8329d0ddbb8758bdaf170c30",
         "summary.json": "88828a977d7c538a79386da545eb39c517501807022f50ce576e0e1f0ec1907c",
     },
     "push_sum_rand24": {
@@ -72,9 +77,51 @@ GOLDEN = {
         "seed_5/attack.csv": "de1ec52e7efabcf8207aa1b36129875c01019abea48dd9ff615bf2a48c8895b3",
         "seed_5/attack.json": "9190368c2d1c1ae1f6895a33e164b47d28c1a125c3369c4829bf981fbbe2cc11",
         "seed_5/estimates.csv": "72ece558e24f58e8e83b86c0badc3a5d8054857b667bc431fb71270237d6288b",
-        "seed_5/trace.jsonl": "26f1e11895100030e9d7b79a673ba2401add357fc5e53813667020770e103381",
+        "seed_5/trace.jsonl": "7b0e6840d5c24b54df3f4520b1c094ea7939a8a1232b34bbafe484e93d34d535",
         "summary.json": "d3f96428b35628b6ffeb4bf5ff9f9864fd51d1eb97230186dec758f0643c18d5",
     },
+}
+
+
+# sha256 of the p, alpha, states and sent arrays that read_trace restores from
+# each trace file, computed from the format v1 files before the move to v2.
+GOLDEN_VALUES = {
+    "decomposed_demo/seed_0/trace.jsonl": (
+        "b0ddfac0f79038bf2f6736dd9f36db0eed13359fa02303d08d8c813582680b00",
+        "f90cd96f15bdfe9ce8c6f0b61f1d9379f797f849052ea1f2789afb15664a9778",
+        "f24d43d42c64f0eb7a135d193e7576d37fe2f73e5c95286927b2f6e0c9ccad03",
+        "ceb6ca82cdb16ca2a97e3ad0dab95c3a37c9915274c099349fe36dd6a245378c",
+    ),
+    "decomposed_demo/seed_4294967301/trace.jsonl": (
+        "304b1a1896b6f68c8fc80bb093e772770230849d374dd808c74988eda2a08237",
+        "02953787e4d90a6310a717980dfc3ba36b8d1b6fab7a9263c9168cd1a7ba394f",
+        "e392e25362611818c618233f21a8e205a18ae09395f85d3940ed62919436680a",
+        "200e3dd79c381456e2c152394c61a575f8f80f9d43f63b27925f1070e3f4b089",
+    ),
+    "decomposed_rand24/seed_5/trace.jsonl": (
+        "3be66af1e12673a4a459919e1b9fce48d43c385f63cd5b8903bf7a378318b7a9",
+        "7ba3c9c60329d4cf977c776f0a8b27643d56a9440883a0dd6332eade5686533c",
+        "c4f6e8b81d4ec237a580fb91db06556744ce8fe9a5b1adacbfd2dcf86dc22358",
+        "e835db95564aceae59ecfa74955c19eba605c6af7be5b5fedb85962db27be0ad",
+    ),
+    "push_sum_demo/seed_0/trace.jsonl": (
+        "9088d50812c05cb568a72e981db4c3f78dbfbd78fd61776737109cd1bbc4ba21",
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+        "6db9c45f4bf13e1e82d77c79218895609c452f6202419ba1dab2b9f3e2018265",
+        "35a7938e27fdce2457b9eba2b4d280417062d1794c9e719fc743c67a0be73819",
+    ),
+    "push_sum_demo/seed_4294967301/trace.jsonl": (
+        "336917f7baca02d39bbca007b7cb95ad9510e1ef1345562f64ed5f7be4439468",
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+        "f8b852317df9877d20c8934999fb29c143b90461e8f9bf071e1c4ee92987b9ae",
+        "fd234c7535ac46bff6041500a90196d3f0534583bbee3aff3d408041757639cf",
+    ),
+    "push_sum_rand24/seed_5/trace.jsonl": (
+        "07a05151f84e84203313c46a740e2125b511567abeacc6e7d3a3c7389032594c",
+        "f6e28ad1753237d42be72be187a88f09a269097eeda24bcf12908db6bd361246",
+        "edb83ac3d86b714594479a1bd217d472f7475d85f599c00f947f59cfcbb7d9f7",
+        "896c5241be154a2ce758cc8bc707a8f33b1278f4f6d6bf942f3c4beca2a6787b",
+    ),
 }
 
 
@@ -104,3 +151,15 @@ def run_case(name: str) -> dict[str, str]:
 def test_bundle_matches_golden_digests(name, tmp_path, monkeypatch, capsys) -> None:
     monkeypatch.chdir(tmp_path)
     assert run_case(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_values_match_v1_golden(name, tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)
+    run_case(name)
+    paths = sorted(Path(name).rglob("trace.jsonl"))
+    assert paths
+    for path in paths:
+        trace = read_trace(path)
+        arrays = (trace.p, trace.alpha, trace.states, trace.sent)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == GOLDEN_VALUES[path.as_posix()]

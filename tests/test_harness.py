@@ -1,6 +1,7 @@
 """Config parsing, scenario bundles, invariant checking, comparison, CLI."""
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -255,10 +256,24 @@ def write_small_trace(tmp_path: Path) -> Path:
     return tmp_path / "out" / "seed_1" / "trace.jsonl"
 
 
+V1_FIXTURE = Path(__file__).parent / "data" / "demo_v1.jsonl"
+
+
 def tampered_copy(path: Path, line_no: int, mutate) -> Path:
+    """A copy of a trace file with line line_no edited by mutate.
+
+    mutate sees the base64 arrays of a format-v2 line decoded to float64
+    arrays, and its edits are encoded back; a v1 line it sees as parsed.
+    """
     lines = path.read_text().splitlines()
     record = json.loads(lines[line_no - 1])
+    for key in ("alpha", "edge_w", "self_w", "sent", "state"):
+        if isinstance(record.get(key), str):
+            record[key] = np.frombuffer(base64.b64decode(record[key]), dtype="<f8").copy()
     mutate(record)
+    for key, value in record.items():
+        if isinstance(value, np.ndarray):
+            record[key] = base64.b64encode(value.astype("<f8").tobytes()).decode("ascii")
     lines[line_no - 1] = json.dumps(record, sort_keys=True)
     out = path.with_name(f"tampered_{line_no}.jsonl")
     out.write_text("\n".join(lines) + "\n")
@@ -269,7 +284,7 @@ def test_check_invariants_catches_bad_weight(tmp_path: Path) -> None:
     path = write_small_trace(tmp_path)
 
     def bump_weight(record: dict) -> None:
-        record["p"][0] += 1e-3
+        record["self_w"][0] += 1e-3
 
     bad = tampered_copy(path, 4, bump_weight)  # line 4 holds round k=2
     report = check_invariants(bad)
@@ -284,8 +299,8 @@ def test_check_invariants_catches_bad_product(tmp_path: Path) -> None:
     path = write_small_trace(tmp_path)
 
     def bump_product(record: dict) -> None:
-        biggest = max(record["transmitted"], key=lambda t: abs(t["value"]))
-        biggest["value"] *= 1.5
+        sent = record["sent"]
+        sent[np.argmax(np.abs(sent))] *= 1.5
 
     bad = tampered_copy(path, 3, bump_product)
     report = check_invariants(bad)
@@ -297,8 +312,7 @@ def test_check_invariants_catches_bad_state(tmp_path: Path) -> None:
     path = write_small_trace(tmp_path)
 
     def bump_state(record: dict) -> None:
-        key = sorted(record["state"])[0]
-        record["state"][key][0] += 0.5
+        record["state"][0] += 0.5  # first state row, node 1
 
     bad = tampered_copy(path, 5, bump_state)
     report = check_invariants(bad)
@@ -426,13 +440,58 @@ def test_cli_run_check_attack(tmp_path: Path, capsys) -> None:
 
 
 def test_cli_check_tampered_exits_one(tmp_path: Path) -> None:
-    path = write_small_trace(tmp_path)
+    # p[0, 3] is off the demo edges: only a v1 file can hold it
+    path = tmp_path / "demo_v1.jsonl"
+    path.write_text(V1_FIXTURE.read_text())
 
     def bump_weight(record: dict) -> None:
         record["p"][3] += 1e-3
 
     bad = tampered_copy(path, 3, bump_weight)
     assert cli_main(["check", str(bad)]) == 1
+    failed = {item.name for item in check_invariants(bad).items if item.status == "fail"}
+    assert "zero_pattern" in failed
+
+
+def test_cli_check_tampered_edge_weight_exits_one(tmp_path: Path, capsys) -> None:
+    path = write_small_trace(tmp_path)
+
+    def bump_edge(record: dict) -> None:
+        record["edge_w"][0] += 1e-3
+
+    bad = tampered_copy(path, 3, bump_edge)
+    assert cli_main(["check", str(bad)]) == 1
+    assert "FAIL  column_stochasticity: round 1" in capsys.readouterr().out
+
+
+def test_v1_fixture_checks_and_matches_run_protocol(capsys) -> None:
+    assert cli_main(["check", str(V1_FIXTURE)]) == 0
+    trace = read_trace(V1_FIXTURE)
+    assert trace.protocol == "decomposed" and trace.n_rounds == 5 and trace.graph == demo_digraph()
+    fresh = run_protocol(trace.graph, trace.x0, trace.protocol, trace.n_rounds, trace.spread, trace.seed)
+    for name in ("p", "alpha", "states", "sent"):
+        assert getattr(trace, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "line_no, mutate, needle",
+    [
+        (3, lambda r: r.update(alpha="not base64!"), "line 3 record invalid: alpha is not base64"),
+        (3, lambda r: r.update(alpha=r["alpha"][:-1]), "line 3 record invalid: alpha holds 32 bytes, expected 40"),
+        (4, lambda r: r.pop("sent"), "line 4 record invalid: missing sent"),
+        (5, lambda r: r.update(k=4), "line 5 record invalid: k=4, expected 3"),
+        (1, lambda r: r.update(format=3), "line 1 header invalid: unknown format 3"),
+    ],
+    ids=["bad_base64", "truncated", "missing_key", "k_order", "format_3"],
+)
+def test_v2_rejections_exit_two(tmp_path: Path, capsys, line_no, mutate, needle) -> None:
+    bad = tampered_copy(write_small_trace(tmp_path), line_no, mutate)
+    with pytest.raises(TraceFormatError, match=needle):
+        read_trace(bad)
+    capsys.readouterr()
+    for command in ("check", "attack"):
+        assert cli_main([command, str(bad)]) == 2
+        assert needle in capsys.readouterr().err
 
 
 def test_cli_error_paths(tmp_path: Path, capsys) -> None:

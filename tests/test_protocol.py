@@ -498,7 +498,9 @@ def reference_trace_lines(trace, extra_header=None) -> list[str]:
     return lines
 
 
-SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-310, 1e16, 1.2345678901234567e300)
+# a NaN with its sign bit set and one with a payload; only format v2 keeps them apart
+ODD_NANS = tuple(np.array([0xFFF8000000000000, 0x7FF8000000000ABC], dtype=np.uint64).view(np.float64).tolist())
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-310, 1e16, 1.2345678901234567e300) + ODD_NANS
 TRACE_FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 
 
@@ -530,10 +532,66 @@ def array_traces(draw):
     )
 
 
+def canonical_nan(a: np.ndarray) -> np.ndarray:
+    """a with every NaN replaced by numpy's NaN, the one a text file can hold."""
+    return np.where(np.isnan(a), np.nan, a)
+
+
+def stored_states(trace) -> np.ndarray:
+    """trace.states as a file stores them: push_sum leaves out the retained rows."""
+    states = trace.states.copy()
+    states[:, len(STATE_KEYS[trace.protocol]) :] = 0.0
+    return states
+
+
 @settings(max_examples=60, deadline=None)
 @given(trace=array_traces(), extra=st.sampled_from([None, {}, {"config_hash": "abc"}]))
-def test_trace_lines_match_json_dumps(trace, extra) -> None:
-    assert list(trace_lines(trace, extra)) == reference_trace_lines(trace, extra)
+def test_v1_reader_restores_json_dumps_trace(tmp_path_factory, trace, extra) -> None:
+    path = tmp_path_factory.mktemp("v1") / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in reference_trace_lines(trace, extra)))
+    back = read_trace(path)
+    expected = [trace.p, trace.alpha, stored_states(trace), trace.sent]
+    assert trace_arrays(back) == [canonical_nan(a).tobytes() for a in expected]
+    assert canonical_nan(back.x0).tobytes() == canonical_nan(trace.x0).tobytes()
+    assert (back.protocol, back.seed, back.spread, back.graph) == (trace.protocol, trace.seed, trace.spread, trace.graph)
+
+
+def off_pattern(g) -> np.ndarray:
+    """Mask of the weight entries that are neither an edge nor the diagonal."""
+    off = ~np.eye(g.n, dtype=bool)
+    for j, i in g.edges:
+        off[j - 1, i - 1] = False
+    return off
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=array_traces())
+def test_v2_roundtrip_keeps_every_bit(tmp_path_factory, trace) -> None:
+    trace.p[:, off_pattern(trace.graph)] = 0.0
+    path = tmp_path_factory.mktemp("v2") / "trace.jsonl"
+    write_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+    back = read_trace(path)
+    # round lines hold raw bytes, NaN payloads included; the JSON header
+    # holds x0 and the round-0 state as text
+    assert back.p.tobytes() == trace.p.tobytes()
+    assert back.alpha.tobytes() == trace.alpha.tobytes()
+    assert back.sent.tobytes() == trace.sent.tobytes()
+    states = stored_states(trace)
+    assert back.states[1:].tobytes() == states[1:].tobytes()
+    assert back.states[0].tobytes() == canonical_nan(states[0]).tobytes()
+
+
+@pytest.mark.parametrize("value", [1e-3, -0.0, math.nan])
+def test_write_trace_refuses_off_pattern_weight(tmp_path, value) -> None:
+    trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 5, 100.0, seed=1)
+    assert off_pattern(trace.graph)[0, 3]
+    trace.p[2, 0, 3] = value
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match=r"round 2: weight p\[1, 4\]"):
+        write_trace(trace, path)
+    assert not path.exists()
 
 
 def test_trace_file_rejects_corruption(tmp_path) -> None:
