@@ -20,7 +20,6 @@ Two adversaries are modelled, both passive:
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .graph import Digraph
 from .protocol import ESTIMATE_GUARD, Trace, estimate_average
-from .traceio import csv_writer
+from .traceio import write_table
 
 # Round from which exceedance statistics are counted in summaries: early
 # rounds are dominated by the decaying start-up residual rather than by the
@@ -198,25 +197,11 @@ def attack_report(trace: Trace, target: int, threshold: float = 500.0) -> dict:
     }
 
 
-def write_attack_json(report: dict, path, extra: dict | None = None) -> None:
-    payload = dict(report)
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def write_attack_csv(report: dict, path, comment: str | None = None) -> None:
-    truth = report["true_initial"]
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv_writer(fh, comment)
-        writer.writerow(["k", "estimate", "abs_error"])
-        for k, est in enumerate(report["estimates"]):
-            if est is None:
-                writer.writerow([k, "", ""])
-            else:
-                writer.writerow([k, repr(est), repr(abs(est - truth))])
+    """An attack report's estimates, columns k, estimate, abs_error; empty cells where undefined."""
+    est = np.array(report["estimates"], dtype=np.float64)  # None reads as NaN
+    err = np.abs(est - report["true_initial"])
+    write_table(path, ("k", "estimate", "abs_error"), (range(len(est)), est, err), comment)
 
 
 # ---------------------------------------------------------------------------

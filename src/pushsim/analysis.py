@@ -11,13 +11,11 @@ bound follows from the smallest positive entry seen in the sequence.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .protocol import Trace, estimate_series
-from .traceio import csv_cell, csv_writer
 
 COLUMN_SUM_TOL = 1e-9
 
@@ -164,26 +162,3 @@ def convergence_round(errors: np.ndarray, tol: float = 1e-8) -> int | None:
         if defined.any() and float(row[defined].max()) < tol:
             return k
     return None
-
-
-def write_analysis_csv(report: ErgodicityReport, metrics: RunMetrics, path, comment: str | None = None) -> None:
-    """Joined contraction/error table: columns k, delta, bound, mse."""
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv_writer(fh, comment)
-        writer.writerow(["k", "delta", "bound", "mse"])
-        for t, k in enumerate(report.rounds):
-            mse = metrics.mse[k] if k < metrics.mse.shape[0] else float("nan")
-            writer.writerow([int(k), repr(float(report.delta[t])), repr(float(report.bound[t])), csv_cell(mse)])
-
-
-def write_analysis_json(report: ErgodicityReport, conv_round: int | None, path, extra: dict | None = None) -> None:
-    payload = {
-        "epsilon": report.epsilon,
-        "final_delta": float(report.delta[-1]),
-        "convergence_round": conv_round,
-    }
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")

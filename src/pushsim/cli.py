@@ -58,7 +58,7 @@ def cmd_attack(args) -> int:
     target = args.target if args.target is not None else trace.graph.n
     report = adversary.attack_report(trace, target, args.c)
     if args.json_out:
-        adversary.write_attack_json(report, args.json_out)
+        traceio.write_json(args.json_out, report)
     if args.csv_out:
         adversary.write_attack_csv(report, args.csv_out)
     final = report["final_error"]

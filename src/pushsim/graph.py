@@ -70,61 +70,22 @@ def build_digraph(n: int, edges) -> Digraph:
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """True iff the digraph has exactly one strongly connected component of size n.
+    """True iff every node is reachable from node 1 and reaches node 1.
 
-    Iterative Tarjan over the out-adjacency; a single-node graph with no
-    edges counts as strongly connected.
+    One search from node 1 over out_neighbors and one over in_neighbors; a
+    single-node graph with no edges counts as strongly connected.
     """
-    n = g.n
-    if n == 1:
-        return True
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    scc_sizes: list[int] = []
-
-    for root in g.nodes:
-        if root in index_of:
-            continue
-        work = [(root, iter(g.out_neighbors[root]))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index_of:
-                    index_of[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g.out_neighbors[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                size = 0
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    size += 1
-                    if w == v:
-                        break
-                scc_sizes.append(size)
-                if len(scc_sizes) > 1:
-                    return False
-    return len(scc_sizes) == 1 and scc_sizes[0] == n
+    for neighbors in (g.out_neighbors, g.in_neighbors):
+        seen = {1}
+        frontier = [1]
+        while frontier:
+            for w in neighbors[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        if len(seen) != g.n:
+            return False
+    return True
 
 
 def check_protocol_usable(g: Digraph) -> None:

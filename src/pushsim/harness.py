@@ -1,10 +1,11 @@
 """Experiment harness: configs, scenario runs, invariant checks, comparisons.
 
-A scenario config is a flat JSON object; unknown keys are rejected so a
-typo never silently runs the wrong experiment.  Every output file embeds a
-hash of the materialized config (output location excluded), and rerunning
-an identical config reproduces every file byte for byte apart from the
-summary's metadata block.
+A scenario config is a JSON object; unknown keys, at the top level and in
+initials, graph and graph.generator, are rejected so a typo never silently
+runs the wrong experiment.  Every output file embeds a hash of the
+materialized config (output location excluded), and rerunning an identical
+config reproduces every file byte for byte apart from the summary's
+metadata block.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, analysis, graph as graphmod, protocol, traceio
-from .traceio import csv_cell, csv_writer
 
 ENV_OUTPUT_ROOT = "PUSHSIM_OUTPUT_ROOT"
 
@@ -64,7 +64,7 @@ class ExperimentConfig:
 
     def _build_graph(self) -> graphmod.Digraph:
         spec = self.graph_spec
-        if spec.get("demo"):
+        if "demo" in spec:
             return graphmod.demo_digraph()
         if "file" in spec:
             try:
@@ -132,6 +132,15 @@ def _finite(value, name: str) -> float:
     return number
 
 
+def _check_keys(spec, allowed: tuple[str, ...], name: str) -> None:
+    """Reject a config object that is not a dict or holds a key outside allowed."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name}: expected an object with keys among {', '.join(allowed)}")
+    unknown = sorted(str(key) for key in set(spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(f'{name}.{key}' for key in unknown)}")
+
+
 def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
     """Validate a raw config dict, applying defaults for missing keys."""
     if not isinstance(data, dict):
@@ -163,15 +172,22 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
     if not isinstance(initials, dict) or initials.get("dist") not in ("uniform", "constant"):
         raise ConfigError("initials: need {'dist': 'uniform'|'constant', ...}")
     if initials["dist"] == "uniform":
+        _check_keys(initials, ("dist", "low", "high"), "initials")
         low = _finite(initials.get("low", 0.0), "initials.low")
         high = _finite(initials.get("high", 50.0), "initials.high")
         if low > high:
             raise ConfigError(f"initials: low {low} is above high {high}")
     else:
+        _check_keys(initials, ("dist", "value"), "initials")
         _finite(initials.get("value", 0.0), "initials.value")
     gspec = merged["graph"]
-    if not isinstance(gspec, dict) or not any(k in gspec for k in ("demo", "file", "generator")):
-        raise ConfigError("graph: need one of demo, file, generator")
+    _check_keys(gspec, ("demo", "file", "generator"), "graph")
+    if len(gspec) != 1:
+        raise ConfigError(f"graph: need exactly one of demo, file, generator, got {len(gspec)}")
+    if "demo" in gspec and gspec["demo"] is not True:
+        raise ConfigError(f"graph.demo: must be true, got {gspec['demo']!r}")
+    if "generator" in gspec:
+        _check_keys(gspec["generator"], ("n", "extra_edge_prob", "seed"), "graph.generator")
 
     cfg = ExperimentConfig(
         protocol=tag,
@@ -267,9 +283,7 @@ def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
     results = [_run_one_seed(cfg, g, s, stage_s) for s in cfg.seeds]
 
     start = time.perf_counter()
-    with open(outdir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump({**cfg.materialized(), "config_hash": chash}, fh, sort_keys=True)
-        fh.write("\n")
+    traceio.write_json(outdir / "config.json", {**cfg.materialized(), "config_hash": chash})
 
     runs_summary = []
     for res in results:
@@ -278,7 +292,7 @@ def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
         seed_dir.mkdir(exist_ok=True)
         traceio.write_trace(res["trace"], seed_dir / "trace.jsonl", {"config_hash": chash})
         traceio.write_estimates_csv(res["trace"], seed_dir / "estimates.csv", f"config_hash={chash}")
-        adversary.write_attack_json(res["attack"], seed_dir / "attack.json", {"config_hash": chash})
+        traceio.write_json(seed_dir / "attack.json", {**res["attack"], "config_hash": chash})
         adversary.write_attack_csv(res["attack"], seed_dir / "attack.csv", f"config_hash={chash}")
         entry = {
             "seed": seed,
@@ -296,17 +310,15 @@ def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
         }
         if res["ergodicity"] is not None:
             report = res["ergodicity"]
-            analysis.write_analysis_csv(
-                report, res["metrics"], seed_dir / "ergodicity.csv", f"config_hash={chash}"
+            columns = (report.rounds, report.delta, report.bound, res["metrics"].mse[report.rounds])
+            traceio.write_table(
+                seed_dir / "ergodicity.csv", ("k", "delta", "bound", "mse"), columns, f"config_hash={chash}"
             )
-            analysis.write_analysis_json(
-                report, res["convergence_round"], seed_dir / "ergodicity.json",
-                {"config_hash": chash},
+            entry["ergodicity"] = {"epsilon": report.epsilon, "final_delta": float(report.delta[-1])}
+            traceio.write_json(
+                seed_dir / "ergodicity.json",
+                {**entry["ergodicity"], "convergence_round": res["convergence_round"], "config_hash": chash},
             )
-            entry["ergodicity"] = {
-                "epsilon": report.epsilon,
-                "final_delta": float(report.delta[-1]),
-            }
         runs_summary.append(entry)
         if verbose:
             conv = res["convergence_round"]
@@ -319,9 +331,7 @@ def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
         "metadata": {"created_utc": datetime.now(timezone.utc).isoformat(), "stage_s": stage_s},
         "runs": runs_summary,
     }
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    traceio.write_json(outdir / "summary.json", summary, indent=1)
     return summary
 
 
@@ -487,18 +497,22 @@ def compare_protocols(cfg: ExperimentConfig, protocols: list[str] | None = None)
         seed: protocol.sample_initial_values(g.n, cfg.initials, protocol.SeedStreams(seed))
         for seed in cfg.seeds
     }
-    mse: dict[tuple[str, int], np.ndarray] = {}
-    for tag in tags:
-        for seed in cfg.seeds:
-            trace = protocol.run_protocol(g, x0_by_seed[seed], tag, cfg.rounds, cfg.spread, seed)
-            mse[(tag, seed)] = analysis.run_metrics(trace).mse
-
-    with open(outdir / "compare.csv", "w", encoding="utf-8") as fh:
-        writer = csv_writer(fh, f"config_hash={chash}")
-        writer.writerow(["seed", "k"] + [f"mse_{tag}" for tag in tags])
-        for seed in cfg.seeds:
-            for k in range(cfg.rounds + 1):
-                writer.writerow([seed, k] + [csv_cell(mse[(tag, seed)][k]) for tag in tags])
+    # one column per protocol, the seeds' MSE curves one after another
+    mse = [
+        np.concatenate([
+            analysis.run_metrics(protocol.run_protocol(g, x0_by_seed[seed], tag, cfg.rounds, cfg.spread, seed)).mse
+            for seed in cfg.seeds
+        ])
+        for tag in tags
+    ]
+    steps = range(cfg.rounds + 1)
+    traceio.write_table(
+        outdir / "compare.csv",
+        ["seed", "k"] + [f"mse_{tag}" for tag in tags],
+        # the seeds stay Python ints: a seed above 2**64 has no exact float
+        [[seed for seed in cfg.seeds for _ in steps], [k for _ in cfg.seeds for k in steps], *mse],
+        f"config_hash={chash}",
+    )
 
     payload = {
         "config_hash": chash,
@@ -507,7 +521,5 @@ def compare_protocols(cfg: ExperimentConfig, protocols: list[str] | None = None)
         "x0": {str(seed): x0_by_seed[seed].tolist() for seed in cfg.seeds},
         "csv": "compare.csv",
     }
-    with open(outdir / "compare.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    traceio.write_json(outdir / "compare.json", payload)
     return payload

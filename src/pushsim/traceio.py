@@ -1,4 +1,9 @@
-"""Trace files and estimate tables.
+"""Trace files and every other bundle file.
+
+A bundle JSON file is json.dump with sort_keys=True plus one newline
+(write_json).  A bundle CSV file is an optional "# comment" line, a header
+and one row per entry, floats as their shortest repr and NaN as an empty
+cell (write_table).
 
 A trace file is JSON lines, each written by json.dumps with sort_keys=True.
 Line 1 is a header object {protocol, n, seed, M, x0, graph, state0,
@@ -25,9 +30,7 @@ from __future__ import annotations
 
 import base64
 import binascii
-import csv
 import json
-import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -275,16 +278,33 @@ def _read_rounds_v1(path, fh, graph: Digraph, protocol: str, p, alpha, states, s
         sent[r] = np.reshape(values, (n_edges, 2))
 
 
-def csv_writer(fh, comment: str | None):
-    """A CSV writer on fh with "\\n" line ends, after an optional "# comment" line."""
-    if comment:
-        fh.write(f"# {comment}\n")
-    return csv.writer(fh, lineterminator="\n")
+def write_json(path, payload: dict, indent: int | None = None) -> None:
+    """Write a bundle JSON file: json.dump with sorted keys, then one newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
 
 
-def csv_cell(value: float) -> str:
-    """A float as its shortest repr, or an empty cell for NaN."""
-    return "" if math.isnan(value) else repr(float(value))
+def write_table(path, header, columns, comment: str | None = None) -> None:
+    """Write a bundle CSV file: an optional "# comment" line, the header, then
+    row t holding entry t of every column, with "\\n" line ends.
+
+    A column is a NumPy array or a sequence of Python numbers, and a cell is
+    the repr of its value: the shortest repr of a float, and an integer
+    whole, so a seed above 2**64 must stay a Python int and not pass through
+    a float array.  A NaN is an empty cell.  No cell needs quoting.  Rows are
+    formatted 256 at a time, so the cell strings of a whole table are never
+    in memory at once.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), 256):
+            chunks = (col[start : start + 256] for col in columns)
+            values = (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk for chunk in chunks)
+            cells = (["" if v != v else repr(v) for v in chunk] for chunk in values)  # v != v: NaN
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def write_estimates_csv(trace: Trace, path, comment: str | None = None) -> None:
@@ -294,15 +314,7 @@ def write_estimates_csv(trace: Trace, path, comment: str | None = None) -> None:
     both cells empty.
     """
     est = estimate_series(trace)
-    target = float(np.mean(trace.x0))
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv_writer(fh, comment)
-        writer.writerow(["k", "node", "estimate", "abs_error"])
-        # the rows csv.writer would write: no cell needs quoting
-        for k, row in enumerate(est.tolist()):
-            fh.write(
-                "".join(
-                    "%s,%s,%s,%s\n" % (k, node, csv_cell(e), csv_cell(abs(e - target)))
-                    for node, e in enumerate(row, start=1)
-                )
-            )
+    rounds, n = est.shape
+    k, node = np.arange(rounds).repeat(n), np.tile(np.arange(1, n + 1), rounds)
+    err = np.abs(est - np.mean(trace.x0))
+    write_table(path, ("k", "node", "estimate", "abs_error"), (k, node, est.ravel(), err.ravel()), comment)

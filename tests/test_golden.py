@@ -7,7 +7,9 @@ The cases cover both protocols on the demo graph, a generated 24-node graph
 whose senders draw eight or more weights per round, and the seeds 0 and
 2**32 + 5 (an entropy word that does not fit in 32 bits).  A second test
 hashes the arrays that read_trace restores from each trace file, so a new
-trace format must keep every recorded value.
+trace format must keep every recorded value.  The files that `pushsim
+compare` and `pushsim attack` write are pinned the same way; the compare
+case takes a seed above 2**64, which a float would round.
 """
 from __future__ import annotations
 
@@ -79,6 +81,20 @@ GOLDEN = {
         "seed_5/estimates.csv": "72ece558e24f58e8e83b86c0badc3a5d8054857b667bc431fb71270237d6288b",
         "seed_5/trace.jsonl": "7b0e6840d5c24b54df3f4520b1c094ea7939a8a1232b34bbafe484e93d34d535",
         "summary.json": "d3f96428b35628b6ffeb4bf5ff9f9864fd51d1eb97230186dec758f0643c18d5",
+    },
+}
+
+
+# sha256 of the files `pushsim compare` and `pushsim attack --json --csv` write.
+COMPARE_ARGS = ["compare", "--graph", "demo", "--rounds", ROUNDS, "--seeds", "0,18446744073709551621"]
+GOLDEN_COMMANDS = {
+    "compare": {
+        "compare.csv": "10d4f2554458792350a3e7285290221675f632fedfd09ad3ec44991e7f680e92",
+        "compare.json": "4a785b2f0c7982cee52b61479a2ee6cdd3d0b74a24269e992ab5ed5a44cbc1e9",
+    },
+    "attack": {
+        "attack.csv": "b18432ebe625a006f7ae4bb1bf7a8cfa8e97db7f080cfdf34884bf69e70f7e13",
+        "attack.json": "b24e30d7b2948ff699ee1b8dec6b49e932e92a8267d93623f4e52958fb19ef67",
     },
 }
 
@@ -163,3 +179,18 @@ def test_trace_values_match_v1_golden(name, tmp_path, monkeypatch, capsys) -> No
         trace = read_trace(path)
         arrays = (trace.p, trace.alpha, trace.states, trace.sent)
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == GOLDEN_VALUES[path.as_posix()]
+
+
+def test_compare_matches_golden_digests(tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(COMPARE_ARGS + ["--output-dir", "cmp"]) == 0
+    assert bundle_digests(Path("cmp")) == GOLDEN_COMMANDS["compare"]
+
+
+def test_attack_matches_golden_digests(tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)
+    run_case("decomposed_demo")
+    trace = "decomposed_demo/seed_0/trace.jsonl"
+    Path("atk").mkdir()
+    assert cli_main(["attack", trace, "--json", "atk/attack.json", "--csv", "atk/attack.csv"]) == 0
+    assert bundle_digests(Path("atk")) == GOLDEN_COMMANDS["attack"]

@@ -107,8 +107,8 @@ def test_demo_digraph() -> None:
 
 
 def test_scc_matches_bfs_oracle_exhaustively_small() -> None:
-    # all digraphs on 2 and 3 nodes
-    for n in (2, 3):
+    # all digraphs on 2, 3 and 4 nodes
+    for n in (2, 3, 4):
         pairs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
         for bits in range(2 ** len(pairs)):
             edges = {pairs[t] for t in range(len(pairs)) if bits >> t & 1}

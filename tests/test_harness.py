@@ -91,11 +91,19 @@ def test_parse_config_rejections() -> None:
         ({"rounds": 2.5}, "rounds: expected an integer, got 2.5"),
         ({"seeds": [1.9, 2]}, "seeds: expected an integer, got 1.9"),
         ({"attack_target": 2.5}, "attack_target: expected an integer, got 2.5"),
+        ({"graph": {"demo": False}}, "graph.demo: must be true, got False"),
+        ({"graph": {"demo": True, "file": "x.json"}}, "graph: need exactly one of demo, file, generator, got 2"),
+        ({"initials": {"dist": "uniform", "hihg": 10}}, r"unknown key\(s\) initials\.hihg"),
+        ({"initials": {"dist": "constant", "value": 1.0, "low": 0.0}}, r"unknown key\(s\) initials\.low"),
+        ({"graph": {"generator": {"n": 6, "extra_edge_prb": 0.9}}}, r"unknown key\(s\) graph\.generator\.extra_edge_prb"),
+        ({"graph": {"generator": [6]}}, "graph.generator: expected an object"),
     ],
     ids=[
         "M-null", "c-null", "M-nan", "M-inf", "c-nan", "c-neg-inf", "rounds-bool",
         "seeds-duplicate", "initials-low-above-high", "initials-high-null", "attack_target-list",
-        "rounds-fractional", "seeds-fractional", "attack_target-fractional",
+        "rounds-fractional", "seeds-fractional", "attack_target-fractional", "graph-demo-false",
+        "graph-two-sources", "initials-typo", "initials-constant-low", "generator-typo",
+        "generator-list",
     ],
 )
 def test_parse_config_rejects_value(data, needle) -> None:
@@ -108,6 +116,13 @@ def test_cli_null_spread_exits_two(tmp_path: Path, capsys) -> None:
     cfg.write_text(json.dumps({"M": None}))
     assert cli_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "x")]) == 2
     assert "M: " in capsys.readouterr().err
+
+
+def test_cli_nested_typo_exits_two(tmp_path: Path, capsys) -> None:
+    cfg = tmp_path / "demo_false.json"
+    cfg.write_text(json.dumps({"graph": {"demo": False}}))
+    assert cli_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "x")]) == 2
+    assert "graph.demo: " in capsys.readouterr().err
 
 
 def test_parse_config_accepts_extra_rounds_hint() -> None:
