@@ -160,11 +160,15 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError("seeds: must be a non-empty list of integers")
     seeds = [_integer(s, "seeds") for s in seeds]
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds: must be non-negative, got {min(seeds)}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds: duplicates in {seeds}; each seed writes its own seed_<s>/")
     spread = _finite(merged["M"], "M")
     if spread <= 0:
         raise ConfigError(f"M: must be positive, got {spread}")
+    if not math.isfinite(2.0 * spread):
+        raise ConfigError(f"M: 2*M must be finite, got M={spread}")
     threshold = _finite(merged["c"], "c")
     if threshold <= 0:
         raise ConfigError(f"c: must be positive, got {threshold}")
@@ -177,6 +181,8 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
         high = _finite(initials.get("high", 50.0), "initials.high")
         if low > high:
             raise ConfigError(f"initials: low {low} is above high {high}")
+        if not math.isfinite(high - low):
+            raise ConfigError(f"initials: high - low must be finite, got {low} to {high}")
     else:
         _check_keys(initials, ("dist", "value"), "initials")
         _finite(initials.get("value", 0.0), "initials.value")

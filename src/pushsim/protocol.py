@@ -32,6 +32,8 @@ from .graph import Digraph, check_protocol_usable
 ESTIMATE_GUARD = 1e-12
 # Magnitude below which the round-0 normalizer triggers a redraw.
 REDRAW_GUARD = 1e-6
+# Round-0 draws a node may take before M is declared too small to normalize.
+REDRAW_CAP = 10_000
 
 # Substream purposes for the seed derivation scheme documented in SeedStreams.
 PURPOSE_INIT_SUBSTATE = 0
@@ -52,9 +54,10 @@ class SeedStreams:
     streams at once, bit-identical to ``stream(...).random(count)`` per
     stream.  It runs SeedSequence's uint32 mixing and PCG64 (XSL-RR output
     over a 128-bit LCG, multiplied in uint64 halves) as numpy array
-    arithmetic over the batch.  When any entropy word lies outside
-    [0, 2**32) it builds each stream through ``stream`` instead: a wider word
-    changes SeedSequence's mixing and a negative one must raise ValueError.
+    arithmetic over the batch, for a seed and purpose of any size.  It
+    builds each stream through ``stream`` instead only when an entropy
+    integer is negative, which must raise ValueError, or when a node or round
+    index does not fit in 32 bits.
     """
 
     def __init__(self, seed: int):
@@ -69,19 +72,15 @@ class SeedStreams:
         shape = nodes.shape + (count,)
         if nodes.size == 0:
             return np.empty(shape)
-        words = (self.seed, purpose, int(nodes.min()), int(nodes.max()), int(ks.min()), int(ks.max()))
-        if min(words) < 0 or max(words) > _MASK32:
+        lowest, highest = min(int(nodes.min()), int(ks.min())), max(int(nodes.max()), int(ks.max()))
+        if min(self.seed, purpose, lowest) < 0 or highest > _MASK32:
             rows = [self.stream(purpose, int(i), int(k)).random(count) for i, k in zip(nodes.flat, ks.flat)]
             return np.array(rows).reshape(shape)
-        size = nodes.size
-        entropy = [np.full(size, self.seed, np.uint32), np.full(size, purpose, np.uint32),
-                   nodes.ravel().astype(np.uint32), ks.ravel().astype(np.uint32)]
-        s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(entropy)
-        # pcg64_set_seed: inc = seq << 1 | 1; state = 0, step, += initstate, step
-        inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-        lo = inc_lo + s_lo
-        hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
-        out = np.empty((size, count))
+        # Words shared by every row stay length-1 arrays and broadcast.
+        shared = [np.array([w], np.uint32) for w in _words(self.seed) + _words(purpose)]
+        rows = [nodes.ravel().astype(np.uint32), ks.ravel().astype(np.uint32)]
+        hi, lo, inc_hi, inc_lo = _pcg64_seeded(shared + rows)
+        out = np.empty((nodes.size, count))
         for j in range(count):
             hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
             x, rot = hi ^ lo, hi >> 58
@@ -91,55 +90,118 @@ class SeedStreams:
 
 # numpy's SeedSequence hash constants and PCG64's default 128-bit multiplier.
 _MASK32 = 0xFFFFFFFF
-_MULT_A, _MULT_B = 0x931E8875, 0x58F38DED
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_LO_B0, _PCG_LO_B1 = _PCG_LO & _MASK32, _PCG_LO >> 32
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """(xor, multiplier) of each successive SeedSequence hash step."""
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, little-endian; 0 is [0]."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) of each successive SeedSequence hash step, as uint32 columns."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return list(zip(consts, consts[1:]))
+    steps = np.array(consts, np.uint32)[:, None]
+    return steps[:-1], steps[1:]
 
 
-# 4 initial + 12 cross hashmix calls for a 4-word pool; 8 generate_state words
-_HASH_A = _hash_consts(0x43B0D7E5, _MULT_A, 16)
-_HASH_B = _hash_consts(0x8B51F9DD, _MULT_B, 8)
+# the 8 hash steps of generate_state(4, uint64)
+_OUT_XOR, _OUT_MULT = _hash_consts(_INIT_B, _MULT_B, 8)
 
 
-def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence(4 uint32 words).generate_state(4, uint64), one entry per batch row."""
-    consts = iter(_HASH_A)
+def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(entropy words).generate_state(4, uint64), shape (4, batch rows).
 
-    def hashmix(value):
-        xor, mult = next(consts)
-        value = (value ^ xor) * mult
-        return value ^ value >> 16
+    Each entry of ``entropy`` is one uint32 word, an array over the batch or
+    a length-1 array that broadcasts.  The 4-word pool is one (4, rows)
+    array.  It takes 4 initial hashmix calls and 12 cross ones, then 4 more
+    for each word past the fourth, each call with the next hash constant.
+    The 3 cross calls of one source word read the same value, so they run as
+    one (3, rows) expression.  Temporaries are updated in place, which keeps
+    the peak memory of a large batch down.
+    """
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
 
-    pool = [hashmix(word) for word in entropy]
+    def hashmix(value, first, count):
+        value = value ^ xor[first:first + count]
+        value *= mult[first:first + count]
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        """numpy's mix(x, y), overwriting both."""
+        x *= _MIX_L
+        y *= _MIX_R
+        x -= y
+        x ^= x >> 16
+        return x
+
+    pool = np.empty((4, max(word.size for word in entropy)), np.uint32)
+    for i, word in enumerate(entropy[:4]):
+        pool[i] = word
+    pool = hashmix(pool, 0, 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
-                pool[dst] = mixed ^ mixed >> 16
-    words = []
-    for t, (xor, mult) in enumerate(_HASH_B):
-        value = (pool[t % 4] ^ xor) * mult
-        words.append((value ^ value >> 16).astype(np.uint64))
-    return [low | high << 32 for low, high in zip(words[::2], words[1::2])]
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for t, word in enumerate(entropy[4:]):
+        pool = mix(pool, hashmix(word, 16 + 4 * t, 4))
+
+    # generate_state word t hashes pool[t % 4]; uint64 i is word 2i | word 2i+1 << 32
+    def output_words(first):
+        value = pool[first::2][[0, 1, 0, 1]] ^ _OUT_XOR[first::2]
+        value *= _OUT_MULT[first::2]
+        value ^= value >> 16
+        return value
+
+    state = output_words(1).astype(np.uint64)
+    state <<= 32
+    state |= output_words(0)
+    return state
+
+
+def _pcg64_seeded(entropy: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """PCG64 (state hi, state lo, inc hi, inc lo) seeded from the entropy words.
+
+    A function of its own so that SeedSequence's temporaries are freed
+    before the draws.
+    """
+    s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(entropy)
+    # pcg64_set_seed: inc = seq << 1 | 1; state = 0, step, += initstate, step
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    lo = inc_lo + s_lo
+    hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo):
     """One PCG64 LCG step, state * multiplier + inc mod 2**128, on uint64 halves."""
     a0, a1 = lo & _MASK32, lo >> 32
-    b0, b1 = _PCG_LO & _MASK32, _PCG_LO >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    lo2 = lo * _PCG_LO + inc_lo
-    return carry + hi * _PCG_LO + lo * _PCG_HI + inc_hi + (lo2 < inc_lo), lo2
+    p01, p10 = a0 * _PCG_LO_B1, a1 * _PCG_LO_B0
+    mid = a0 * _PCG_LO_B0
+    mid >>= 32
+    mid += p01 & _MASK32
+    mid += p10 & _MASK32
+    carry = a1 * _PCG_LO_B1
+    carry += p01 >> 32
+    carry += p10 >> 32
+    carry += mid >> 32
+    lo2 = lo * _PCG_LO
+    lo2 += inc_lo
+    carry += hi * _PCG_LO
+    carry += lo * _PCG_HI
+    carry += inc_hi
+    carry += lo2 < inc_lo
+    return carry, lo2
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +268,22 @@ def init_decomposed(x0: np.ndarray, spread: float, streams: SeedStreams) -> np.n
         raise ValueError(f"spread must be positive, got {spread}")
     x0 = np.asarray(x0, dtype=np.float64)
     n = x0.shape[0]
-    x_alpha_1 = np.empty(n)
-    for i in range(1, n + 1):
-        rng = streams.stream(PURPOSE_INIT_SUBSTATE, i)
-        x_alpha_1[i - 1] = rng.uniform(-spread, spread)
+    x_alpha_1 = _uniform_per_node(streams, PURPOSE_INIT_SUBSTATE, n, -spread, spread)
     return np.stack([x_alpha_1, np.zeros(n), 2.0 * x0 - x_alpha_1, np.full(n, 2.0)])
+
+
+def _uniform_per_node(streams: SeedStreams, purpose: int, n: int, low: float, high: float) -> np.ndarray:
+    """``stream(purpose, i).uniform(low, high)`` for i = 1..n, bit for bit.
+
+    numpy draws low + (high - low) * U(0,1) and raises the same errors on a
+    range that is not finite or is negative.
+    """
+    scale = high - low
+    if not np.isfinite(scale):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if np.signbit(scale):
+        raise ValueError("high - low < 0")
+    return low + scale * streams.uniform_block(purpose, np.arange(1, n + 1), 0, 1)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +354,8 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
     retention weight, in sorted-receiver, self, retention order.  At k = 0
     the draws are Gaussian with mean 0 and standard deviation sqrt(spread),
     so normalized entries may fall outside (0, 1); whenever the normalizer
-    magnitude falls below REDRAW_GUARD the node redraws the whole set.  From
+    magnitude falls below REDRAW_GUARD the node redraws the whole set, and
+    after REDRAW_CAP draws a ValueError names M as too small.  From
     k = 1 on the draws are U(0,1), giving entries strictly inside (0, 1).
     The column plus retention always sums to one.  Returns (p, alpha):
     shapes (n, n) and (n,) for an int k, (rounds, n, n) and (rounds, n) for
@@ -294,9 +368,13 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
             receivers = g.out_neighbors[i]
             count = len(receivers) + 2
             rng = streams.stream(PURPOSE_WEIGHTS, i, 0)
-            draws = rng.normal(0.0, np.sqrt(spread), count)
-            while abs(draws.sum()) < REDRAW_GUARD:
+            for _ in range(REDRAW_CAP):
                 draws = rng.normal(0.0, np.sqrt(spread), count)
+                if abs(draws.sum()) >= REDRAW_GUARD:
+                    break
+            else:
+                raise ValueError(f"M={spread} is too small: node {i}'s round-0 weights summed below "
+                                 f"{REDRAW_GUARD} in {REDRAW_CAP} draws")
             draws /= draws.sum()
             p[r, np.array(receivers + (i,)) - 1, i - 1] = draws[:-1]
             alpha[r, i - 1] = draws[-1]
@@ -448,11 +526,7 @@ def sample_initial_values(n: int, dist: dict, streams: SeedStreams) -> np.ndarra
     kind = dist.get("dist", "uniform")
     if kind == "uniform":
         low, high = float(dist.get("low", 0.0)), float(dist.get("high", 50.0))
-        out = np.empty(n)
-        for i in range(1, n + 1):
-            rng = streams.stream(PURPOSE_INITIAL_VALUES, i)
-            out[i - 1] = rng.uniform(low, high)
-        return out
+        return _uniform_per_node(streams, PURPOSE_INITIAL_VALUES, n, low, high)
     if kind == "constant":
         return np.full(n, float(dist.get("value", 0.0)))
     raise ValueError(f"unknown initial-value distribution {kind!r}")

@@ -4,8 +4,10 @@ Each case runs the CLI in a fresh directory and compares the sha256 of every
 bundle file with a digest committed here.  ``summary.json`` is hashed
 without its ``metadata`` block, the one place allowed to vary between runs.
 The cases cover both protocols on the demo graph, a generated 24-node graph
-whose senders draw eight or more weights per round, and the seeds 0 and
-2**32 + 5 (an entropy word that does not fit in 32 bits).  A second test
+whose senders draw eight or more weights per round, and seeds whose entropy
+takes one to three uint32 words: 0 and 5, 123456789001 and 2**32 + 5, and
+2**64 + 5.  The digests were computed with one default_rng per node and
+round, so they also pin the batched sampler to numpy's streams.  A second test
 hashes the arrays that read_trace restores from each trace file, so a new
 trace format must keep every recorded value.  The files that `pushsim
 compare` and `pushsim attack` write are pinned the same way; the compare
@@ -30,6 +32,8 @@ CASES = {
     "decomposed_demo": ["--protocol", "decomposed", "--graph", "demo", "--seeds", "0,4294967301"],
     "decomposed_rand24": ["--protocol", "decomposed", "--graph", "g24.json", "--seeds", "5"],
     "push_sum_rand24": ["--protocol", "push_sum", "--graph", "g24.json", "--seeds", "5"],
+    "decomposed_rand24_wide": ["--protocol", "decomposed", "--graph", "g24.json",
+                               "--seeds", "18446744073709551621,123456789001"],
 }
 
 # Computed with the per-stream sampler, one default_rng per node and round.
@@ -61,6 +65,22 @@ GOLDEN = {
         "seed_5/estimates.csv": "cb7ca62a39a506575cea8093300d58a92757962a966291c50ee55d6ddc3e0271",
         "seed_5/trace.jsonl": "81a7bd8a069cab59344b1eb9bd8d9eb7a34dd900a39f4d2b84fc666c9252ba74",
         "summary.json": "774e0e4ed14a3405d600f11347286bfe1adfdf0797ef0acde3e7ef4caeeacf91",
+    },
+    "decomposed_rand24_wide": {
+        "config.json": "bce6f62853ecede808126a64af6c65887ef34ab9b4626356681c9af093561386",
+        "seed_123456789001/attack.csv": "68c6b9dae135515b0d763bc2354f00718d36352942cdd0c79209cd6e100d4fe5",
+        "seed_123456789001/attack.json": "ff653880f172df7c17812436b650f96962c66fcca0efb0cf1195ac83d26e54e2",
+        "seed_123456789001/ergodicity.csv": "ac51fe87068a073685ab5d52139d30f1648b691c542af1cc17709db7a37a310f",
+        "seed_123456789001/ergodicity.json": "1fb38638e83aa93cfc25808bb72f239cb5615ab964905c22d67dc8856fff599a",
+        "seed_123456789001/estimates.csv": "533fc950842f6ba3b3c35ca804f275b0a50e15e9f2df671b04f15ab98262007c",
+        "seed_123456789001/trace.jsonl": "5e4464ff593bed097701104e51fc65706c1c103f6dde6032ef4fe802d5152366",
+        "seed_18446744073709551621/attack.csv": "31a594de202cac4bdd671b3f8d60221d0ac02373e0fb7a3215cc47eb94f01666",
+        "seed_18446744073709551621/attack.json": "957915cb7507754d23684ec638c3dc02162315e59dabd2c50c4757a56641e445",
+        "seed_18446744073709551621/ergodicity.csv": "01064aae7ddadf4362e9e409d53e7ecaafc05b45a88667f9202589b6d16a6278",
+        "seed_18446744073709551621/ergodicity.json": "826fe76096dd039c7c9d1cc768aff29042a607ee8082db49bc99fc84fa2fae31",
+        "seed_18446744073709551621/estimates.csv": "a456694e65475d7d3c3a94bb9223a106ae4efdf87d7a37ce1d755702892dce1e",
+        "seed_18446744073709551621/trace.jsonl": "61e1756554ae182408bb67eb788ce9fa3a50fea61fdedb975f077112f448d344",
+        "summary.json": "ad74f42acef9e08151fe300565a6e7f59b20e76687676f449ae55e9cfb63dd3d",
     },
     "push_sum_demo": {
         "config.json": "1de5765e436595b7c982d3c048190efab38ecf250a3e36163f28da27ceb43f7c",
@@ -101,6 +121,8 @@ GOLDEN_COMMANDS = {
 
 # sha256 of the p, alpha, states and sent arrays that read_trace restores from
 # each trace file, computed from the format v1 files before the move to v2.
+# The decomposed_rand24_wide entries came later, from its v2 files written by
+# the per-stream sampler.
 GOLDEN_VALUES = {
     "decomposed_demo/seed_0/trace.jsonl": (
         "b0ddfac0f79038bf2f6736dd9f36db0eed13359fa02303d08d8c813582680b00",
@@ -119,6 +141,18 @@ GOLDEN_VALUES = {
         "7ba3c9c60329d4cf977c776f0a8b27643d56a9440883a0dd6332eade5686533c",
         "c4f6e8b81d4ec237a580fb91db06556744ce8fe9a5b1adacbfd2dcf86dc22358",
         "e835db95564aceae59ecfa74955c19eba605c6af7be5b5fedb85962db27be0ad",
+    ),
+    "decomposed_rand24_wide/seed_123456789001/trace.jsonl": (
+        "4488fb533f38e4e67ff00c4958438c311117beb8b475e52ac56dda670163e15c",
+        "a8533d36f3e03d24c0776db3988141c63ce7f38bab9ed8016cca770def2d6664",
+        "ba3f0d43720e9e682ecdac9c8578b3e5e0b50c338dbd95dd3981712e758b20bb",
+        "f5982db07c2f917f64e90e400511517c1a96c2c5f41c617aecb93c378b238061",
+    ),
+    "decomposed_rand24_wide/seed_18446744073709551621/trace.jsonl": (
+        "7ecf7ad3d54327d7450151f34972c71fcee9210ad25528c3eb0d4f7fd08470c0",
+        "10da39bf7b163fcc5c15103616b9ad0cf06dab1e7fa3a0800fe9791fc9c11a68",
+        "edffd9c8f8f6b7274b326cb28c01c542ef316b8739c6f90bc0ae2105f8aa5ecd",
+        "4cdd4a06d01cf53ed9e72fd6779741ad5856744e972161e8dbac6317e7870b98",
     ),
     "push_sum_demo/seed_0/trace.jsonl": (
         "9088d50812c05cb568a72e981db4c3f78dbfbd78fd61776737109cd1bbc4ba21",

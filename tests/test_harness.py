@@ -97,13 +97,16 @@ def test_parse_config_rejections() -> None:
         ({"initials": {"dist": "constant", "value": 1.0, "low": 0.0}}, r"unknown key\(s\) initials\.low"),
         ({"graph": {"generator": {"n": 6, "extra_edge_prb": 0.9}}}, r"unknown key\(s\) graph\.generator\.extra_edge_prb"),
         ({"graph": {"generator": [6]}}, "graph.generator: expected an object"),
+        ({"seeds": [2, -1]}, "seeds: must be non-negative, got -1"),
+        ({"M": 1e308}, r"M: 2\*M must be finite"),
+        ({"initials": {"dist": "uniform", "low": -1e308, "high": 1e308}}, "initials: high - low must be finite"),
     ],
     ids=[
         "M-null", "c-null", "M-nan", "M-inf", "c-nan", "c-neg-inf", "rounds-bool",
         "seeds-duplicate", "initials-low-above-high", "initials-high-null", "attack_target-list",
         "rounds-fractional", "seeds-fractional", "attack_target-fractional", "graph-demo-false",
         "graph-two-sources", "initials-typo", "initials-constant-low", "generator-typo",
-        "generator-list",
+        "generator-list", "seeds-negative", "M-double-overflows", "initials-range-overflows",
     ],
 )
 def test_parse_config_rejects_value(data, needle) -> None:
@@ -123,6 +126,26 @@ def test_cli_nested_typo_exits_two(tmp_path: Path, capsys) -> None:
     cfg.write_text(json.dumps({"graph": {"demo": False}}))
     assert cli_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "x")]) == 2
     assert "graph.demo: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, config, needle",
+    [
+        (["--seeds", "-1"], None, "seeds: must be non-negative"),
+        (["--protocol", "decomposed", "--M", "1e308"], None, "M: 2*M must be finite"),
+        ([], {"initials": {"dist": "uniform", "low": -1e308, "high": 1e308}}, "initials: high - low"),
+        (["--protocol", "decomposed", "--M", "1e-14"], None, "M=1e-14 is too small"),
+    ],
+    ids=["seeds-negative", "M-double-overflows", "initials-range-overflows", "M-tiny"],
+)
+def test_cli_bad_value_exits_two(args, config, needle, tmp_path: Path, capsys) -> None:
+    argv = ["run", "--graph", "demo", "--rounds", "5", "--output-dir", str(tmp_path / "x")] + args
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert cli_main(argv) == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_parse_config_accepts_extra_rounds_hint() -> None:

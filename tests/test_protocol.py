@@ -33,7 +33,13 @@ from pushsim import (
     write_trace,
 )
 from pushsim import protocol
-from pushsim.protocol import PURPOSE_WEIGHTS, conserved_sums, sample_initial_values
+from pushsim.protocol import (
+    PURPOSE_INIT_SUBSTATE,
+    PURPOSE_INITIAL_VALUES,
+    PURPOSE_WEIGHTS,
+    conserved_sums,
+    sample_initial_values,
+)
 from pushsim.graph import digraph_to_dict
 from pushsim.traceio import STATE_KEYS, trace_lines
 
@@ -141,7 +147,7 @@ def test_weight_sampling_round_range_matches_single_rounds() -> None:
 
 @settings(max_examples=80, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**200),
     purpose=st.integers(0, 2),
     nodes=st.lists(st.integers(0, 100), min_size=1, max_size=12),
     k=st.integers(0, 2**32 - 1),
@@ -149,7 +155,11 @@ def test_weight_sampling_round_range_matches_single_rounds() -> None:
 )
 @example(seed=0, purpose=0, nodes=[0], k=0, count=1)
 @example(seed=2**32 - 1, purpose=1, nodes=[100], k=2**32 - 1, count=20)
-@example(seed=2**32 + 5, purpose=1, nodes=[1, 2], k=0, count=7)  # scalar fallback
+@example(seed=2**32 + 5, purpose=1, nodes=[1, 2], k=0, count=7)
+@example(seed=2**32, purpose=0, nodes=[3], k=1, count=2)  # 5 entropy words
+@example(seed=2**64 - 1, purpose=2, nodes=[0, 30], k=2**32 - 1, count=9)
+@example(seed=2**64, purpose=1, nodes=[1], k=0, count=1)  # 6 entropy words
+@example(seed=2**64 + 5, purpose=1, nodes=[1, 2, 3, 4, 5], k=7, count=15)
 def test_uniform_block_matches_default_rng(seed, purpose, nodes, k, count) -> None:
     block = SeedStreams(seed).uniform_block(purpose, nodes, k, count)
     ref = np.array([np.random.default_rng((seed, purpose, i, k)).random(count) for i in nodes])
@@ -176,7 +186,7 @@ def loop_weights(g, k: int, streams: SeedStreams, retention: bool) -> tuple[np.n
     n=st.integers(3, 30),
     prob=st.floats(0.0, 1.0),
     graph_seed=st.integers(0, 1000),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**96),
 )
 def test_batched_weights_match_per_sender_loop(n, prob, graph_seed, seed) -> None:
     g = random_strongly_connected(n, prob, graph_seed)
@@ -222,6 +232,50 @@ def test_zero_draw_row_is_redrawn_from_scalar_stream(monkeypatch) -> None:
         assert patched[2][rows, i - 1].tobytes() == expected.tobytes()
     for w, ref in zip(patched, clean):
         assert np.array_equal(w, ref)
+
+
+def draws_or_error(draw):
+    """The bytes of draw(), or the type of the error it raised."""
+    try:
+        return np.asarray(draw()).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**70),
+    n=st.integers(1, 30),
+    low=st.floats(-1e308, 1e308),
+    high=st.floats(-1e308, 1e308),
+    spread=st.floats(1e-300, 1e308, exclude_min=True),
+)
+@example(seed=2**64 + 5, n=5, low=0.0, high=50.0, spread=100.0)
+@example(seed=0, n=3, low=-1e308, high=1e308, spread=1e308)  # range overflows: OverflowError
+@example(seed=1, n=2, low=0.0, high=-0.0, spread=1.0)  # high - low is -0.0: ValueError
+def test_initial_draws_match_per_stream_uniform(seed, n, low, high, spread) -> None:
+    streams = SeedStreams(seed)
+    nodes = range(1, n + 1)
+    got = draws_or_error(lambda: sample_initial_values(n, {"dist": "uniform", "low": low, "high": high}, streams))
+    ref = draws_or_error(lambda: [streams.stream(PURPOSE_INITIAL_VALUES, i).uniform(low, high) for i in nodes])
+    assert got == ref
+    got = draws_or_error(lambda: init_decomposed(np.zeros(n), spread, streams)[0])
+    ref = draws_or_error(lambda: [streams.stream(PURPOSE_INIT_SUBSTATE, i).uniform(-spread, spread) for i in nodes])
+    assert got == ref
+
+
+@pytest.mark.parametrize("proto", ["push_sum", "decomposed"])
+def test_wide_seed_builds_streams_only_for_round0_gaussians(proto, monkeypatch) -> None:
+    g = demo_digraph()
+    real_stream, built = SeedStreams.stream, []
+
+    def spy_stream(self, purpose, node, k=0):
+        built.append((purpose, node, k))
+        return real_stream(self, purpose, node, k)
+
+    monkeypatch.setattr(SeedStreams, "stream", spy_stream)
+    run_protocol(g, np.arange(5.0), proto, 30, seed=2**64 + 5)
+    assert built == ([] if proto == "push_sum" else [(PURPOSE_WEIGHTS, i, 0) for i in g.nodes])
 
 
 def test_negative_seed_still_raises() -> None:
