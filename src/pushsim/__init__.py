@@ -47,7 +47,6 @@ from .analysis import (
     ergodicity_coefficient,
     forward_product,
     run_metrics,
-    stack_state,
 )
 from .harness import (
     ConfigError,

@@ -75,14 +75,14 @@ def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
         raise ValueError(f"target {target} not a node of the digraph")
     n_rounds = trace.n_rounds
     t = target - 1
-    out_edges = [g.edge_position[(j, target)] for j in g.out_neighbors[target]]
+    out_edges = list(g.out_edges[target])
     in_edges = [g.edge_position[(target, j)] for j in g.in_neighbors[target]]
 
     # Recover the target's exchanged state at every observed round from the
     # out-edge with the largest weight magnitude.
     x_plus = np.full((n_rounds, 2), np.nan)
     if out_edges:
-        weights = trace.p[:, [j - 1 for j in g.out_neighbors[target]], t]
+        weights = trace.edge_w[:, out_edges]
         best = np.argmax(np.abs(weights), axis=1)
         rows = np.arange(n_rounds)
         divisor = weights[rows, best]
@@ -92,7 +92,7 @@ def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
     else:
         unrecoverable = list(range(n_rounds))
 
-    cols = np.ascontiguousarray(trace.p[:-1, :, t])
+    cols = trace.weight_column(target)[:-1]
     assumed_self = 1.0 - (cols.sum(axis=1) - cols[:, t])
     inflow = assumed_self[:, None] * x_plus[:-1]
     for e in in_edges:  # one in-neighbor at a time, in sorted order
@@ -248,7 +248,7 @@ def build_coalition_view(trace: Trace, coalition) -> CoalitionView:
         graph=g,
         n_rounds=trace.n_rounds,
         substates={a: trace.states[:, :, a - 1].copy() for a in order},
-        weight_columns={a: trace.p[:, :, a - 1].copy() for a in order},
+        weight_columns={a: trace.weight_column(a) for a in order},
         retention={a: trace.alpha[:, a - 1].copy() for a in order},
         received={
             a: {p: trace.sent[:, g.edge_position[(a, p)]].copy() for p in g.in_neighbors[a]}
@@ -281,8 +281,8 @@ def equivalent_trace(trace: Trace, i: int, m: int, e: float) -> Trace:
         raise ValueError(f"node {m} is not a neighbor of node {i}")
 
     out = Trace(
-        trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread, trace.p.copy(),
-        trace.alpha.copy(), trace.states.copy(), trace.sent.copy(),
+        trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread, trace.edge_w.copy(),
+        trace.self_w.copy(), trace.alpha.copy(), trace.states.copy(), trace.sent.copy(),
     )
     if e == 0:
         return out
@@ -297,16 +297,15 @@ def equivalent_trace(trace: Trace, i: int, m: int, e: float) -> Trace:
     sender = m if to_i else i
     receiver = i if to_i else m
     sign = 1.0 if to_i else -1.0
-    s, r = sender - 1, receiver - 1
+    s, edge = sender - 1, g.edge_position[(receiver, sender)]
     divisor = trace.states[0, 0, s]
     if abs(divisor) < DIVISOR_GUARD:
         raise ValueError(
             f"node {sender}'s round-0 exchanged value {divisor!r} is too small to rebalance"
         )
-    p0 = out.p[0]
-    p0[s, s] = (trace.p[0, s, s] * divisor + sign * 2.0 * e) / divisor
-    p0[r, s] = (trace.p[0, r, s] * divisor - sign * 2.0 * e) / divisor
-    out.sent[0, g.edge_position[(receiver, sender)]] = p0[r, s] * trace.states[0, :2, s]
+    out.self_w[0, s] = (trace.self_w[0, s] * divisor + sign * 2.0 * e) / divisor
+    out.edge_w[0, edge] = (trace.edge_w[0, edge] * divisor - sign * 2.0 * e) / divisor
+    out.sent[0, edge] = out.edge_w[0, edge] * trace.states[0, :2, s]
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Trace, estimate_series
+from .protocol import Trace, estimate_series, weight_matrix
 
 COLUMN_SUM_TOL = 1e-9
 
@@ -33,11 +33,6 @@ def augmented_matrix(p_k: np.ndarray, alpha_k: np.ndarray) -> np.ndarray:
     out[:n, n:] = np.eye(n)
     out[n:, :n] = np.diag(alpha_k)
     return out
-
-
-def stack_state(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked vectors (value, weight) of a (4, n) state: [x_alpha_l; x_beta_l]."""
-    return np.concatenate([state[0], state[2]]), np.concatenate([state[1], state[3]])
 
 
 def ergodicity_coefficient(m: np.ndarray) -> float:
@@ -100,7 +95,7 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     epsilon = np.inf
     deltas = []
     for r in range(1, last + 1):
-        m = augmented_matrix(trace.p[r], trace.alpha[r])
+        m = augmented_matrix(weight_matrix(trace.graph, trace.edge_w[r], trace.self_w[r]), trace.alpha[r])
         positive = m[m > 0.0]
         if positive.size:
             epsilon = min(epsilon, float(positive.min()))

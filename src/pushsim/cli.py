@@ -54,9 +54,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    threshold = harness.positive_finite(args.c, "c")
     trace = traceio.read_trace(args.trace)
     target = args.target if args.target is not None else trace.graph.n
-    report = adversary.attack_report(trace, target, args.c)
+    report = adversary.attack_report(trace, target, threshold)
     if args.json_out:
         traceio.write_json(args.json_out, report)
     if args.csv_out:
@@ -65,7 +66,7 @@ def cmd_attack(args) -> int:
     print(
         f"target {target}: final error "
         + (f"{final:.3e}" if final is not None else "undefined")
-        + f", {len(report['exceedance_rounds'])} exceedance round(s) above c={args.c}"
+        + f", {len(report['exceedance_rounds'])} exceedance round(s) above c={threshold}"
     )
     return 0
 

@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 Edge = tuple[int, int]
 
 
@@ -48,6 +50,20 @@ class Digraph:
     def edge_position(self) -> dict[Edge, int]:
         """Index of each edge in sorted_edges, which is the edge axis of a trace."""
         return {edge: e for e, edge in enumerate(self.sorted_edges)}
+
+    @cached_property
+    def weight_slots(self) -> np.ndarray:
+        """Flat indices into an n x n weight matrix: entry [j-1, i-1] of each
+        edge (j, i) in sorted_edges order, then the n diagonal entries."""
+        edges = np.array(self.sorted_edges, dtype=np.intp).reshape(-1, 2) - 1
+        slots = np.concatenate([edges[:, 0] * self.n + edges[:, 1], np.arange(self.n) * (self.n + 1)])
+        slots.flags.writeable = False
+        return slots
+
+    @cached_property
+    def out_edges(self) -> dict[int, tuple[int, ...]]:
+        """Map sender -> positions in sorted_edges of its out-edges, in sorted receiver order."""
+        return {i: tuple(self.edge_position[(j, i)] for j in self.out_neighbors[i]) for i in self.nodes}
 
 
 def build_digraph(n: int, edges) -> Digraph:
@@ -122,8 +138,6 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Digr
 
 
 def _graph_rng(seed: int):
-    import numpy as np
-
     # own seed domain so graph draws never collide with protocol streams
     return np.random.default_rng((0x67726170, seed))
 

@@ -132,6 +132,14 @@ def _finite(value, name: str) -> float:
     return number
 
 
+def positive_finite(value, name: str) -> float:
+    """A finite float config field above zero."""
+    number = _finite(value, name)
+    if number <= 0:
+        raise ConfigError(f"{name}: must be positive, got {number}")
+    return number
+
+
 def _check_keys(spec, allowed: tuple[str, ...], name: str) -> None:
     """Reject a config object that is not a dict or holds a key outside allowed."""
     if not isinstance(spec, dict):
@@ -164,14 +172,10 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
         raise ConfigError(f"seeds: must be non-negative, got {min(seeds)}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds: duplicates in {seeds}; each seed writes its own seed_<s>/")
-    spread = _finite(merged["M"], "M")
-    if spread <= 0:
-        raise ConfigError(f"M: must be positive, got {spread}")
+    spread = positive_finite(merged["M"], "M")
     if not math.isfinite(2.0 * spread):
         raise ConfigError(f"M: 2*M must be finite, got M={spread}")
-    threshold = _finite(merged["c"], "c")
-    if threshold <= 0:
-        raise ConfigError(f"c: must be positive, got {threshold}")
+    threshold = positive_finite(merged["c"], "c")
     initials = merged["initials"]
     if not isinstance(initials, dict) or initials.get("dist") not in ("uniform", "constant"):
         raise ConfigError("initials: need {'dist': 'uniform'|'constant', ...}")
@@ -374,7 +378,6 @@ def check_invariants(trace_or_path) -> InvariantReport:
         trace = traceio.read_trace(trace_or_path)
     items: list[InvariantResult] = []
     g = trace.graph
-    n = g.n
 
     # Each check is written as "not (error <= tolerance)" so that a NaN
     # fails it: every comparison with NaN is false.
@@ -394,7 +397,7 @@ def check_invariants(trace_or_path) -> InvariantReport:
     )
 
     bad_detail = None
-    err = np.abs(trace.p.sum(axis=1) + trace.alpha - 1.0)
+    err = np.abs(protocol.column_sums(trace) + trace.alpha - 1.0)
     k = _first(~(err <= 1e-12).all(axis=1))
     if k is not None:
         bad_detail = f"round {k}, sender {int(np.argmax(err[k])) + 1}: column sum off by {err[k].max():.3e}"
@@ -406,19 +409,13 @@ def check_invariants(trace_or_path) -> InvariantReport:
         )
     )
 
-    bad_detail = None
-    allowed = np.eye(n, dtype=bool)
-    for j, i in g.edges:
-        allowed[j - 1, i - 1] = True
-    stray = np.argwhere((trace.p != 0.0) & ~allowed)
-    if len(stray):
-        k, j0, i0 = (int(v) for v in stray[0])
-        bad_detail = f"round {k}: weight on missing edge ({j0 + 1}, {i0 + 1})"
+    stray = trace.stray_weight
     items.append(
         InvariantResult(
             "zero_pattern",
-            "pass" if bad_detail is None else "fail",
-            bad_detail or "nonzero weights only on edges and the diagonal",
+            "pass" if stray is None else "fail",
+            "round {}: weight on missing edge ({}, {})".format(*stray) if stray
+            else "nonzero weights only on edges and the diagonal",
         )
     )
 
@@ -488,12 +485,14 @@ def compare_protocols(cfg: ExperimentConfig, protocols: list[str] | None = None)
 
     Writes compare.csv (seed, k, one mse column per protocol) and
     compare.json next to it.  Unknown tags are rejected with the list of
-    registered ones.
+    registered ones, and so is a repeated tag.
     """
     tags = protocols if protocols else ["push_sum", "decomposed"]
     for tag in tags:
         if tag not in protocol.PROTOCOLS:
             raise ConfigError(f"unknown protocol {tag!r}; registered: {', '.join(protocol.PROTOCOLS)}")
+    if len(set(tags)) != len(tags):
+        raise ConfigError(f"protocols: duplicates in {tags}; each tag writes its own mse column")
     g = cfg.resolve_graph()
     chash = cfg.config_hash()
     outdir = cfg.resolved_output_dir()

@@ -14,8 +14,8 @@ Two protocols share one state layout, one round update and one trace:
   into the retained one each round.  With alpha = 0 and an empty retained
   substate this update is push_sum, which is how push_sum runs.
 
-Weight matrices are column stochastic: p[j-1, i-1] is the weight sender i
-assigns to receiver j, and column i plus alpha_i sums to one.  All
+A round has one weight per edge and one self-weight per node: sender i's
+weights toward its out-neighbors and itself plus alpha_i sum to one.  All
 randomness flows through per-(purpose, node, round) substreams derived from
 one master seed, so any node's draws replay independently of the others.
 """
@@ -214,8 +214,9 @@ class Trace:
 
     With R rounds on n nodes and E = len(graph.sorted_edges) edges:
 
-    * ``p`` (R, n, n): p[k, j-1, i-1] is sender i's round-k weight toward
-      receiver j (j = i is the self-weight);
+    * ``edge_w`` (R, E): edge_w[k, e] is sender i's round-k weight toward
+      receiver j along edge (j, i) = graph.sorted_edges[e];
+    * ``self_w`` (R, n): self_w[k, i-1] is sender i's round-k self-weight;
     * ``alpha`` (R, n): retention weights, all zero for ``push_sum``;
     * ``states`` (R+1, 4, n): the state after k rounds, rows x_alpha_1,
       x_alpha_2, x_beta_1, x_beta_2.  A ``push_sum`` state keeps x1, x2 in
@@ -223,7 +224,9 @@ class Trace:
     * ``sent`` (R, E, 2): the values (l=1, l=2) that crossed edge
       graph.sorted_edges[e] in round k, i.e. the edge weight times the
       sender's pre-round exchanged state.  They are recorded, not derived,
-      so a check can catch a trace file whose products disagree with it.
+      so a check can catch a trace file whose products disagree with it;
+    * ``stray_weight``: (round, receiver, sender) of the first nonzero weight
+      a format-v1 file held off the edges and the diagonal, or None.
     """
 
     protocol: str
@@ -231,14 +234,23 @@ class Trace:
     x0: np.ndarray
     seed: int
     spread: float | None
-    p: np.ndarray
+    edge_w: np.ndarray
+    self_w: np.ndarray
     alpha: np.ndarray
     states: np.ndarray
     sent: np.ndarray
+    stray_weight: tuple[int, int, int] | None = None
 
     @property
     def n_rounds(self) -> int:
-        return self.p.shape[0]
+        return self.alpha.shape[0]
+
+    def weight_column(self, i: int) -> np.ndarray:
+        """Sender i's dense weight column per round, shape (R, n), zero off its out-edges and itself."""
+        g, col = self.graph, np.zeros((self.n_rounds, self.graph.n))
+        col[:, [j - 1 for j in g.out_neighbors[i]]] = self.edge_w[:, list(g.out_edges[i])]
+        col[:, i - 1] = self.self_w[:, i - 1]
+        return col
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +311,16 @@ def _positive_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
     return draws
 
 
-def _round_indices(k) -> tuple[bool, np.ndarray]:
-    """Whether k is a single round, and the rounds it names as an int64 array."""
+def _round_batch(g: Digraph, k) -> tuple[bool, np.ndarray, tuple[np.ndarray, ...]]:
+    """Whether k is a single round, its rounds as int64, and zeroed (edge_w, self_w, alpha) for them."""
     single = isinstance(k, (int, np.integer))
-    return single, np.array([k] if single else k, dtype=np.int64).reshape(-1)
+    ks = np.array([k] if single else k, dtype=np.int64).reshape(-1)
+    return single, ks, tuple(np.zeros((ks.size, m)) for m in (len(g.sorted_edges), g.n, g.n))
 
 
 def _fill_uniform(g: Digraph, streams: SeedStreams, ks: np.ndarray, pos: np.ndarray,
-                  p: np.ndarray, alpha: np.ndarray | None = None) -> None:
-    """Write normalized U(0,1) weights of rounds ks into p[pos] (and alpha[pos]).
+                  edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray | None = None) -> None:
+    """Write normalized U(0,1) weights of rounds ks into rows pos of edge_w, self_w (and alpha).
 
     Sender i's stream (PURPOSE_WEIGHTS, i, k) gives one draw per sorted
     receiver, one for itself and, when alpha is given, one retention draw.
@@ -326,25 +339,26 @@ def _fill_uniform(g: Digraph, streams: SeedStreams, ks: np.ndarray, pos: np.ndar
         for r, m in zip(*np.nonzero((block == 0.0).any(axis=-1))):
             block[r, m] = _positive_uniform(streams.stream(PURPOSE_WEIGHTS, senders[m], int(ks[r])), count)
         block /= block.sum(axis=-1, keepdims=True)
-        cols = np.array(senders)[:, None] - 1
-        rows = np.array([g.out_neighbors[i] + (i,) for i in senders]) - 1
-        p[pos[:, None, None], rows, cols] = block[..., : rows.shape[1]]
+        nodes = np.array(senders) - 1
+        edges = np.array([g.out_edges[i] for i in senders], dtype=np.intp)
+        edge_w[pos[:, None, None], edges] = block[..., : count - extra]
+        self_w[pos[:, None], nodes] = block[..., count - extra]
         if alpha is not None:
-            alpha[pos[:, None], cols[:, 0]] = block[..., -1]
+            alpha[pos[:, None], nodes] = block[..., -1]
 
 
 def sample_push_sum_weights(g: Digraph, k: int | Iterable[int], streams: SeedStreams):
     """Uniform column-stochastic weights with no retention.
 
     Each sender i draws one value per out-neighbor plus one for itself from
-    U(0,1), in sorted-receiver-then-self order, and normalizes the column
-    to sum one.  Returns (p, alpha) with alpha all zeros: shapes (n, n) and
-    (n,) for an int k, (rounds, n, n) and (rounds, n) for a sequence.
+    U(0,1), in sorted-receiver-then-self order, and normalizes them to sum
+    one.  Returns (edge_w, self_w, alpha), laid out as in Trace, with alpha
+    all zeros: shapes (E,), (n,) and (n,) for an int k, with a leading
+    rounds axis for a sequence.
     """
-    single, ks = _round_indices(k)
-    p, alpha = np.zeros((ks.size, g.n, g.n)), np.zeros((ks.size, g.n))
-    _fill_uniform(g, streams, ks, np.arange(ks.size), p)
-    return (p[0], alpha[0]) if single else (p, alpha)
+    single, ks, weights = _round_batch(g, k)
+    _fill_uniform(g, streams, ks, np.arange(ks.size), *weights[:2])
+    return tuple(w[0] for w in weights) if single else weights
 
 
 def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, streams: SeedStreams):
@@ -357,16 +371,14 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
     magnitude falls below REDRAW_GUARD the node redraws the whole set, and
     after REDRAW_CAP draws a ValueError names M as too small.  From
     k = 1 on the draws are U(0,1), giving entries strictly inside (0, 1).
-    The column plus retention always sums to one.  Returns (p, alpha):
-    shapes (n, n) and (n,) for an int k, (rounds, n, n) and (rounds, n) for
-    a sequence.
+    A sender's weights plus its retention always sum to one.  Returns
+    (edge_w, self_w, alpha), laid out as in Trace: shapes (E,), (n,) and
+    (n,) for an int k, with a leading rounds axis for a sequence.
     """
-    single, ks = _round_indices(k)
-    p, alpha = np.zeros((ks.size, g.n, g.n)), np.zeros((ks.size, g.n))
+    single, ks, (edge_w, self_w, alpha) = _round_batch(g, k)
     for r in np.flatnonzero(ks == 0):
         for i in g.nodes:
-            receivers = g.out_neighbors[i]
-            count = len(receivers) + 2
+            count = len(g.out_edges[i]) + 2
             rng = streams.stream(PURPOSE_WEIGHTS, i, 0)
             for _ in range(REDRAW_CAP):
                 draws = rng.normal(0.0, np.sqrt(spread), count)
@@ -376,11 +388,11 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
                 raise ValueError(f"M={spread} is too small: node {i}'s round-0 weights summed below "
                                  f"{REDRAW_GUARD} in {REDRAW_CAP} draws")
             draws /= draws.sum()
-            p[r, np.array(receivers + (i,)) - 1, i - 1] = draws[:-1]
-            alpha[r, i - 1] = draws[-1]
+            edge_w[r, list(g.out_edges[i])] = draws[:-2]
+            self_w[r, i - 1], alpha[r, i - 1] = draws[-2:]
     later = np.flatnonzero(ks != 0)
-    _fill_uniform(g, streams, ks[later], later, p, alpha)
-    return (p[0], alpha[0]) if single else (p, alpha)
+    _fill_uniform(g, streams, ks[later], later, edge_w, self_w, alpha)
+    return (edge_w[0], self_w[0], alpha[0]) if single else (edge_w, self_w, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +416,35 @@ def decomposed_round(p_k: np.ndarray, alpha_k: np.ndarray, state: np.ndarray) ->
     return new
 
 
-def transmissions(g: Digraph, p: np.ndarray, states: np.ndarray) -> np.ndarray:
+def weight_matrix(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray) -> np.ndarray:
+    """One round's dense weights: p[j-1, i-1] is sender i's weight toward
+    receiver j, zero off the edges and the diagonal."""
+    p = np.zeros((g.n, g.n))
+    p.reshape(-1)[g.weight_slots] = np.concatenate([edge_w, self_w])
+    return p
+
+
+def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray) -> np.ndarray:
     """What crossed each edge in each round, shape (rounds, edges, 2).
 
-    Entry [k, e] is p[k, j-1, i-1] times sender i's exchanged state before
+    Entry [k, e] is edge_w[k, e] times sender i's exchanged state before
     round k, for edge (j, i) = g.sorted_edges[e].
     """
-    receivers, senders = np.array(g.sorted_edges, dtype=np.intp).reshape(-1, 2).T - 1
-    w = p[:, receivers, senders]
-    return np.stack([w * states[:-1, 0, senders], w * states[:-1, 1, senders]], axis=-1)
+    senders = np.array(g.sorted_edges, dtype=np.intp).reshape(-1, 2)[:, 1] - 1
+    return np.stack([edge_w * states[:-1, 0, senders], edge_w * states[:-1, 1, senders]], axis=-1)
 
 
-def _evolve(p: np.ndarray, alpha: np.ndarray, state0: np.ndarray) -> np.ndarray:
-    """States after 0..R rounds of decomposed_round from state0."""
-    states = np.empty((p.shape[0] + 1,) + state0.shape)
+def _evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray, state0: np.ndarray) -> np.ndarray:
+    """States after 0..R rounds of decomposed_round from state0, each round's
+    weights scattered into one reused dense matrix that stays zero elsewhere."""
+    weights = np.concatenate([edge_w, self_w], axis=1)
+    p_k = np.zeros((g.n, g.n))
+    flat, slots = p_k.reshape(-1), g.weight_slots
+    states = np.empty((len(alpha) + 1,) + state0.shape)
     states[0] = state0
-    for k in range(p.shape[0]):
-        states[k + 1] = decomposed_round(p[k], alpha[k], states[k])
+    for k in range(len(alpha)):
+        flat[slots] = weights[k]
+        states[k + 1] = decomposed_round(p_k, alpha[k], states[k])
     return states
 
 
@@ -484,12 +508,12 @@ def run_protocol(g: Digraph, x0, protocol: str, rounds: int, spread: float = 100
     streams = SeedStreams(seed)
     if protocol == "push_sum":
         state0 = init_push_sum(x0)
-        p, alpha = sample_push_sum_weights(g, range(rounds), streams)
+        edge_w, self_w, alpha = sample_push_sum_weights(g, range(rounds), streams)
     else:
         state0 = init_decomposed(x0, spread, streams)
-        p, alpha = sample_round_weights(g, range(rounds), spread, streams)
-    states = _evolve(p, alpha, state0)
-    return Trace(protocol, g, x0.copy(), seed, spread, p, alpha, states, transmissions(g, p, states))
+        edge_w, self_w, alpha = sample_round_weights(g, range(rounds), spread, streams)
+    states = _evolve(g, edge_w, self_w, alpha, state0)
+    return Trace(protocol, g, x0.copy(), seed, spread, edge_w, self_w, alpha, states, transmissions(g, edge_w, states))
 
 
 def replay(trace: Trace) -> Trace:
@@ -499,10 +523,10 @@ def replay(trace: Trace) -> Trace:
     recorded later states and products.  For traces produced by
     run_protocol the result is bit-identical to the original.
     """
-    p, alpha = trace.p.copy(), trace.alpha.copy()
-    states = _evolve(p, alpha, trace.states[0])
-    return Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread,
-                 p, alpha, states, transmissions(trace.graph, p, states))
+    g, edge_w, self_w, alpha = trace.graph, trace.edge_w.copy(), trace.self_w.copy(), trace.alpha.copy()
+    states = _evolve(g, edge_w, self_w, alpha, trace.states[0])
+    return Trace(trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread,
+                 edge_w, self_w, alpha, states, transmissions(g, edge_w, states))
 
 
 def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
@@ -514,6 +538,19 @@ def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """
     sums = trace.states.sum(axis=2)
     return sums[:, 0] + sums[:, 2], sums[:, 1] + sums[:, 3]
+
+
+def column_sums(trace: Trace) -> np.ndarray:
+    """Each sender's weights summed per round, shape (R, n), alpha excluded.
+
+    One bincount adds them in row-major slot order, so each sum adds its
+    terms in receiver order, bit for bit as summing weight_matrix's rows does.
+    """
+    g, rounds = trace.graph, trace.n_rounds
+    order = np.argsort(g.weight_slots)
+    weights = np.concatenate([trace.edge_w, trace.self_w], axis=1)[:, order]
+    bins = np.arange(rounds)[:, None] * g.n + g.weight_slots[order] % g.n
+    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=rounds * g.n).reshape(rounds, g.n)
 
 
 def sample_initial_values(n: int, dist: dict, streams: SeedStreams) -> np.ndarray:

@@ -11,20 +11,20 @@ format: 2, ...}; every following line is one round record
 
     {alpha, edge_w, k, self_w, sent, state}
 
-whose arrays are base64 strings of little-endian float64 ("<f8") bytes:
-``alpha`` the n retention weights, ``edge_w`` the weight p[k, j-1, i-1] of
-each edge (j, i) in graph.sorted_edges order, ``self_w`` the n self-weights
-(the diagonal of p[k]), ``state`` the post-round STATE_KEYS rows of n values
-each, and ``sent`` the E x 2 transmitted values, row-major.  The bytes are
-the values themselves, so every float reads back bit for bit, NaN and +-inf
-included.  Weights off the edges and the diagonal are not stored; they read
-back as 0.0, and write_trace refuses a trace that holds anything else there.
+whose arrays are base64 strings of little-endian float64 ("<f8") bytes of
+round k's rows of the Trace arrays: ``alpha``, ``edge_w`` (one weight per
+edge, in graph.sorted_edges order), ``self_w``, ``state`` (the post-round
+STATE_KEYS rows of n values each) and ``sent`` (E x 2 values, row-major).
+The bytes are the values themselves, so every float reads back bit for
+bit, NaN and +-inf included.
 
 Files without a "format" key are format v1 and still read: there every
 round is {k, p, alpha, state, transmitted}, with the dense row-major
 weight matrix and the transmissions as {from, to, l, value} objects, all
-numbers as JSON text.  The zero_pattern invariant can only fail on a v1
-file or an in-memory trace.
+numbers as JSON text.  The reader keeps the edge and diagonal entries of
+each matrix and records where the first nonzero entry elsewhere sits
+(Trace.stray_weight), so the zero_pattern invariant can only fail on a v1
+file.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .graph import Digraph, digraph_from_dict, digraph_to_dict
+from .graph import digraph_from_dict, digraph_to_dict
 from .protocol import Trace, estimate_series
 
 FORMAT = 2
@@ -67,43 +67,15 @@ def _state_rows(data: dict, protocol: str, n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _weight_index(g: Digraph) -> np.ndarray:
-    """Flat indices into an n x n weight matrix: the entry p[j-1, i-1] of each
-    edge (j, i) in sorted_edges order, then the n diagonal entries."""
-    edges = np.array(g.sorted_edges, dtype=np.intp).reshape(-1, 2) - 1
-    return np.concatenate([edges[:, 0] * g.n + edges[:, 1], np.arange(g.n) * (g.n + 1)])
-
-
 def _b64(values: np.ndarray) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _check_weight_pattern(trace: Trace) -> None:
-    """Raise ValueError at the first weight off the edges and the diagonal
-    that is not +0.0, which format v2 has no place for."""
-    n = trace.graph.n
-    off = np.setdiff1d(np.arange(n * n), _weight_index(trace.graph))
-    bits = np.ascontiguousarray(trace.p, dtype=np.float64).view(np.uint64).reshape(-1, n * n)
-    for k in range(trace.n_rounds):
-        stray = np.flatnonzero(bits[k, off])
-        if stray.size:
-            j, i = divmod(int(off[stray[0]]), n)
-            raise ValueError(
-                f"round {k}: weight p[{j + 1}, {i + 1}] = {float(trace.p[k, j, i])!r} is off the edges "
-                f"and the diagonal; a trace file stores only +0.0 there"
-            )
-
-
 def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]:
     """Yield a trace's format-v2 JSON lines (no trailing newlines), one
-    round at a time.
-
-    Raises ValueError, before the header is yielded, if a weight off the
-    edges and the diagonal is anything but +0.0.
-    """
+    round at a time."""
     g = trace.graph
     keys = STATE_KEYS[trace.protocol]
-    _check_weight_pattern(trace)
     header = {
         "format": FORMAT,
         "protocol": trace.protocol,
@@ -117,31 +89,19 @@ def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]
     if extra_header:
         header.update(extra_header)
     yield json.dumps(header, sort_keys=True)
-    n_edges = len(g.sorted_edges)
-    index = _weight_index(g)
-    weights = trace.p.reshape(trace.n_rounds, g.n * g.n)
     for k in range(trace.n_rounds):
-        w = weights[k].take(index)
         # the line json.dumps(..., sort_keys=True) writes: base64 needs no escapes
         yield (
-            f'{{"alpha": "{_b64(trace.alpha[k])}", "edge_w": "{_b64(w[:n_edges])}", "k": {k}, '
-            f'"self_w": "{_b64(w[n_edges:])}", "sent": "{_b64(trace.sent[k])}", '
+            f'{{"alpha": "{_b64(trace.alpha[k])}", "edge_w": "{_b64(trace.edge_w[k])}", "k": {k}, '
+            f'"self_w": "{_b64(trace.self_w[k])}", "sent": "{_b64(trace.sent[k])}", '
             f'"state": "{_b64(trace.states[k + 1, : len(keys)])}"}}'
         )
 
 
 def write_trace(trace: Trace, path, extra_header: dict | None = None) -> None:
-    """Write a trace file in format v2.
-
-    Raises ValueError, before the file is opened, if a weight off the edges
-    and the diagonal is anything but +0.0.
-    """
-    lines = trace_lines(trace, extra_header)
-    header = next(lines)
+    """Write a trace file in format v2."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        fh.write("\n")
-        for line in lines:
+        for line in trace_lines(trace, extra_header):
             fh.write(line)
             fh.write("\n")
 
@@ -191,23 +151,19 @@ def read_trace(path) -> Trace:
         else:
             raise TraceFormatError(f"{path}: line 1 header invalid: unknown format {head['format']!r}")
 
-        rounds = n_lines - 1
-        states = np.zeros((rounds + 1, 4, n))
-        states[0, : len(state0)] = state0
-        p = np.zeros((rounds, n, n))
-        alpha = np.empty((rounds, n))
-        sent = np.empty((rounds, len(graph.sorted_edges), 2))
-        read_rounds(path, fh, graph, protocol, p, alpha, states, sent)
-    return Trace(protocol, graph, x0, seed, spread, p, alpha, states, sent)
+        rounds, n_edges = n_lines - 1, len(graph.sorted_edges)
+        trace = Trace(protocol, graph, x0, seed, spread, np.empty((rounds, n_edges)), np.empty((rounds, n)),
+                      np.empty((rounds, n)), np.zeros((rounds + 1, 4, n)), np.empty((rounds, n_edges, 2)))
+        trace.states[0, : len(state0)] = state0
+        read_rounds(path, fh, trace)
+    return trace
 
 
-def _read_rounds_v2(path, fh, graph: Digraph, protocol: str, p, alpha, states, sent) -> None:
-    """Fill the arrays from the base64 round lines of a v2 file."""
-    n = graph.n
-    n_edges = len(graph.sorted_edges)
-    n_rows = len(STATE_KEYS[protocol])
-    weight_index = _weight_index(graph)
-    weights = p.reshape(len(p), n * n)
+def _read_rounds_v2(path, fh, trace: Trace) -> None:
+    """Fill a trace's arrays from the base64 round lines of a v2 file."""
+    n = trace.graph.n
+    n_edges = len(trace.graph.sorted_edges)
+    n_rows = len(STATE_KEYS[trace.protocol])
     sizes = {"alpha": n, "edge_w": n_edges, "self_w": n, "sent": 2 * n_edges, "state": n_rows * n}
 
     def decode(line_no: int, obj: dict, key: str) -> bytes:
@@ -230,34 +186,41 @@ def _read_rounds_v2(path, fh, graph: Digraph, protocol: str, p, alpha, states, s
         k = obj["k"]
         if type(k) is not int or k != r:
             raise TraceFormatError(f"{path}: line {line_no} record invalid: k={k!r}, expected {r}")
-        alpha[r] = np.frombuffer(decode(line_no, obj, "alpha"), dtype="<f8")
-        weights[r, weight_index] = np.frombuffer(
-            decode(line_no, obj, "edge_w") + decode(line_no, obj, "self_w"), dtype="<f8"
-        )
-        sent[r] = np.frombuffer(decode(line_no, obj, "sent"), dtype="<f8").reshape(n_edges, 2)
-        states[r + 1, :n_rows] = np.frombuffer(decode(line_no, obj, "state"), dtype="<f8").reshape(n_rows, n)
+        for key in ("alpha", "edge_w", "self_w"):
+            getattr(trace, key)[r] = np.frombuffer(decode(line_no, obj, key), dtype="<f8")
+        trace.sent[r] = np.frombuffer(decode(line_no, obj, "sent"), dtype="<f8").reshape(n_edges, 2)
+        trace.states[r + 1, :n_rows] = np.frombuffer(decode(line_no, obj, "state"), dtype="<f8").reshape(n_rows, n)
 
 
-def _read_rounds_v1(path, fh, graph: Digraph, protocol: str, p, alpha, states, sent) -> None:
-    """Fill the arrays from the JSON-text round lines of a v1 file."""
-    n = graph.n
-    edge_position = graph.edge_position
+def _read_rounds_v1(path, fh, trace: Trace) -> None:
+    """Fill a trace's arrays from the JSON-text round lines of a v1 file.
+
+    Each dense weight matrix gives its edge and diagonal entries; the first
+    nonzero entry anywhere else, NaN included, becomes trace.stray_weight.
+    """
+    n = trace.graph.n
+    edge_position = trace.graph.edge_position
     n_edges = len(edge_position)
     for line_no, text in enumerate(fh, start=1):
         obj = _parse_line(path, line_no + 1, text)
         r = line_no - 1
         try:
             k = int(obj["k"])
-            p[r] = np.asarray(obj["p"], dtype=np.float64).reshape(n, n)
+            p = np.asarray(obj["p"], dtype=np.float64).reshape(n * n)
             alpha_r = np.asarray(obj["alpha"], dtype=np.float64)
-            state = _state_rows(obj["state"], protocol, n)
+            state = _state_rows(obj["state"], trace.protocol, n)
             sent_list = obj["transmitted"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: {exc}") from exc
         if alpha_r.shape != (n,):
             raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: alpha length")
-        alpha[r] = alpha_r
-        states[line_no, : len(state)] = state
+        trace.edge_w[r], trace.self_w[r] = np.split(p[trace.graph.weight_slots], [n_edges])
+        p[trace.graph.weight_slots] = 0.0
+        stray = np.flatnonzero(p)
+        if stray.size and trace.stray_weight is None:
+            trace.stray_weight = (r, int(stray[0]) // n + 1, int(stray[0]) % n + 1)
+        trace.alpha[r] = alpha_r
+        trace.states[line_no, : len(state)] = state
         if k != r:
             raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: k={k}, expected {r}")
         # None marks a slot no transmission filled; NaN is a value a file can hold
@@ -275,7 +238,7 @@ def _read_rounds_v1(path, fh, graph: Digraph, protocol: str, p, alpha, states, s
             raise TraceFormatError(
                 f"{path}: line {line_no + 1} record invalid: incomplete transmission list"
             )
-        sent[r] = np.reshape(values, (n_edges, 2))
+        trace.sent[r] = np.reshape(values, (n_edges, 2))
 
 
 def write_json(path, payload: dict, indent: int | None = None) -> None:

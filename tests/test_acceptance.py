@@ -32,7 +32,7 @@ from pushsim import (
     run_protocol,
     run_scenario,
 )
-from pushsim.analysis import augmented_matrix, stack_state
+from pushsim.analysis import augmented_matrix
 from pushsim.protocol import (
     SeedStreams,
     decomposed_round,
@@ -40,10 +40,11 @@ from pushsim.protocol import (
     retained_ratio_series,
     sample_initial_values,
     sample_round_weights,
+    weight_matrix,
 )
 from pushsim.graph import random_strongly_connected
 
-from helpers import views_allclose
+from helpers import stack_state, views_allclose
 
 DEMO = demo_digraph()
 INITIALS = {"dist": "uniform", "low": 0.0, "high": 50.0}
@@ -197,7 +198,8 @@ def test_criterion_8_cross_module_consistency(capsys) -> None:
             g = random_strongly_connected(n, rng.uniform(0.1, 0.5), int(rng.integers(1 << 30)))
             streams = SeedStreams(int(rng.integers(1 << 30)))
             state = init_decomposed(rng.uniform(-50, 50, n), 100.0, streams)
-            p, alpha = sample_round_weights(g, int(rng.integers(0, 4)), 100.0, streams)
+            edge_w, self_w, alpha = sample_round_weights(g, int(rng.integers(0, 4)), 100.0, streams)
+            p = weight_matrix(g, edge_w, self_w)
             nxt = decomposed_round(p, alpha, state)
             big = augmented_matrix(p, alpha)
             for before, after in zip(stack_state(state), stack_state(nxt)):

@@ -28,7 +28,7 @@ from pushsim.protocol import (
 )
 from pushsim.traceio import trace_lines
 
-from helpers import views_allclose
+from helpers import dense_weights, views_allclose
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
 
@@ -81,12 +81,14 @@ def test_eavesdrop_target_without_out_edges_is_unrecoverable() -> None:
     # node 3 only receives, so no round reveals its state to the wiretap
     g = build_digraph(3, [(2, 1), (3, 2), (1, 2)])
     p = np.array([[0.5, 0.3, 0.0], [0.5, 0.4, 0.0], [0.0, 0.3, 1.0]])
-    ps, alpha = np.stack([p] * 3), np.zeros((3, 3))
+    edge_w = np.array([[p[j - 1, i - 1] for j, i in g.sorted_edges]] * 3)
+    self_w, alpha = np.array([np.diag(p)] * 3), np.zeros((3, 3))
     states = [init_push_sum([1.0, 2.0, 3.0])]
     for k in range(3):
-        states.append(decomposed_round(ps[k], alpha[k], states[-1]))
+        states.append(decomposed_round(p, alpha[k], states[-1]))
     states = np.stack(states)
-    trace = Trace("push_sum", g, states[0, 0].copy(), 0, None, ps, alpha, states, transmissions(g, ps, states))
+    trace = Trace("push_sum", g, states[0, 0].copy(), 0, None, edge_w, self_w, alpha, states,
+                  transmissions(g, edge_w, states))
     obs = eavesdrop(trace, 3)
     assert obs.unrecoverable_rounds == [0, 1, 2]
     assert np.isnan(obs.estimates).all()
@@ -166,8 +168,9 @@ def test_coalition_view_contents() -> None:
         assert view.substates[2][k, 0] == trace.states[k, 0, 1]
         assert view.substates[2][k, 3] == trace.states[k, 3, 1]
     edge_21 = RING3.sorted_edges.index((2, 1))
+    dense = dense_weights(trace)
     for k in range(trace.n_rounds):
-        assert np.array_equal(view.weight_columns[2][k], trace.p[k, :, 1])
+        assert np.array_equal(view.weight_columns[2][k], dense[k, :, 1])
         assert view.retention[2][k] == trace.alpha[k, 1]
         # node 2's only in-neighbor on the ring is node 1
         assert tuple(view.received[2][1][k]) == tuple(trace.sent[k, edge_21])

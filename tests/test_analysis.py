@@ -14,19 +14,22 @@ from pushsim import (
     random_strongly_connected,
     run_metrics,
     run_protocol,
-    stack_state,
 )
 from pushsim.protocol import (
     SeedStreams,
     decomposed_round,
     init_decomposed,
     sample_round_weights,
+    weight_matrix,
 )
+
+from helpers import dense_weights, stack_state
 
 
 def test_augmented_matrix_layout() -> None:
     g = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
-    p, alpha = sample_round_weights(g, 1, 100.0, SeedStreams(3))
+    edge_w, self_w, alpha = sample_round_weights(g, 1, 100.0, SeedStreams(3))
+    p = weight_matrix(g, edge_w, self_w)
     big = augmented_matrix(p, alpha)
     assert big.shape == (6, 6)
     assert np.array_equal(big[:3, :3], p)
@@ -61,7 +64,8 @@ def test_augmented_matrix_reproduces_round_update() -> None:
         streams = SeedStreams(int(rng.integers(1 << 30)))
         state = init_decomposed(rng.uniform(-50, 50, n), 100.0, streams)
         k = int(rng.integers(0, 4))
-        p, alpha = sample_round_weights(g, k, 100.0, streams)
+        edge_w, self_w, alpha = sample_round_weights(g, k, 100.0, streams)
+        p = weight_matrix(g, edge_w, self_w)
         nxt = decomposed_round(p, alpha, state)
         big = augmented_matrix(p, alpha)
         v1, v2 = stack_state(state)
@@ -73,8 +77,9 @@ def test_augmented_matrix_reproduces_round_update() -> None:
 
 def test_forward_product_first_factor_and_order() -> None:
     trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 3, seed=2)
-    a1 = augmented_matrix(trace.p[1], trace.alpha[1])
-    a2 = augmented_matrix(trace.p[2], trace.alpha[2])
+    dense = dense_weights(trace)
+    a1 = augmented_matrix(dense[1], trace.alpha[1])
+    a2 = augmented_matrix(dense[2], trace.alpha[2])
     r1 = forward_product(trace, k=1)
     assert np.array_equal(r1.product, a1)
     r2 = forward_product(trace, k=2)

@@ -24,6 +24,8 @@ import pytest
 from pushsim.cli import main as cli_main
 from pushsim.traceio import read_trace
 
+from helpers import dense_weights
+
 ROUNDS = "40"
 GRAPH24 = ["gen-graph", "--n", "24", "--extra-edge-prob", "0.3", "--seed", "7", "--out", "g24.json"]
 
@@ -211,7 +213,8 @@ def test_trace_values_match_v1_golden(name, tmp_path, monkeypatch, capsys) -> No
     assert paths
     for path in paths:
         trace = read_trace(path)
-        arrays = (trace.p, trace.alpha, trace.states, trace.sent)
+        # the weights hash as the dense (R, n, n) array they were first pinned as
+        arrays = (dense_weights(trace), trace.alpha, trace.states, trace.sent)
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == GOLDEN_VALUES[path.as_posix()]
 
 

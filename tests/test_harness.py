@@ -361,7 +361,7 @@ def test_check_invariants_catches_bad_state(tmp_path: Path) -> None:
 @pytest.mark.parametrize(
     "where, index, must_fail",
     [
-        ("p", (5, 1, 0), {"column_stochasticity", "ergodicity_bound"}),
+        ("edge_w", (5, demo_digraph().edge_position[(2, 1)]), {"column_stochasticity", "ergodicity_bound"}),
         ("states", (7, 0, 2), {"conservation"}),
     ],
     ids=["weight", "state"],
@@ -429,6 +429,11 @@ def test_compare_protocols_unknown_tag(tmp_path: Path) -> None:
     cfg = parse_config(small_config(tmp_path))
     with pytest.raises(ConfigError, match="registered"):
         compare_protocols(cfg, ["push_sum", "teleport"])
+    with pytest.raises(ConfigError, match="protocols: duplicates"):
+        compare_protocols(cfg, ["push_sum", "push_sum"])
+    assert not (tmp_path / "out" / "compare.csv").exists()
+    argv = ["compare", "--graph", "demo", "--rounds", "5", "--output-dir", str(tmp_path / "cli")]
+    assert cli_main(argv + ["--protocols", "push_sum,push_sum"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +482,9 @@ def test_cli_run_check_attack(tmp_path: Path, capsys) -> None:
     assert csv_out.read_text().splitlines()[0] == "k,estimate,abs_error"
 
 
-def test_cli_check_tampered_exits_one(tmp_path: Path) -> None:
-    # p[0, 3] is off the demo edges: only a v1 file can hold it
+def test_cli_check_tampered_exits_one(tmp_path: Path, capsys) -> None:
+    # p[0, 3] is off the demo edges: only a v1 file can hold it, and no
+    # Trace array keeps it, so only zero_pattern sees it
     path = tmp_path / "demo_v1.jsonl"
     path.write_text(V1_FIXTURE.read_text())
 
@@ -486,9 +492,11 @@ def test_cli_check_tampered_exits_one(tmp_path: Path) -> None:
         record["p"][3] += 1e-3
 
     bad = tampered_copy(path, 3, bump_weight)
+    assert read_trace(bad).stray_weight == (1, 1, 4)
     assert cli_main(["check", str(bad)]) == 1
+    assert "FAIL  zero_pattern: round 1: weight on missing edge (1, 4)" in capsys.readouterr().out
     failed = {item.name for item in check_invariants(bad).items if item.status == "fail"}
-    assert "zero_pattern" in failed
+    assert failed == {"zero_pattern"}
 
 
 def test_cli_check_tampered_edge_weight_exits_one(tmp_path: Path, capsys) -> None:
@@ -507,7 +515,8 @@ def test_v1_fixture_checks_and_matches_run_protocol(capsys) -> None:
     trace = read_trace(V1_FIXTURE)
     assert trace.protocol == "decomposed" and trace.n_rounds == 5 and trace.graph == demo_digraph()
     fresh = run_protocol(trace.graph, trace.x0, trace.protocol, trace.n_rounds, trace.spread, trace.seed)
-    for name in ("p", "alpha", "states", "sent"):
+    assert trace.stray_weight is None
+    for name in ("edge_w", "self_w", "alpha", "states", "sent"):
         assert getattr(trace, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
@@ -530,6 +539,21 @@ def test_v2_rejections_exit_two(tmp_path: Path, capsys, line_no, mutate, needle)
     for command in ("check", "attack"):
         assert cli_main([command, str(bad)]) == 2
         assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, needle",
+    [
+        ("nan", "c: must be finite, got nan"),
+        ("inf", "c: must be finite, got inf"),
+        ("-5", "c: must be positive, got -5.0"),
+        ("0", "c: must be positive, got 0.0"),
+    ],
+    ids=["nan", "inf", "negative", "zero"],
+)
+def test_cli_attack_bad_threshold_exits_two(value, needle, capsys) -> None:
+    assert cli_main(["attack", str(V1_FIXTURE), f"--c={value}"]) == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_cli_error_paths(tmp_path: Path, capsys) -> None:
