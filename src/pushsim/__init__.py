@@ -42,7 +42,6 @@ from .adversary import (
 from .analysis import (
     ErgodicityReport,
     RunMetrics,
-    augmented_matrix,
     convergence_round,
     ergodicity_coefficient,
     forward_product,

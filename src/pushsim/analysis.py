@@ -15,24 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Trace, estimate_series, weight_matrix
+from .protocol import Trace, estimate_series
 
 COLUMN_SUM_TOL = 1e-9
-
-
-def augmented_matrix(p_k: np.ndarray, alpha_k: np.ndarray) -> np.ndarray:
-    """Stacked one-round transition matrix [[P, I], [diag(alpha), 0]].
-
-    Multiplying the stacked vector [exchanged; retained] by this matrix
-    performs exactly one decomposed round.  Column sums are one whenever
-    the columns of p_k plus alpha_k sum to one.
-    """
-    n = p_k.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = p_k
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = np.diag(alpha_k)
-    return out
 
 
 def ergodicity_coefficient(m: np.ndarray) -> float:
@@ -90,15 +75,23 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     last = final if k is None else int(k)
     if last < 1 or last > final:
         raise ValueError(f"k must be in 1..{final}, got {last}")
-    n = trace.graph.n
+    n, n_edges = trace.graph.n, trace.edge_w.shape[1]
+    # one buffer [[P, I], [diag(alpha), 0]]; each round refills P and alpha
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, n:] = np.eye(n)
+    flat = m.reshape(-1)
+    rows, cols = np.divmod(trace.graph.weight_slots[:n_edges], n)
+    edge_slots = rows * 2 * n + cols
+    self_diag, alpha_diag = flat[: 2 * n * n : 2 * n + 1], flat[2 * n * n :: 2 * n + 1]
+    # smallest positive entry of any round matrix; the identity block holds ones
+    weights = (trace.edge_w[1 : last + 1], trace.self_w[1 : last + 1], trace.alpha[1 : last + 1])
+    epsilon = min([1.0] + [float(np.min(w, where=w > 0.0, initial=np.inf)) for w in weights])
     product = np.eye(2 * n)
-    epsilon = np.inf
     deltas = []
     for r in range(1, last + 1):
-        m = augmented_matrix(weight_matrix(trace.graph, trace.edge_w[r], trace.self_w[r]), trace.alpha[r])
-        positive = m[m > 0.0]
-        if positive.size:
-            epsilon = min(epsilon, float(positive.min()))
+        flat[edge_slots] = trace.edge_w[r]
+        self_diag[:] = trace.self_w[r]
+        alpha_diag[:] = trace.alpha[r]
         product = m @ product
         deltas.append(ergodicity_coefficient(product))
     rounds_arr = np.arange(1, last + 1, dtype=np.int64)

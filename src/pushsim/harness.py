@@ -149,7 +149,7 @@ def _check_keys(spec, allowed: tuple[str, ...], name: str) -> None:
         raise ConfigError(f"unknown key(s) {', '.join(f'{name}.{key}' for key in unknown)}")
 
 
-def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
+def parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw config dict, applying defaults for missing keys."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -196,6 +196,8 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
         raise ConfigError(f"graph: need exactly one of demo, file, generator, got {len(gspec)}")
     if "demo" in gspec and gspec["demo"] is not True:
         raise ConfigError(f"graph.demo: must be true, got {gspec['demo']!r}")
+    if "file" in gspec and not (isinstance(gspec["file"], str) and gspec["file"]):
+        raise ConfigError(f"graph.file: must be a non-empty path string, got {gspec['file']!r}")
     if "generator" in gspec:
         _check_keys(gspec["generator"], ("n", "extra_edge_prob", "seed"), "graph.generator")
 
@@ -216,7 +218,7 @@ def parse_config(data: dict, n_hint: int | None = None) -> ExperimentConfig:
         graphmod.check_protocol_usable(g)
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc
-    declared_n = data.get("n", n_hint)
+    declared_n = data.get("n")
     if declared_n is not None and _integer(declared_n, "n") != g.n:
         raise ConfigError(f"n: declared {declared_n}, but the graph has {g.n} nodes")
     if cfg.attack_target is not None and not 1 <= cfg.attack_target <= g.n:
@@ -234,6 +236,8 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     return parse_config(data)

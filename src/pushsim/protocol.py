@@ -55,9 +55,8 @@ class SeedStreams:
     stream.  It runs SeedSequence's uint32 mixing and PCG64 (XSL-RR output
     over a 128-bit LCG, multiplied in uint64 halves) as numpy array
     arithmetic over the batch, for a seed and purpose of any size.  It
-    builds each stream through ``stream`` instead only when an entropy
-    integer is negative, which must raise ValueError, or when a node or round
-    index does not fit in 32 bits.
+    raises ValueError when the seed, the purpose or a node or round index
+    is negative, or when a node or round index does not fit in 32 bits.
     """
 
     def __init__(self, seed: int):
@@ -74,8 +73,10 @@ class SeedStreams:
             return np.empty(shape)
         lowest, highest = min(int(nodes.min()), int(ks.min())), max(int(nodes.max()), int(ks.max()))
         if min(self.seed, purpose, lowest) < 0 or highest > _MASK32:
-            rows = [self.stream(purpose, int(i), int(k)).random(count) for i, k in zip(nodes.flat, ks.flat)]
-            return np.array(rows).reshape(shape)
+            raise ValueError(
+                f"no stream for seed {self.seed}, purpose {purpose}, node {nodes.min()}..{nodes.max()}, "
+                f"round {ks.min()}..{ks.max()}: seed and purpose must be non-negative, node and round in 0..2**32-1"
+            )
         # Words shared by every row stay length-1 arrays and broadcast.
         shared = [np.array([w], np.uint32) for w in _words(self.seed) + _words(purpose)]
         rows = [nodes.ravel().astype(np.uint32), ks.ravel().astype(np.uint32)]
@@ -416,14 +417,6 @@ def decomposed_round(p_k: np.ndarray, alpha_k: np.ndarray, state: np.ndarray) ->
     return new
 
 
-def weight_matrix(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray) -> np.ndarray:
-    """One round's dense weights: p[j-1, i-1] is sender i's weight toward
-    receiver j, zero off the edges and the diagonal."""
-    p = np.zeros((g.n, g.n))
-    p.reshape(-1)[g.weight_slots] = np.concatenate([edge_w, self_w])
-    return p
-
-
 def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray) -> np.ndarray:
     """What crossed each edge in each round, shape (rounds, edges, 2).
 
@@ -544,7 +537,8 @@ def column_sums(trace: Trace) -> np.ndarray:
     """Each sender's weights summed per round, shape (R, n), alpha excluded.
 
     One bincount adds them in row-major slot order, so each sum adds its
-    terms in receiver order, bit for bit as summing weight_matrix's rows does.
+    terms in receiver order, bit for bit as summing a dense weight matrix
+    over its receiver axis does.
     """
     g, rounds = trace.graph, trace.n_rounds
     order = np.argsort(g.weight_slots)

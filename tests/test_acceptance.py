@@ -32,7 +32,6 @@ from pushsim import (
     run_protocol,
     run_scenario,
 )
-from pushsim.analysis import augmented_matrix
 from pushsim.protocol import (
     SeedStreams,
     decomposed_round,
@@ -40,11 +39,10 @@ from pushsim.protocol import (
     retained_ratio_series,
     sample_initial_values,
     sample_round_weights,
-    weight_matrix,
 )
 from pushsim.graph import random_strongly_connected
 
-from helpers import stack_state, views_allclose
+from helpers import augmented_matrix, stack_state, views_allclose, weight_matrix
 
 DEMO = demo_digraph()
 INITIALS = {"dist": "uniform", "low": 0.0, "high": 50.0}

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pushsim import (
-    augmented_matrix,
     build_digraph,
     convergence_round,
     demo_digraph,
@@ -20,10 +20,9 @@ from pushsim.protocol import (
     decomposed_round,
     init_decomposed,
     sample_round_weights,
-    weight_matrix,
 )
 
-from helpers import dense_weights, stack_state
+from helpers import augmented_matrix, dense_forward_product, dense_weights, stack_state, weight_matrix
 
 
 def test_augmented_matrix_layout() -> None:
@@ -120,6 +119,56 @@ def test_forward_product_rejections() -> None:
         forward_product(dec, k=0)
     with pytest.raises(ValueError, match="k"):
         forward_product(dec, k=10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(9, 30),
+    prob=st.floats(0.0, 0.6),
+    graph_seed=st.integers(0, 1000),
+    seed=st.integers(0, 2**40),
+    rounds=st.integers(2, 60),
+    data=st.data(),
+)
+def test_forward_product_matches_dense_loop_bit_for_bit(n, prob, graph_seed, seed, rounds, data) -> None:
+    g = random_strongly_connected(n, prob, graph_seed)
+    trace = run_protocol(g, np.linspace(-20.0, 30.0, n), "decomposed", rounds, seed=seed)
+    k = data.draw(st.integers(1, rounds - 1), label="k")
+    delta, product, epsilon = dense_forward_product(trace, k)
+    report = forward_product(trace, k)
+    assert report.delta.tobytes() == delta.tobytes()
+    assert report.product.tobytes() == product.tobytes()
+    assert report.epsilon == epsilon
+
+
+def test_forward_product_epsilon_skips_zero_and_negative_weights() -> None:
+    trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 6, seed=4)
+    g = trace.graph
+    # each edit moves mass within one sender's column, so every column still sums to one
+    (_, i), e = g.sorted_edges[0], g.out_edges[2][0]
+    trace.self_w[2, i - 1] += trace.edge_w[2, 0]
+    trace.edge_w[2, 0] = 0.0
+    trace.edge_w[4, e] += trace.self_w[4, 1] + 0.25
+    trace.self_w[4, 1] = -0.25
+    trace.edge_w[3, e] += trace.alpha[3, 1]
+    trace.alpha[3, 1] = -0.0
+    weights = np.concatenate([trace.edge_w[1:], trace.self_w[1:], trace.alpha[1:]], axis=1)
+    delta, product, epsilon = dense_forward_product(trace, 5)
+    report = forward_product(trace)
+    assert report.epsilon == epsilon == weights[weights > 0.0].min() > 0.0
+    assert report.delta.tobytes() == delta.tobytes()
+    assert report.product.tobytes() == product.tobytes()
+
+
+def test_forward_product_nan_weight_raises_like_dense_loop() -> None:
+    trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 6, seed=4)
+    trace.edge_w[3, 2] = np.nan
+    with pytest.raises(ValueError) as dense:
+        dense_forward_product(trace, 5)
+    with pytest.raises(ValueError) as reused:
+        forward_product(trace)
+    assert str(reused.value) == str(dense.value)
+    assert "columns must sum to 1" in str(dense.value)
 
 
 def test_run_metrics_push_sum_consensus() -> None:

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from pushsim import (
     run_protocol,
     run_scenario,
 )
+import pushsim
 from pushsim import graph as graphmod
 from pushsim.cli import main as cli_main
 from pushsim.harness import ENV_OUTPUT_ROOT, load_config
@@ -100,6 +104,10 @@ def test_parse_config_rejections() -> None:
         ({"seeds": [2, -1]}, "seeds: must be non-negative, got -1"),
         ({"M": 1e308}, r"M: 2\*M must be finite"),
         ({"initials": {"dist": "uniform", "low": -1e308, "high": 1e308}}, "initials: high - low must be finite"),
+        ({"graph": {"file": True}}, "graph.file: must be a non-empty path string, got True"),
+        ({"graph": {"file": 0}}, "graph.file: must be a non-empty path string, got 0"),
+        ({"graph": {"file": ["g.json"]}}, r"graph.file: must be a non-empty path string, got \['g.json'\]"),
+        ({"graph": {"file": ""}}, "graph.file: must be a non-empty path string, got ''"),
     ],
     ids=[
         "M-null", "c-null", "M-nan", "M-inf", "c-nan", "c-neg-inf", "rounds-bool",
@@ -107,6 +115,7 @@ def test_parse_config_rejections() -> None:
         "rounds-fractional", "seeds-fractional", "attack_target-fractional", "graph-demo-false",
         "graph-two-sources", "initials-typo", "initials-constant-low", "generator-typo",
         "generator-list", "seeds-negative", "M-double-overflows", "initials-range-overflows",
+        "graph-file-true", "graph-file-zero", "graph-file-list", "graph-file-empty",
     ],
 )
 def test_parse_config_rejects_value(data, needle) -> None:
@@ -135,8 +144,11 @@ def test_cli_nested_typo_exits_two(tmp_path: Path, capsys) -> None:
         (["--protocol", "decomposed", "--M", "1e308"], None, "M: 2*M must be finite"),
         ([], {"initials": {"dist": "uniform", "low": -1e308, "high": 1e308}}, "initials: high - low"),
         (["--protocol", "decomposed", "--M", "1e-14"], None, "M=1e-14 is too small"),
+        ([], [1, 2], "config must be a JSON object"),
+        ([], "x", "config must be a JSON object"),
+        ([], 3, "config must be a JSON object"),
     ],
-    ids=["seeds-negative", "M-double-overflows", "initials-range-overflows", "M-tiny"],
+    ids=["seeds-negative", "M-double-overflows", "initials-range-overflows", "M-tiny", "config-list", "config-string", "config-number"],
 )
 def test_cli_bad_value_exits_two(args, config, needle, tmp_path: Path, capsys) -> None:
     argv = ["run", "--graph", "demo", "--rounds", "5", "--output-dir", str(tmp_path / "x")] + args
@@ -146,6 +158,22 @@ def test_cli_bad_value_exits_two(args, config, needle, tmp_path: Path, capsys) -
         argv += ["--config", str(cfg)]
     assert cli_main(argv) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_cli_graph_file_descriptor_exits_two(tmp_path: Path) -> None:
+    # in a child process: an integer path would make open() read and close the runner's fd 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"file": 0}, "rounds": 3}))
+    graph = tmp_path / "g.json"
+    graphmod.save_digraph(demo_digraph(), graph)
+    env = {**os.environ, "PYTHONPATH": str(Path(pushsim.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "pushsim.cli", "run", "--config", str(cfg), "--output-dir", str(tmp_path / "x")],
+        input=graph.read_text(), capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "graph.file: must be a non-empty path string, got 0" in done.stderr
+    assert not (tmp_path / "x").exists()
 
 
 def test_parse_config_accepts_extra_rounds_hint() -> None:

@@ -41,12 +41,11 @@ from pushsim.protocol import (
     column_sums,
     conserved_sums,
     sample_initial_values,
-    weight_matrix,
 )
 from pushsim.graph import digraph_to_dict
 from pushsim.traceio import STATE_KEYS, trace_lines
 
-from helpers import dense_weights
+from helpers import dense_weights, weight_matrix
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
 
@@ -292,6 +291,16 @@ def test_negative_seed_still_raises() -> None:
         SeedStreams(-1).uniform_block(PURPOSE_WEIGHTS, [1, 2], 0, 3)
     with pytest.raises(ValueError):
         run_protocol(demo_digraph(), np.ones(5), "push_sum", 3, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "nodes, k, needle",
+    [([1, 2**32], 0, "node 1..4294967296, round 0..0"), ([1], 2**32, "node 1..1, round 4294967296..4294967296")],
+    ids=["node-2**32", "round-2**32"],
+)
+def test_uniform_block_rejects_index_above_32_bits(nodes, k, needle) -> None:
+    with pytest.raises(ValueError, match=f"seed 7, purpose {PURPOSE_WEIGHTS}, {needle}"):
+        SeedStreams(7).uniform_block(PURPOSE_WEIGHTS, nodes, k, 3)
 
 
 # ---------------------------------------------------------------------------
