@@ -15,7 +15,6 @@ from .protocol import (
     SeedStreams,
     Trace,
     conserved_sums,
-    decomposed_round,
     estimate_average,
     estimate_series,
     init_decomposed,

@@ -97,10 +97,12 @@ def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
     inflow = assumed_self[:, None] * x_plus[:-1]
     for e in in_edges:  # one in-neighbor at a time, in sorted order
         inflow += trace.sent[:-1, e]
-    s = np.full((n_rounds, 2), np.nan)
-    s[0] = x_plus[0]
-    for k in range(n_rounds - 1):
-        s[k + 1] = s[k] + x_plus[k + 1] - inflow[k]
+    # s[k+1] = s[k] + x_plus[k+1] - inflow[k] as one running sum down x_plus[0], x_plus[1], -inflow[0],
+    # x_plus[2], ...; a - b is a + (-b) bit for bit, and a NaN keeps its sign, as subtraction passes it on
+    terms = np.empty((2 * n_rounds - 1, 2))
+    terms[0], terms[1::2], terms[2::2] = x_plus[0], x_plus[1:], inflow
+    np.negative(inflow, out=terms[2::2], where=inflow == inflow)
+    s = np.add.accumulate(terms)[::2]
 
     return EavesdropperState(
         target=target, s1=s[:, 0], s2=s[:, 1], estimates=estimate_average(s[:, 0], s[:, 1]),
@@ -160,16 +162,8 @@ def eavesdropper_diagnostics(trace: Trace, target: int, threshold: float = 500.0
         predicted_error = np.abs(
             (initial_offset * retained_mass + residual) / (2.0 - retained_mass)
         )
-    exceed = [int(k) for k in range(1, n_rounds) if predicted_error[k] > threshold]
-    return EavesdropperDiagnostics(
-        target=target,
-        average=average,
-        initial_offset=initial_offset,
-        retained_mass=retained_mass,
-        residual=residual,
-        predicted_error=predicted_error,
-        predicted_exceedance_rounds=exceed,
-    )
+    exceed = np.flatnonzero(predicted_error > threshold).tolist()  # NaN, as at index 0, compares false
+    return EavesdropperDiagnostics(target, average, initial_offset, retained_mass, residual, predicted_error, exceed)
 
 
 def attack_report(trace: Trace, target: int, threshold: float = 500.0) -> dict:
@@ -181,15 +175,14 @@ def attack_report(trace: Trace, target: int, threshold: float = 500.0) -> dict:
     obs = eavesdrop(trace, target)
     truth = float(trace.x0[target - 1])
     errors = np.abs(obs.estimates - truth)
-    defined = ~np.isnan(errors)
-    exceed = [int(k) for k in range(trace.n_rounds) if defined[k] and errors[k] > threshold]
-    final_error = float(errors[-1]) if defined[-1] else None
+    exceed = np.flatnonzero(errors > threshold).tolist()  # NaN compares false
+    final_error = None if math.isnan(errors[-1]) else float(errors[-1])
     return {
         "target": target,
         "protocol": trace.protocol,
         "c": threshold,
         "true_initial": truth,
-        "estimates": [None if math.isnan(v) else float(v) for v in obs.estimates],
+        "estimates": [None if math.isnan(v) else v for v in obs.estimates.tolist()],
         "exceedance_rounds": exceed,
         "post_transient_exceedance_rounds": [k for k in exceed if k >= POST_TRANSIENT_ROUND],
         "final_error": final_error,

@@ -20,6 +20,15 @@ from .protocol import Trace, estimate_series
 COLUMN_SUM_TOL = 1e-9
 
 
+def _spread(col_sums: np.ndarray, row_max: np.ndarray, row_min: np.ndarray) -> np.ndarray:
+    """delta of each matrix from its row of stats; raises at the first whose column sums miss 1."""
+    col_err = np.abs(col_sums - 1.0).max(axis=1)
+    bad = np.flatnonzero(~(col_err <= COLUMN_SUM_TOL))
+    if bad.size:
+        raise ValueError(f"columns must sum to 1 within {COLUMN_SUM_TOL}, worst error {col_err[bad[0]]:.3e}")
+    return (row_max - row_min).max(axis=1)
+
+
 def ergodicity_coefficient(m: np.ndarray) -> float:
     """Largest within-row spread of a column-stochastic matrix.
 
@@ -30,12 +39,7 @@ def ergodicity_coefficient(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
-    col_err = np.abs(m.sum(axis=0) - 1.0).max()
-    if not col_err <= COLUMN_SUM_TOL:
-        raise ValueError(
-            f"columns must sum to 1 within {COLUMN_SUM_TOL}, worst error {col_err:.3e}"
-        )
-    return float((m.max(axis=1) - m.min(axis=1)).max())
+    return float(_spread(m.sum(axis=0)[None], m.max(axis=1)[None], m.min(axis=1)[None])[0])
 
 
 @dataclass
@@ -65,6 +69,10 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     after round k maps the state at round 1 to the state at round k+1.  The
     round-0 matrix never enters the product or the epsilon statistic.
 
+    Each round refills one 2n x 2n buffer, runs the full matrix product and
+    keeps its column sums, row maxima and row minima; the final product goes
+    through ergodicity_coefficient.  The first failing round raises.
+
     Args:
         trace: a decomposed-protocol trace with at least 2 rounds.
         k: last round to include; defaults to the last recorded round.
@@ -87,23 +95,21 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     weights = (trace.edge_w[1 : last + 1], trace.self_w[1 : last + 1], trace.alpha[1 : last + 1])
     epsilon = min([1.0] + [float(np.min(w, where=w > 0.0, initial=np.inf)) for w in weights])
     product = np.eye(2 * n)
-    deltas = []
-    for r in range(1, last + 1):
-        flat[edge_slots] = trace.edge_w[r]
-        self_diag[:] = trace.self_w[r]
-        alpha_diag[:] = trace.alpha[r]
-        product = m @ product
-        deltas.append(ergodicity_coefficient(product))
+    col_sums, row_max, row_min = np.empty((3, last - 1, 2 * n))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite product fails the column check
+        for r in range(1, last + 1):
+            flat[edge_slots] = trace.edge_w[r]
+            self_diag[:] = trace.self_w[r]
+            alpha_diag[:] = trace.alpha[r]
+            product = m @ product
+            if r < last:
+                product.sum(axis=0, out=col_sums[r - 1])
+                product.max(axis=1, out=row_max[r - 1])
+                product.min(axis=1, out=row_min[r - 1])
+        delta = np.append(_spread(col_sums, row_max, row_min), ergodicity_coefficient(product))
     rounds_arr = np.arange(1, last + 1, dtype=np.int64)
     bound = (1.0 - epsilon**n) ** np.floor_divide(rounds_arr, n)
-    return ErgodicityReport(
-        rounds=rounds_arr,
-        delta=np.asarray(deltas),
-        bound=bound,
-        epsilon=epsilon,
-        product=product,
-        limit_column=product[:, 0].copy(),
-    )
+    return ErgodicityReport(rounds_arr, delta, bound, epsilon, product, limit_column=product[:, 0].copy())
 
 
 @dataclass
@@ -130,10 +136,10 @@ def run_metrics(trace: Trace) -> RunMetrics:
     err = np.abs(est - target)
     defined = ~np.isnan(est)
     counts = defined.sum(axis=1)
-    mse = np.full(est.shape[0], np.nan)
-    for k in range(est.shape[0]):
-        if counts[k]:
-            mse[k] = float(np.mean((est[k, defined[k]] - target) ** 2))
+    squared = (est - target) ** 2
+    mse = np.mean(squared, axis=1)
+    for k in np.flatnonzero(counts < est.shape[1]):  # rows with an undefined estimate
+        mse[k] = np.mean(squared[k, defined[k]]) if counts[k] else np.nan
     return RunMetrics(target=target, estimates=est, abs_error=err, mse=mse, defined_counts=counts)
 
 
@@ -144,9 +150,5 @@ def convergence_round(errors: np.ndarray, tol: float = 1e-8) -> int | None:
     undefined entries; rounds where every entry is undefined never qualify.
     Returns None if the tolerance is never reached.
     """
-    for k in range(errors.shape[0]):
-        row = errors[k]
-        defined = ~np.isnan(row)
-        if defined.any() and float(row[defined].max()) < tol:
-            return k
-    return None
+    hits = np.flatnonzero(np.fmax.reduce(errors, axis=1) < tol)  # fmax skips NaN
+    return int(hits[0]) if hits.size else None

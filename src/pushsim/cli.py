@@ -89,6 +89,8 @@ def cmd_compare(args) -> int:
 def cmd_gen_graph(args) -> int:
     if args.demo:
         g = graphmod.demo_digraph()
+    elif args.seed < 0:
+        raise harness.ConfigError(f"--seed: must be non-negative, got {args.seed}")
     else:
         g = graphmod.random_strongly_connected(args.n, args.extra_edge_prob, args.seed)
     graphmod.save_digraph(g, args.out)

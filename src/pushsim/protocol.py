@@ -400,23 +400,6 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
 # the round update
 
 
-def decomposed_round(p_k: np.ndarray, alpha_k: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """One synchronous round, the only update either protocol uses.
-
-    The exchanged substate mixes over in-edges and absorbs the retained
-    substate; the new retained substate is the retention weight times the
-    pre-update exchanged substate.  With alpha = 0 and an empty retained
-    substate this is push_sum.  Where alpha is zero the retained rows stay
-    +0.0 whatever the sign of the exchanged state, so a push_sum state's
-    retained rows are exact zeros.
-    """
-    new = np.zeros_like(state)
-    new[0] = p_k @ state[0] + state[2]
-    new[1] = p_k @ state[1] + state[3]
-    np.multiply(alpha_k, state[:2], out=new[2:], where=alpha_k != 0.0)
-    return new
-
-
 def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray) -> np.ndarray:
     """What crossed each edge in each round, shape (rounds, edges, 2).
 
@@ -428,16 +411,29 @@ def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray) -> np.ndar
 
 
 def _evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray, state0: np.ndarray) -> np.ndarray:
-    """States after 0..R rounds of decomposed_round from state0, each round's
-    weights scattered into one reused dense matrix that stays zero elsewhere."""
+    """States after 0..R rounds from state0, each round written in place into one array.
+
+    x_l(k+1) = p_k @ x_l(k) + b_l(k), with p_k one reused dense matrix, and
+    b_l(k+1) = alpha(k) * x_l(k) where alpha(k) is nonzero; elsewhere b stays
+    the array's +0.0, so a push_sum run (alpha all zero) never takes that step.
+    """
     weights = np.concatenate([edge_w, self_w], axis=1)
     p_k = np.zeros((g.n, g.n))
     flat, slots = p_k.reshape(-1), g.weight_slots
-    states = np.empty((len(alpha) + 1,) + state0.shape)
+    states = np.zeros((len(alpha) + 1,) + state0.shape)
     states[0] = state0
+    x1, x2, b1, b2 = states.transpose(1, 0, 2)
+    exchanged, retained = states[:, :2], states[:, 2:]
+    keep = alpha != 0.0
+    retains = keep.any(axis=1)
     for k in range(len(alpha)):
         flat[slots] = weights[k]
-        states[k + 1] = decomposed_round(p_k, alpha[k], states[k])
+        np.matmul(p_k, x1[k], out=x1[k + 1])
+        x1[k + 1] += b1[k]
+        np.matmul(p_k, x2[k], out=x2[k + 1])
+        x2[k + 1] += b2[k]
+        if retains[k]:
+            np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[k])
     return states
 
 

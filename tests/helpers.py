@@ -1,9 +1,24 @@
 """Helpers shared by the test modules."""
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from pushsim import CoalitionView, Digraph, Trace, ergodicity_coefficient
+import numpy as np
+from hypothesis import strategies as st
+
+from pushsim import (
+    PROTOCOLS,
+    CoalitionView,
+    Digraph,
+    SeedStreams,
+    Trace,
+    ergodicity_coefficient,
+    estimate_average,
+    random_strongly_connected,
+    run_protocol,
+)
+from pushsim.adversary import POST_TRANSIENT_ROUND
+from pushsim.protocol import sample_initial_values
 
 
 def weight_matrix(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray) -> np.ndarray:
@@ -12,6 +27,136 @@ def weight_matrix(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray) -> np.ndar
     p = np.zeros((g.n, g.n))
     p.reshape(-1)[g.weight_slots] = np.concatenate([edge_w, self_w])
     return p
+
+
+def decomposed_round(p_k: np.ndarray, alpha_k: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """One synchronous round on a dense weight matrix, the reference for the round loop.
+
+    The exchanged substate mixes over in-edges and absorbs the retained
+    substate; the new retained substate is the retention weight times the
+    pre-update exchanged substate.  With alpha = 0 and an empty retained
+    substate this is push_sum.  Where alpha is zero the retained rows stay
+    +0.0 whatever the sign of the exchanged state, so a push_sum state's
+    retained rows are exact zeros.
+    """
+    new = np.zeros_like(state)
+    new[0] = p_k @ state[0] + state[2]
+    new[1] = p_k @ state[1] + state[3]
+    np.multiply(alpha_k, state[:2], out=new[2:], where=alpha_k != 0.0)
+    return new
+
+
+def loop_states(trace: Trace) -> np.ndarray:
+    """Reference for replay's states: decomposed_round on a fresh dense matrix per round."""
+    states = [trace.states[0]]
+    for k in range(trace.n_rounds):
+        p = weight_matrix(trace.graph, trace.edge_w[k], trace.self_w[k])
+        states.append(decomposed_round(p, trace.alpha[k], states[-1]))
+    return np.stack(states)
+
+
+def loop_eavesdrop(trace: Trace, target: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Reference for eavesdrop, one round at a time: (books s, estimates, unrecoverable rounds).
+
+    s[k + 1] = s[k] + x_plus[k + 1] - inflow[k], summed in that order.
+    """
+    g, t = trace.graph, target - 1
+    out_edges = list(g.out_edges[target])
+    in_edges = [g.edge_position[(target, j)] for j in g.in_neighbors[target]]
+    x_plus, unrecoverable = np.full((trace.n_rounds, 2), np.nan), []
+    for k in range(trace.n_rounds):
+        weights = trace.edge_w[k, out_edges]
+        best = int(np.argmax(np.abs(weights))) if out_edges else None
+        if best is None or weights[best] == 0.0:
+            unrecoverable.append(k)
+        else:
+            x_plus[k] = trace.sent[k, out_edges[best]] / weights[best]
+    cols = trace.weight_column(target)
+    s = np.full((trace.n_rounds, 2), np.nan)
+    s[0] = x_plus[0]
+    for k in range(trace.n_rounds - 1):
+        inflow = (1.0 - (cols[k].sum() - cols[k, t])) * x_plus[k]
+        for e in in_edges:
+            inflow += trace.sent[k, e]
+        s[k + 1] = s[k] + x_plus[k + 1] - inflow
+    return s, estimate_average(s[:, 0], s[:, 1]), unrecoverable
+
+
+def loop_attack_report(trace: Trace, target: int, threshold: float) -> dict:
+    """Reference for attack_report, from loop_eavesdrop and per-round tests."""
+    _, estimates, unrecoverable = loop_eavesdrop(trace, target)
+    truth = float(trace.x0[target - 1])
+    errors = np.abs(estimates - truth)
+    defined = ~np.isnan(errors)
+    exceed = [int(k) for k in range(trace.n_rounds) if defined[k] and errors[k] > threshold]
+    return {
+        "target": target,
+        "protocol": trace.protocol,
+        "c": threshold,
+        "true_initial": truth,
+        "estimates": [None if math.isnan(v) else float(v) for v in estimates],
+        "exceedance_rounds": exceed,
+        "post_transient_exceedance_rounds": [k for k in exceed if k >= POST_TRANSIENT_ROUND],
+        "final_error": float(errors[-1]) if defined[-1] else None,
+        "unrecoverable_rounds": unrecoverable,
+    }
+
+
+def loop_mse(estimates: np.ndarray, target: float) -> np.ndarray:
+    """Reference for run_metrics' mse: one 1-D mean per row over its defined estimates."""
+    mse = np.full(estimates.shape[0], np.nan)
+    for k, row in enumerate(estimates):
+        defined = ~np.isnan(row)
+        if defined.any():
+            mse[k] = float(np.mean((row[defined] - target) ** 2))
+    return mse
+
+
+def loop_convergence_round(errors: np.ndarray, tol: float) -> int | None:
+    """Reference for convergence_round: the first row whose worst defined error is below tol."""
+    for k, row in enumerate(errors):
+        defined = ~np.isnan(row)
+        if defined.any() and float(row[defined].max()) < tol:
+            return k
+    return None
+
+
+@st.composite
+def protocol_traces(draw, protocols=PROTOCOLS, min_rounds=1) -> Trace:
+    """run_protocol traces on random strongly connected graphs with 3 to 30 nodes and up to 80 rounds."""
+    n, prob = draw(st.integers(3, 30), label="n"), draw(st.floats(0.0, 0.6), label="prob")
+    g = random_strongly_connected(n, prob, draw(st.integers(0, 1000), label="graph seed"))
+    seed = draw(st.integers(0, 2**40), label="seed")
+    x0 = sample_initial_values(n, {"dist": "uniform", "low": -50.0, "high": 50.0}, SeedStreams(seed))
+    protocol = draw(st.sampled_from(protocols), label="protocol")
+    return run_protocol(g, x0, protocol, draw(st.integers(min_rounds, 80), label="rounds"), 100.0, seed)
+
+
+def spoiled(trace: Trace, target: int, data) -> Trace:
+    """A copy of trace with undefined rounds drawn through hypothesis' data.
+
+    One state row (every substate of every node) and one round of sent
+    products turn NaN, one state row turns NaN for a strict subset of the
+    nodes, one value that an in-neighbor sent to target turns NaN, one edge
+    weight turns NaN, and one round zeroes every out-weight of target, so
+    the wiretap cannot recover that round.  The arrays no longer agree with
+    each other, as in a tampered trace file.
+    """
+    g, rounds = trace.graph, trace.n_rounds
+    edge_w, states, sent = trace.edge_w.copy(), trace.states.copy(), trace.sent.copy()
+    states[data.draw(st.integers(0, rounds), label="nan state row")] = np.nan
+    sent[data.draw(st.integers(0, rounds - 1), label="nan sent round")] = np.nan
+    in_edges = [g.edge_position[(target, j)] for j in g.in_neighbors[target]]
+    sent[data.draw(st.integers(0, rounds - 1), label="nan inflow round"),
+         data.draw(st.sampled_from(in_edges), label="nan inflow edge"),
+         data.draw(st.integers(0, 1), label="nan inflow coordinate")] = np.nan
+    nodes = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n - 1), label="nan nodes")
+    states[data.draw(st.integers(0, rounds), label="partly nan row"), 0, sorted(nodes)] = np.nan
+    edge_w[data.draw(st.integers(0, rounds - 1), label="nan weight round"),
+           data.draw(st.integers(0, edge_w.shape[1] - 1), label="nan edge")] = np.nan
+    edge_w[data.draw(st.integers(0, rounds - 1), label="zero out-weight round"), list(g.out_edges[target])] = 0.0
+    return Trace(trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread, edge_w,
+                 trace.self_w.copy(), trace.alpha.copy(), states, sent)
 
 
 def augmented_matrix(p_k: np.ndarray, alpha_k: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from pushsim import (
 )
 from pushsim.protocol import (
     SeedStreams,
-    decomposed_round,
     init_decomposed,
     retained_ratio_series,
     sample_initial_values,
@@ -42,7 +41,7 @@ from pushsim.protocol import (
 )
 from pushsim.graph import random_strongly_connected
 
-from helpers import augmented_matrix, stack_state, views_allclose, weight_matrix
+from helpers import augmented_matrix, decomposed_round, stack_state, views_allclose, weight_matrix
 
 DEMO = demo_digraph()
 INITIALS = {"dist": "uniform", "low": 0.0, "high": 50.0}

@@ -21,14 +21,21 @@ from pushsim import (
 from pushsim.protocol import (
     SeedStreams,
     Trace,
-    decomposed_round,
     init_push_sum,
     sample_initial_values,
     transmissions,
 )
 from pushsim.traceio import trace_lines
 
-from helpers import dense_weights, views_allclose
+from helpers import (
+    decomposed_round,
+    dense_weights,
+    loop_attack_report,
+    loop_eavesdrop,
+    protocol_traces,
+    spoiled,
+    views_allclose,
+)
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
 
@@ -109,6 +116,27 @@ def test_attack_report_shape() -> None:
     assert report["estimates"][0] is None
     assert report["final_error"] == pytest.approx(abs(report["estimates"][-1] - trace.x0[4]))
     assert report["unrecoverable_rounds"] == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=protocol_traces(), spoil=st.booleans(), data=st.data())
+def test_eavesdrop_and_reports_match_sequential_ledger(trace, spoil, data) -> None:
+    target = data.draw(st.sampled_from(trace.graph.nodes), label="target")
+    if spoil:
+        trace = spoiled(trace, target, data)
+    threshold = data.draw(st.sampled_from([1e-12, 0.5, 500.0]), label="threshold")
+    s, estimates, unrecoverable = loop_eavesdrop(trace, target)
+    obs = eavesdrop(trace, target)
+    assert obs.s1.tobytes() == s[:, 0].tobytes()
+    assert obs.s2.tobytes() == s[:, 1].tobytes()
+    assert obs.estimates.tobytes() == estimates.tobytes()
+    assert obs.unrecoverable_rounds == unrecoverable
+    # repr tells a numpy scalar from a Python float or int
+    assert repr(attack_report(trace, target, threshold)) == repr(loop_attack_report(trace, target, threshold))
+    if trace.protocol == "decomposed":
+        diag = eavesdropper_diagnostics(trace, target, threshold)
+        expected = [int(k) for k in range(1, trace.n_rounds) if diag.predicted_error[k] > threshold]
+        assert repr(diag.predicted_exceedance_rounds) == repr(expected)
 
 
 # ---------------------------------------------------------------------------

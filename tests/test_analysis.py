@@ -17,12 +17,22 @@ from pushsim import (
 )
 from pushsim.protocol import (
     SeedStreams,
-    decomposed_round,
     init_decomposed,
     sample_round_weights,
 )
 
-from helpers import augmented_matrix, dense_forward_product, dense_weights, stack_state, weight_matrix
+from helpers import (
+    augmented_matrix,
+    decomposed_round,
+    dense_forward_product,
+    dense_weights,
+    loop_convergence_round,
+    loop_mse,
+    protocol_traces,
+    spoiled,
+    stack_state,
+    weight_matrix,
+)
 
 
 def test_augmented_matrix_layout() -> None:
@@ -171,6 +181,32 @@ def test_forward_product_nan_weight_raises_like_dense_loop() -> None:
     assert "columns must sum to 1" in str(dense.value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("round_", [3, 5])
+def test_forward_product_inf_weight_raises_without_warning(value, round_) -> None:
+    # round 5 is the last one, whose product goes through ergodicity_coefficient
+    trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 6, seed=4)
+    trace.edge_w[round_, 2] = value
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as dense:
+        dense_forward_product(trace, 5)
+    with pytest.raises(ValueError) as reused:
+        forward_product(trace)
+    assert str(reused.value) == str(dense.value)
+    assert "columns must sum to 1" in str(dense.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=protocol_traces(protocols=("decomposed",), min_rounds=2))
+def test_delta_within_realized_bound(trace) -> None:
+    report = forward_product(trace)
+    n = trace.graph.n
+    assert report.epsilon > 0.0
+    bound = (1.0 - report.epsilon**n) ** (report.rounds // n)
+    assert report.bound.tobytes() == bound.tobytes()
+    assert np.all(report.delta <= bound + 1e-12)
+
+
 def test_run_metrics_push_sum_consensus() -> None:
     trace = run_protocol(demo_digraph(), np.full(5, 7.0), "push_sum", 80, seed=5)
     metrics = run_metrics(trace)
@@ -201,3 +237,15 @@ def test_convergence_round() -> None:
     assert convergence_round(errors, tol=1e-13) is None
     all_nan = np.full((3, 2), np.nan)
     assert convergence_round(all_nan, tol=1.0) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=protocol_traces(), spoil=st.booleans(), data=st.data())
+def test_run_metrics_and_convergence_round_match_row_loops(trace, spoil, data) -> None:
+    if spoil:
+        trace = spoiled(trace, data.draw(st.sampled_from(trace.graph.nodes), label="target"), data)
+    metrics = run_metrics(trace)
+    assert metrics.mse.tobytes() == loop_mse(metrics.estimates, metrics.target).tobytes()
+    drawn = data.draw(st.floats(1e-15, 1e3), label="tol")
+    for tol in (1e-12, 1e-8, 1e-3, drawn):
+        assert repr(convergence_round(metrics.abs_error, tol)) == repr(loop_convergence_round(metrics.abs_error, tol))

@@ -481,6 +481,13 @@ def test_cli_gen_graph(tmp_path: Path) -> None:
     assert load_digraph(rand_path).n == 6
 
 
+def test_cli_gen_graph_negative_seed_exits_two(tmp_path: Path, capsys) -> None:
+    out = tmp_path / "g.json"
+    assert cli_main(["gen-graph", "--n", "6", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed: must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_check_attack(tmp_path: Path, capsys) -> None:
     out = tmp_path / "bundle"
     code = cli_main(

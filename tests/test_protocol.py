@@ -16,7 +16,6 @@ from pushsim import (
     TraceFormatError,
     build_digraph,
     check_invariants,
-    decomposed_round,
     demo_digraph,
     estimate_average,
     estimate_series,
@@ -45,7 +44,7 @@ from pushsim.protocol import (
 from pushsim.graph import digraph_to_dict
 from pushsim.traceio import STATE_KEYS, trace_lines
 
-from helpers import dense_weights, weight_matrix
+from helpers import decomposed_round, dense_weights, loop_states, protocol_traces, spoiled, weight_matrix
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
 
@@ -389,6 +388,17 @@ def test_decomposed_round_reduces_to_push_sum() -> None:
     prod_merged = transmissions(g, edge_w[None], np.stack([merged, new_merged]))[0]
     prod_plain = [(p[j - 1, i - 1] * x[i - 1], p[j - 1, i - 1] * 1.0) for j, i in g.sorted_edges]
     assert prod_merged.tolist() == [list(pair) for pair in prod_plain]
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=protocol_traces(), data=st.data())
+def test_round_loop_matches_decomposed_round_oracle(trace, data) -> None:
+    # run_protocol and replay update the states array in place; the oracle
+    # builds a fresh matrix and a fresh state every round
+    assert trace.states.tobytes() == loop_states(trace).tobytes()
+    assert replay(trace).states.tobytes() == trace.states.tobytes()
+    bad = spoiled(trace, data.draw(st.sampled_from(trace.graph.nodes), label="target"), data)
+    assert replay(bad).states.tobytes() == loop_states(bad).tobytes()
 
 
 def test_decomposed_conservation() -> None:
