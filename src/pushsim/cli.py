@@ -6,6 +6,7 @@ config or unreadable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import adversary, graph as graphmod, harness, traceio
@@ -98,7 +99,16 @@ def cmd_gen_graph(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pushsim argument parser, built on first use and then reused.
+
+    Building it costs more than parsing one command line, and a process that
+    calls main once per command (a test suite, a benchmark) would pay that
+    each time.  parse_args fills a fresh Namespace per call and leaves the
+    parser unchanged, so no value passes from one call to the next.  It is
+    built lazily, so importing pushsim does not pay for it.
+    """
     parser = argparse.ArgumentParser(prog="pushsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -134,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError and TraceFormatError included

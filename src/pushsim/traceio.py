@@ -117,6 +117,15 @@ def _parse_line(path, line_no: int, text: str) -> dict:
     return obj
 
 
+def _header_int(head: dict, key: str) -> int:
+    """A header field that must be a JSON integer >= 0 (not a bool, a float
+    or a string), so that a read and rewrite keeps the file's value."""
+    value = head[key]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key}: must be a non-negative integer, got {value!r}")
+    return value
+
+
 def read_trace(path) -> Trace:
     """Load and validate a trace file of format v2 or v1.
 
@@ -132,11 +141,11 @@ def read_trace(path) -> Trace:
         head = _parse_line(path, 1, fh.readline())
         try:
             protocol = head["protocol"]
-            n = int(head["n"])
+            n = _header_int(head, "n")
             graph = digraph_from_dict(head["graph"])
             x0 = np.asarray(head["x0"], dtype=np.float64)
             state0 = _state_rows(head["state0"], protocol, n)
-            seed = int(head["seed"])
+            seed = _header_int(head, "seed")
             spread = head["M"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"{path}: line 1 header invalid: {exc}") from exc
@@ -257,17 +266,30 @@ def write_table(path, header, columns, comment: str | None = None) -> None:
     whole, so a seed above 2**64 must stay a Python int and not pass through
     a float array.  A NaN is an empty cell.  No cell needs quoting.  Rows are
     formatted 256 at a time, so the cell strings of a whole table are never
-    in memory at once.
+    in memory at once.  Within such a chunk an array column computes one
+    repr per distinct bit pattern and reuses it for every cell that repeats
+    it, which writes the same bytes as one repr per cell.
     """
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), 256):
-            chunks = (col[start : start + 256] for col in columns)
-            values = (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk for chunk in chunks)
-            cells = (["" if v != v else repr(v) for v in chunk] for chunk in values)  # v != v: NaN
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            cells = [_cells(col[start : start + 256]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _cells(chunk) -> list[str]:
+    """The cell texts of one chunk of a column, "" for a NaN.
+
+    An array chunk is told apart by bit pattern, not by value, so -0.0 and
+    0.0 keep their own texts and NaNs of any sign or payload all print "".
+    """
+    if not isinstance(chunk, np.ndarray):
+        return ["" if v != v else repr(v) for v in chunk]  # v != v: NaN
+    keys, index = np.unique(chunk.view(f"u{chunk.itemsize}"), return_inverse=True)
+    texts = ["" if v != v else repr(v) for v in keys.view(chunk.dtype).tolist()]
+    return list(map(texts.__getitem__, index.tolist()))
 
 
 def write_estimates_csv(trace: Trace, path, comment: str | None = None) -> None:

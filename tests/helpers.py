@@ -222,3 +222,16 @@ def views_allclose(a: CoalitionView, b: CoalitionView, rtol: float = 1e-12, atol
             if not np.allclose(a.received[member][p], b.received[member][p], rtol=rtol, atol=atol):
                 return False
     return True
+
+
+def loop_write_table(path, header, columns, comment: str | None = None) -> None:
+    """Reference for traceio.write_table: one repr per cell, each row joined on its own."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), 256):
+            chunks = (col[start : start + 256] for col in columns)
+            values = (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk for chunk in chunks)
+            cells = (["" if v != v else repr(v) for v in chunk] for chunk in values)  # v != v: NaN
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))

@@ -22,7 +22,7 @@ from pushsim import (
     run_scenario,
 )
 import pushsim
-from pushsim import graph as graphmod
+from pushsim import cli, graph as graphmod
 from pushsim.cli import main as cli_main
 from pushsim.harness import ENV_OUTPUT_ROOT, load_config
 from pushsim.protocol import SeedStreams, sample_initial_values
@@ -488,6 +488,35 @@ def test_cli_gen_graph_negative_seed_exits_two(tmp_path: Path, capsys) -> None:
     assert not out.exists()
 
 
+def test_cli_calls_share_one_parser_and_no_values(tmp_path: Path, capsys) -> None:
+    assert cli.build_parser() is cli.build_parser()
+
+    assert cli_main(["attack", str(V1_FIXTURE), "--c", "7"]) == 0
+    assert "above c=7.0" in capsys.readouterr().out
+    assert cli_main(["attack", str(V1_FIXTURE)]) == 0
+    assert "above c=500.0" in capsys.readouterr().out
+
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["check", str(V1_FIXTURE), "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert cli_main(["check", str(V1_FIXTURE)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+    run_out, cmp_out = tmp_path / "run", tmp_path / "cmp"
+    argv = ["run", "--graph", "demo", "--protocol", "push_sum", "--rounds", "7", "--seeds", "4", "--c", "9"]
+    assert cli_main(argv + ["--output-dir", str(run_out)]) == 0
+    ran = json.loads((run_out / "config.json").read_text())
+    assert (ran["protocol"], ran["seeds"], ran["c"]) == ("push_sum", [4], 9.0)
+    assert cli_main(["compare", "--graph", "demo", "--rounds", "5", "--output-dir", str(cmp_out)]) == 0
+    assert "for protocols push_sum, decomposed" in capsys.readouterr().out
+    saved = json.loads((cmp_out / "compare.json").read_text())
+    fresh = load_config(None, {"graph": {"demo": True}, "rounds": 5, "output_dir": str(cmp_out)})
+    assert saved["config_hash"] == fresh.config_hash()
+    assert saved["protocols"] == ["push_sum", "decomposed"] and saved["seeds"] == [1, 2, 3]
+    assert len((cmp_out / "compare.csv").read_text().splitlines()) == 2 + 3 * 6
+
+
 def test_cli_run_check_attack(tmp_path: Path, capsys) -> None:
     out = tmp_path / "bundle"
     code = cli_main(
@@ -563,8 +592,15 @@ def test_v1_fixture_checks_and_matches_run_protocol(capsys) -> None:
         (4, lambda r: r.pop("sent"), "line 4 record invalid: missing sent"),
         (5, lambda r: r.update(k=4), "line 5 record invalid: k=4, expected 3"),
         (1, lambda r: r.update(format=3), "line 1 header invalid: unknown format 3"),
+        (1, lambda r: r.update(seed=1.5), "line 1 header invalid: seed: must be a non-negative integer, got 1.5"),
+        (1, lambda r: r.update(seed=True), "line 1 header invalid: seed: must be a non-negative integer, got True"),
+        (1, lambda r: r.update(seed="1"), "line 1 header invalid: seed: must be a non-negative integer, got '1'"),
+        (1, lambda r: r.update(seed=-1), "line 1 header invalid: seed: must be a non-negative integer, got -1"),
+        (1, lambda r: r.update(n=5.9), "line 1 header invalid: n: must be a non-negative integer, got 5.9"),
+        (1, lambda r: r.update(n="5"), "line 1 header invalid: n: must be a non-negative integer, got '5'"),
     ],
-    ids=["bad_base64", "truncated", "missing_key", "k_order", "format_3"],
+    ids=["bad_base64", "truncated", "missing_key", "k_order", "format_3",
+         "seed_float", "seed_bool", "seed_string", "seed_negative", "n_float", "n_string"],
 )
 def test_v2_rejections_exit_two(tmp_path: Path, capsys, line_no, mutate, needle) -> None:
     bad = tampered_copy(write_small_trace(tmp_path), line_no, mutate)

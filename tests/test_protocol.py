@@ -42,9 +42,17 @@ from pushsim.protocol import (
     sample_initial_values,
 )
 from pushsim.graph import digraph_to_dict
-from pushsim.traceio import STATE_KEYS, trace_lines
+from pushsim.traceio import STATE_KEYS, trace_lines, write_table
 
-from helpers import decomposed_round, dense_weights, loop_states, protocol_traces, spoiled, weight_matrix
+from helpers import (
+    decomposed_round,
+    dense_weights,
+    loop_states,
+    loop_write_table,
+    protocol_traces,
+    spoiled,
+    weight_matrix,
+)
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
 
@@ -779,6 +787,45 @@ def test_estimates_csv(tmp_path) -> None:
     assert len(rows) == 2 + 11 * 5
     k1_node1 = rows[2 + 5].split(",")
     assert float(k1_node1[2]) == pytest.approx(estimate_series(trace)[1, 0])
+
+
+@st.composite
+def table_columns(draw):
+    """write_table input: a header, equal-length columns and an optional comment.
+
+    The lengths sit around the 256-row chunk.  The columns are float64 arrays
+    of any values, of a few values repeated (the shape of converged
+    estimates) and a strided view; int64 and bool arrays; a range; and a
+    list of Python ints above 2**64 in runs, as compare.csv holds its seeds.
+    """
+    length = draw(st.sampled_from((0, 1, 255, 256, 257, 513)))
+    pool = np.array(draw(st.lists(TRACE_FLOATS, min_size=1, max_size=4)))
+    picks = draw(arrays(np.intp, length, elements=st.integers(0, len(pool) - 1)))
+    big = draw(st.lists(st.integers(2**64, 2**80), min_size=1, max_size=3))
+    start = draw(st.integers(-(2**40), 2**40))
+    columns = [
+        draw(arrays(np.float64, length, elements=TRACE_FLOATS)),
+        pool[picks],
+        draw(arrays(np.float64, (length, 2), elements=TRACE_FLOATS))[:, 1],
+        draw(arrays(np.int64, length)),
+        draw(arrays(np.bool_, length)),
+        range(start, start + length),
+        [big[i * len(big) // length] for i in range(length)],
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    return header, columns, draw(st.one_of(st.none(), st.just("config_hash=abc")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=table_columns())
+@example(table=(["x"], [np.array([0.0, -0.0, 0.0, -0.0])], None))  # equal values, distinct bits
+@example(table=(["x", "y"], [np.array(ODD_NANS + (math.nan, -0.0, 0.0)), range(5)], "c"))
+def test_write_table_matches_per_cell_oracle(tmp_path_factory, table) -> None:
+    header, columns, comment = table
+    where = tmp_path_factory.mktemp("table")
+    write_table(where / "fast.csv", header, columns, comment)
+    loop_write_table(where / "oracle.csv", header, columns, comment)
+    assert (where / "fast.csv").read_bytes() == (where / "oracle.csv").read_bytes()
 
 
 def test_sample_initial_values() -> None:
