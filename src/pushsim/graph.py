@@ -69,18 +69,22 @@ class Digraph:
 def build_digraph(n: int, edges) -> Digraph:
     """Validate and build a Digraph.
 
-    Raises ValueError for n < 1, endpoints outside 1..n, or self-loops.
-    Duplicate edges collapse silently.
+    Raises ValueError naming n or edges[t] when n is not an integer >= 1 (a
+    bool, a float or a string is not), an edge is not a pair of integers,
+    an endpoint lies outside 1..n, or an edge is a self-loop.  Duplicate
+    edges collapse silently.
     """
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n: need an integer number of nodes >= 1, got {n!r}")
     edge_set = set()
-    for pair in edges:
-        j, i = int(pair[0]), int(pair[1])
+    for t, pair in enumerate(edges):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(type(v) is not int for v in pair):
+            raise ValueError(f"edges[{t}]: must be a pair of integers (receiver, sender), got {pair!r}")
+        j, i = pair
         if not (1 <= j <= n) or not (1 <= i <= n):
-            raise ValueError(f"edge ({j}, {i}) has endpoint outside 1..{n}")
+            raise ValueError(f"edges[{t}]: edge ({j}, {i}) has endpoint outside 1..{n}")
         if j == i:
-            raise ValueError(f"self-loop ({j}, {i}) not allowed; self-weights are implicit")
+            raise ValueError(f"edges[{t}]: self-loop ({j}, {i}) not allowed; self-weights are implicit")
         edge_set.add((j, i))
     return Digraph(n=n, edges=frozenset(edge_set))
 
@@ -170,9 +174,12 @@ def digraph_to_dict(g: Digraph) -> dict:
 
 
 def digraph_from_dict(data: dict) -> Digraph:
+    """The Digraph of a JSON object {"n": ..., "edges": [[receiver, sender], ...]},
+    validated by build_digraph; a non-list edges is a ValueError too."""
     try:
-        n = int(data["n"])
-        edges = data["edges"]
+        n, edges = data["n"], data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed digraph object: {exc}") from exc
+    if not isinstance(edges, list):
+        raise ValueError(f"edges: must be a list of [receiver, sender] pairs, got {edges!r}")
     return build_digraph(n, edges)

@@ -224,8 +224,10 @@ class Trace:
       the first two rows and zeros in the retained ones;
     * ``sent`` (R, E, 2): the values (l=1, l=2) that crossed edge
       graph.sorted_edges[e] in round k, i.e. the edge weight times the
-      sender's pre-round exchanged state.  They are recorded, not derived,
-      so a check can catch a trace file whose products disagree with it;
+      sender's pre-round exchanged state (transmissions).  A format-v3 file
+      stores no products, so reading one derives them from the weights and
+      states; a v1 or v2 file records its own, which are kept as read, so a
+      check can catch a file whose products disagree with it;
     * ``stray_weight``: (round, receiver, sender) of the first nonzero weight
       a format-v1 file held off the edges and the diagonal, or None.
     """
@@ -404,10 +406,14 @@ def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray) -> np.ndar
     """What crossed each edge in each round, shape (rounds, edges, 2).
 
     Entry [k, e] is edge_w[k, e] times sender i's exchanged state before
-    round k, for edge (j, i) = g.sorted_edges[e].
+    round k, for edge (j, i) = g.sorted_edges[e].  The products go straight
+    into the returned array, so it is the one allocation of its size.
     """
     senders = np.array(g.sorted_edges, dtype=np.intp).reshape(-1, 2)[:, 1] - 1
-    return np.stack([edge_w * states[:-1, 0, senders], edge_w * states[:-1, 1, senders]], axis=-1)
+    sent = np.empty(edge_w.shape + (2,))
+    for l in range(2):
+        np.multiply(edge_w, states[:-1, l, senders], out=sent[..., l])
+    return sent
 
 
 def _evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray, state0: np.ndarray) -> np.ndarray:

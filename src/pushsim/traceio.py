@@ -7,16 +7,25 @@ cell (write_table).
 
 A trace file is JSON lines, each written by json.dumps with sort_keys=True.
 Line 1 is a header object {protocol, n, seed, M, x0, graph, state0,
-format: 2, ...}; every following line is one round record
+format: 3, ...}; every following line is one round record
 
-    {alpha, edge_w, k, self_w, sent, state}
+    {alpha, edge_w, k, self_w, state}
 
-whose arrays are base64 strings of little-endian float64 ("<f8") bytes of
-round k's rows of the Trace arrays: ``alpha``, ``edge_w`` (one weight per
-edge, in graph.sorted_edges order), ``self_w``, ``state`` (the post-round
-STATE_KEYS rows of n values each) and ``sent`` (E x 2 values, row-major).
-The bytes are the values themselves, so every float reads back bit for
-bit, NaN and +-inf included.
+Each array, in the header and in the rounds, is a base64 string of the
+little-endian float64 ("<f8") bytes of the Trace values: the header's
+``x0`` and ``state0`` (the round-0 STATE_KEYS rows of n values each), and
+round k's rows of ``alpha``, ``edge_w`` (one weight per edge, in
+graph.sorted_edges order), ``self_w`` and ``state`` (the post-round
+STATE_KEYS rows).  The bytes are the values themselves, so every float
+reads back bit for bit, NaN payloads and +-inf included.  A file stores
+no ``sent``: each entry is one product of an edge weight and a pre-round
+state, so read_trace recomputes it with protocol.transmissions and gets the
+bits run_protocol recorded.
+
+Format v2 files still read, with their recorded ``sent``: a header whose
+``x0`` and ``state0`` are JSON text (a list, and an object with one list per
+STATE_KEYS name) and round records {alpha, edge_w, k, self_w, sent, state},
+where ``sent`` is the E x 2 values, row-major.
 
 Files without a "format" key are format v1 and still read: there every
 round is {k, p, alpha, state, transmitted}, with the dense row-major
@@ -31,14 +40,15 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 from collections.abc import Iterator
 
 import numpy as np
 
 from .graph import digraph_from_dict, digraph_to_dict
-from .protocol import Trace, estimate_series
+from .protocol import Trace, estimate_series, transmissions
 
-FORMAT = 2
+FORMAT = 3
 
 # Names of the state rows a trace file stores, per protocol, in the order of
 # the rows of Trace.states; a push_sum file leaves out the two retained
@@ -48,7 +58,8 @@ STATE_KEYS = {
     "decomposed": ("x_alpha_1", "x_alpha_2", "x_beta_1", "x_beta_2"),
 }
 
-ROUND_KEYS = ("alpha", "edge_w", "k", "self_w", "sent", "state")
+# Keys of a round record; a v2 record also holds "sent".
+ROUND_KEYS = ("alpha", "edge_w", "k", "self_w", "state")
 
 
 class TraceFormatError(ValueError):
@@ -71,20 +82,31 @@ def _b64(values: np.ndarray) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
+def _from_b64(text, key: str, size: int) -> np.ndarray:
+    """The size float64 values of field key, a base64 string of "<f8" bytes."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, TypeError, ValueError) as exc:
+        raise ValueError(f"{key} is not base64: {exc}") from exc
+    if len(raw) != 8 * size:
+        raise ValueError(f"{key} holds {len(raw)} bytes, expected {8 * size}")
+    return np.frombuffer(raw, dtype="<f8")
+
+
 def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]:
-    """Yield a trace's format-v2 JSON lines (no trailing newlines), one
+    """Yield a trace's format-v3 JSON lines (no trailing newlines), one
     round at a time."""
     g = trace.graph
-    keys = STATE_KEYS[trace.protocol]
+    n_rows = len(STATE_KEYS[trace.protocol])
     header = {
         "format": FORMAT,
         "protocol": trace.protocol,
         "n": g.n,
         "seed": trace.seed,
         "M": trace.spread,
-        "x0": trace.x0.tolist(),
+        "x0": _b64(trace.x0),
         "graph": digraph_to_dict(g),
-        "state0": dict(zip(keys, trace.states[0].tolist())),
+        "state0": _b64(trace.states[0, :n_rows]),
     }
     if extra_header:
         header.update(extra_header)
@@ -93,13 +115,12 @@ def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]
         # the line json.dumps(..., sort_keys=True) writes: base64 needs no escapes
         yield (
             f'{{"alpha": "{_b64(trace.alpha[k])}", "edge_w": "{_b64(trace.edge_w[k])}", "k": {k}, '
-            f'"self_w": "{_b64(trace.self_w[k])}", "sent": "{_b64(trace.sent[k])}", '
-            f'"state": "{_b64(trace.states[k + 1, : len(keys)])}"}}'
+            f'"self_w": "{_b64(trace.self_w[k])}", "state": "{_b64(trace.states[k + 1, :n_rows])}"}}'
         )
 
 
 def write_trace(trace: Trace, path, extra_header: dict | None = None) -> None:
-    """Write a trace file in format v2."""
+    """Write a trace file in format v3."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in trace_lines(trace, extra_header):
             fh.write(line)
@@ -127,11 +148,13 @@ def _header_int(head: dict, key: str) -> int:
 
 
 def read_trace(path) -> Trace:
-    """Load and validate a trace file of format v2 or v1.
+    """Load and validate a trace file of format v3, v2 or v1.
 
     Raises TraceFormatError naming the first malformed line.  Rounds are
     parsed one line at a time into arrays sized by a first pass that counts
-    the lines.
+    the lines.  A v3 file's ``sent`` is then computed from the weights and
+    states read, the one allocation it takes; v2 and v1 files keep the
+    products they record.
     """
     with open(path, "r", encoding="utf-8") as fh:
         n_lines = sum(1 for _ in fh)
@@ -139,66 +162,70 @@ def read_trace(path) -> Trace:
             raise TraceFormatError(f"{path}: empty trace file")
         fh.seek(0)
         head = _parse_line(path, 1, fh.readline())
+        fmt = head.get("format", 1)
+        if "format" in head and (type(fmt) is not int or fmt not in (2, FORMAT)):
+            raise TraceFormatError(f"{path}: line 1 header invalid: unknown format {fmt!r}")
         try:
             protocol = head["protocol"]
+            if not isinstance(protocol, str):
+                raise ValueError(f"protocol: must be a string, got {protocol!r}")
+            if protocol not in STATE_KEYS:
+                raise ValueError(f"unknown protocol {protocol!r}")
             n = _header_int(head, "n")
             graph = digraph_from_dict(head["graph"])
-            x0 = np.asarray(head["x0"], dtype=np.float64)
-            state0 = _state_rows(head["state0"], protocol, n)
+            n_rows = len(STATE_KEYS[protocol])
+            if fmt == FORMAT:
+                x0 = _from_b64(head["x0"], "x0", n).copy()
+                state0 = _from_b64(head["state0"], "state0", n_rows * n).reshape(n_rows, n)
+            else:
+                x0 = np.asarray(head["x0"], dtype=np.float64)
+                state0 = _state_rows(head["state0"], protocol, n)
             seed = _header_int(head, "seed")
             spread = head["M"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"{path}: line 1 header invalid: {exc}") from exc
-        if protocol not in STATE_KEYS:
-            raise TraceFormatError(f"{path}: line 1 header invalid: unknown protocol {protocol!r}")
         if graph.n != n or x0.shape != (n,):
             raise TraceFormatError(f"{path}: line 1 header invalid: n, graph and x0 disagree")
-        if "format" not in head:
-            read_rounds = _read_rounds_v1
-        elif type(head["format"]) is int and head["format"] == FORMAT:
-            read_rounds = _read_rounds_v2
-        else:
-            raise TraceFormatError(f"{path}: line 1 header invalid: unknown format {head['format']!r}")
 
         rounds, n_edges = n_lines - 1, len(graph.sorted_edges)
+        recorded = None if fmt == FORMAT else np.empty((rounds, n_edges, 2))
         trace = Trace(protocol, graph, x0, seed, spread, np.empty((rounds, n_edges)), np.empty((rounds, n)),
-                      np.empty((rounds, n)), np.zeros((rounds + 1, 4, n)), np.empty((rounds, n_edges, 2)))
-        trace.states[0, : len(state0)] = state0
-        read_rounds(path, fh, trace)
+                      np.empty((rounds, n)), np.zeros((rounds + 1, 4, n)), recorded)
+        trace.states[0, :n_rows] = state0
+        if fmt == 1:
+            _read_rounds_v1(path, fh, trace)
+        else:
+            _read_rounds_b64(path, fh, trace, ROUND_KEYS if fmt == FORMAT else sorted(ROUND_KEYS + ("sent",)))
+    if recorded is None:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow as the values give them
+            trace.sent = transmissions(graph, trace.edge_w, trace.states)
     return trace
 
 
-def _read_rounds_v2(path, fh, trace: Trace) -> None:
-    """Fill a trace's arrays from the base64 round lines of a v2 file."""
-    n = trace.graph.n
-    n_edges = len(trace.graph.sorted_edges)
+def _read_rounds_b64(path, fh, trace: Trace, keys) -> None:
+    """Fill a trace's arrays from the base64 round lines of a v3 or v2 file.
+
+    keys are the keys each record must hold; a v2 file's hold "sent", which
+    fills trace.sent.
+    """
     n_rows = len(STATE_KEYS[trace.protocol])
-    sizes = {"alpha": n, "edge_w": n_edges, "self_w": n, "sent": 2 * n_edges, "state": n_rows * n}
-
-    def decode(line_no: int, obj: dict, key: str) -> bytes:
-        try:
-            raw = base64.b64decode(obj[key], validate=True)
-        except (binascii.Error, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"{path}: line {line_no} record invalid: {key} is not base64: {exc}") from exc
-        if len(raw) != 8 * sizes[key]:
-            raise TraceFormatError(
-                f"{path}: line {line_no} record invalid: {key} holds {len(raw)} bytes, expected {8 * sizes[key]}"
-            )
-        return raw
-
+    rows = {"alpha": trace.alpha, "edge_w": trace.edge_w, "self_w": trace.self_w,
+            "state": trace.states[1:, :n_rows], "sent": trace.sent}
+    fields = [(key, rows[key], rows[key].shape[1:], math.prod(rows[key].shape[1:])) for key in keys if key != "k"]
     for line_no, text in enumerate(fh, start=2):
         obj = _parse_line(path, line_no, text)
         r = line_no - 2
-        missing = [key for key in ROUND_KEYS if key not in obj]
+        missing = [key for key in keys if key not in obj]
         if missing:
             raise TraceFormatError(f"{path}: line {line_no} record invalid: missing {', '.join(missing)}")
         k = obj["k"]
         if type(k) is not int or k != r:
             raise TraceFormatError(f"{path}: line {line_no} record invalid: k={k!r}, expected {r}")
-        for key in ("alpha", "edge_w", "self_w"):
-            getattr(trace, key)[r] = np.frombuffer(decode(line_no, obj, key), dtype="<f8")
-        trace.sent[r] = np.frombuffer(decode(line_no, obj, "sent"), dtype="<f8").reshape(n_edges, 2)
-        trace.states[r + 1, :n_rows] = np.frombuffer(decode(line_no, obj, "state"), dtype="<f8").reshape(n_rows, n)
+        try:
+            for key, array, shape, size in fields:
+                array[r] = _from_b64(obj[key], key, size).reshape(shape)
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: {exc}") from exc
 
 
 def _read_rounds_v1(path, fh, trace: Trace) -> None:

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 from __future__ import annotations
 
+import base64
+import json
 import math
 
 import numpy as np
@@ -18,7 +20,9 @@ from pushsim import (
     run_protocol,
 )
 from pushsim.adversary import POST_TRANSIENT_ROUND
+from pushsim.graph import digraph_to_dict
 from pushsim.protocol import sample_initial_values
+from pushsim.traceio import STATE_KEYS
 
 
 def weight_matrix(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray) -> np.ndarray:
@@ -119,6 +123,77 @@ def loop_convergence_round(errors: np.ndarray, tol: float) -> int | None:
         if defined.any() and float(row[defined].max()) < tol:
             return k
     return None
+
+
+def reference_trace_lines(trace, p, extra_header=None) -> list[str]:
+    """A v1 file of the trace as json.dumps writes it, with the dense
+    weights p in place of the trace's own: the v1 writer's oracle."""
+    g = trace.graph
+    keys = STATE_KEYS[trace.protocol]
+    header = {
+        "protocol": trace.protocol,
+        "n": g.n,
+        "seed": trace.seed,
+        "M": trace.spread,
+        "x0": trace.x0.tolist(),
+        "graph": digraph_to_dict(g),
+        "state0": dict(zip(keys, trace.states[0].tolist())),
+    }
+    if extra_header:
+        header.update(extra_header)
+    lines = [json.dumps(header, sort_keys=True)]
+    order = sorted(range(len(g.sorted_edges)), key=lambda e: g.sorted_edges[e][::-1])
+    edges = [(e, *g.sorted_edges[e]) for e in order]
+    for k in range(trace.n_rounds):
+        values = trace.sent[k].tolist()
+        lines.append(
+            json.dumps(
+                {
+                    "k": k,
+                    "p": p[k].reshape(-1).tolist(),
+                    "alpha": trace.alpha[k].tolist(),
+                    "state": dict(zip(keys, trace.states[k + 1].tolist())),
+                    "transmitted": [
+                        {"from": i, "to": j, "l": l, "value": values[e][l - 1]}
+                        for e, j, i in edges
+                        for l in (1, 2)
+                    ],
+                },
+                sort_keys=True,
+            )
+        )
+    return lines
+
+
+def v2_trace_lines(trace: Trace, extra_header: dict | None = None) -> list[str]:
+    """A format-v2 file of the trace as json.dumps writes it: the v2 writer's oracle.
+
+    The header holds x0 and the round-0 state as JSON text, and every round
+    records its sent products next to the base64 "<f8" weights and states.
+    """
+    keys = STATE_KEYS[trace.protocol]
+    header = {
+        "format": 2,
+        "protocol": trace.protocol,
+        "n": trace.graph.n,
+        "seed": trace.seed,
+        "M": trace.spread,
+        "x0": trace.x0.tolist(),
+        "graph": digraph_to_dict(trace.graph),
+        "state0": dict(zip(keys, trace.states[0].tolist())),
+    }
+    if extra_header:
+        header.update(extra_header)
+
+    def b64(values: np.ndarray) -> str:
+        return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+    lines = [json.dumps(header, sort_keys=True)]
+    for k in range(trace.n_rounds):
+        record = {"alpha": b64(trace.alpha[k]), "edge_w": b64(trace.edge_w[k]), "k": k, "self_w": b64(trace.self_w[k]),
+                  "sent": b64(trace.sent[k]), "state": b64(trace.states[k + 1, : len(keys)])}
+        lines.append(json.dumps(record, sort_keys=True))
+    return lines
 
 
 @st.composite

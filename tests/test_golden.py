@@ -39,8 +39,9 @@ CASES = {
 }
 
 # Computed with the per-stream sampler, one default_rng per node and round.
-# The trace.jsonl digests are of trace format v2; GOLDEN_VALUES shows that
-# the values in them are those of the earlier v1 files.
+# The trace.jsonl digests are of trace format v3, which stores no sent
+# products; GOLDEN_VALUES shows that the values read back from them, the
+# recomputed products included, are those of the earlier v1 and v2 files.
 GOLDEN = {
     "decomposed_demo": {
         "config.json": "43d49612049d4bdf764aebc484db8ff965c8a4e336871b12433a3cb51f8141a3",
@@ -49,13 +50,13 @@ GOLDEN = {
         "seed_0/ergodicity.csv": "5dbd7ceca29f23334a8dd733be84b26fa141063259e9a535181c1c0cdb84be11",
         "seed_0/ergodicity.json": "7adcd2176d90cf031734eb1a7f01cd7ac10a3420dea45fa127a6f628fb0cb88a",
         "seed_0/estimates.csv": "8edb13629ad760b49c4a23647fca245da83ff33fd0cde0103f28fbb6faa509c3",
-        "seed_0/trace.jsonl": "f46cdbedd0d76c28e07239f9328e9a4b9d0b96880085415ff66ee2a2b6ab9438",
+        "seed_0/trace.jsonl": "f7892b6e33e3b02054be3acef7e391d7fab5ee89d3248ab1664f89c66645e581",
         "seed_4294967301/attack.csv": "8d3f43d19ad2895e378bd696288793dc7bef264791031a61d5301120e1c183d2",
         "seed_4294967301/attack.json": "e0fb40e8ff7c5c1b3de042cdffbd67f1eab89913ac08605d5ee5650d2b0d679d",
         "seed_4294967301/ergodicity.csv": "87cb6a3c2c5ccf503da2347b961b05b8a8a8b57cee46152a98e6a21d4e490c48",
         "seed_4294967301/ergodicity.json": "000cbd0c7e6696d7a8c153c3ac304b2e74ad4ea13e4efa4c61795d57839b5374",
         "seed_4294967301/estimates.csv": "af02e6cfe02a1451fc649bf24d3c9256fe504d4b7bef44adb72ebf0d80e92cdb",
-        "seed_4294967301/trace.jsonl": "f16ab977669f3e389a9744ee3760ea16b7767e5d02493420909644316e29581d",
+        "seed_4294967301/trace.jsonl": "22865070dee2c13f815ef585c428300a2f7c7aa26fd20d9f2cf8fb4dec196778",
         "summary.json": "5af2788776b26d10cdab65cea69924f8f164dde95578333338e400c8bf0b536c",
     },
     "decomposed_rand24": {
@@ -65,7 +66,7 @@ GOLDEN = {
         "seed_5/ergodicity.csv": "fe9af600c65a8b1a7cd696ac63cb1dc34bd9c12e2e5415c1a3d0aabe3c8b88c7",
         "seed_5/ergodicity.json": "ba7968267f4ee0098b8eed7095c4696fa68800f5950ce97aff212cf7fd5100f5",
         "seed_5/estimates.csv": "cb7ca62a39a506575cea8093300d58a92757962a966291c50ee55d6ddc3e0271",
-        "seed_5/trace.jsonl": "81a7bd8a069cab59344b1eb9bd8d9eb7a34dd900a39f4d2b84fc666c9252ba74",
+        "seed_5/trace.jsonl": "cf83c80c5e2c3c5c06f1a7f54022c14f24bf729fa890c29a19a8fa880881375d",
         "summary.json": "774e0e4ed14a3405d600f11347286bfe1adfdf0797ef0acde3e7ef4caeeacf91",
     },
     "decomposed_rand24_wide": {
@@ -75,13 +76,13 @@ GOLDEN = {
         "seed_123456789001/ergodicity.csv": "ac51fe87068a073685ab5d52139d30f1648b691c542af1cc17709db7a37a310f",
         "seed_123456789001/ergodicity.json": "1fb38638e83aa93cfc25808bb72f239cb5615ab964905c22d67dc8856fff599a",
         "seed_123456789001/estimates.csv": "533fc950842f6ba3b3c35ca804f275b0a50e15e9f2df671b04f15ab98262007c",
-        "seed_123456789001/trace.jsonl": "5e4464ff593bed097701104e51fc65706c1c103f6dde6032ef4fe802d5152366",
+        "seed_123456789001/trace.jsonl": "4f94dd77317a2b69a40397b2129ec4f1635ccca936e196bd9edfaf38d49923e9",
         "seed_18446744073709551621/attack.csv": "31a594de202cac4bdd671b3f8d60221d0ac02373e0fb7a3215cc47eb94f01666",
         "seed_18446744073709551621/attack.json": "957915cb7507754d23684ec638c3dc02162315e59dabd2c50c4757a56641e445",
         "seed_18446744073709551621/ergodicity.csv": "01064aae7ddadf4362e9e409d53e7ecaafc05b45a88667f9202589b6d16a6278",
         "seed_18446744073709551621/ergodicity.json": "826fe76096dd039c7c9d1cc768aff29042a607ee8082db49bc99fc84fa2fae31",
         "seed_18446744073709551621/estimates.csv": "a456694e65475d7d3c3a94bb9223a106ae4efdf87d7a37ce1d755702892dce1e",
-        "seed_18446744073709551621/trace.jsonl": "61e1756554ae182408bb67eb788ce9fa3a50fea61fdedb975f077112f448d344",
+        "seed_18446744073709551621/trace.jsonl": "623822f4e3d0b826b7cb252da3c8f3cdf89e1b575da739a82f16a54fbd6ca5f5",
         "summary.json": "ad74f42acef9e08151fe300565a6e7f59b20e76687676f449ae55e9cfb63dd3d",
     },
     "push_sum_demo": {
@@ -89,11 +90,11 @@ GOLDEN = {
         "seed_0/attack.csv": "f42bd0dd28af855152c28b38b361afa183022b429c07f7dcca9d95fdeda789ce",
         "seed_0/attack.json": "1cccf29874497b1ba043d4d1bdef8634118739de7f8ba6b4f0085e6b994a8317",
         "seed_0/estimates.csv": "078fbb5cda2da2bb2f4c9477e8f5cea39509f3098ecbde9ceafda1fdc3754b81",
-        "seed_0/trace.jsonl": "bf4f081e0393fdd1c40f0f73769bb3ba4ded3797a441b741f4b1ed8fe6f9dd01",
+        "seed_0/trace.jsonl": "71ffd691cb3f7ec85143bb7f33795e07022e9054ebd999decbf8fd1919e041d9",
         "seed_4294967301/attack.csv": "6b71857d2fca8c56d82c3f6f17790eecba944bd409bdb34f536fc86ef8baefe3",
         "seed_4294967301/attack.json": "0ed95a56f3e1ad5b5af2002516ca2fa68f8be904fa87cce76de80d7043bb914f",
         "seed_4294967301/estimates.csv": "6a9d03cb116122126dfdd3bcd11702767f3ebab81d0fd937f5cd2a76b715b0a4",
-        "seed_4294967301/trace.jsonl": "315d2849638f529ccfb3c0b6e120d12bcc9f9e7e8329d0ddbb8758bdaf170c30",
+        "seed_4294967301/trace.jsonl": "9f4682230c9a1ba57e2c818ecd555b544105ed94faa232855cbc28b0629b85ec",
         "summary.json": "88828a977d7c538a79386da545eb39c517501807022f50ce576e0e1f0ec1907c",
     },
     "push_sum_rand24": {
@@ -101,7 +102,7 @@ GOLDEN = {
         "seed_5/attack.csv": "de1ec52e7efabcf8207aa1b36129875c01019abea48dd9ff615bf2a48c8895b3",
         "seed_5/attack.json": "9190368c2d1c1ae1f6895a33e164b47d28c1a125c3369c4829bf981fbbe2cc11",
         "seed_5/estimates.csv": "72ece558e24f58e8e83b86c0badc3a5d8054857b667bc431fb71270237d6288b",
-        "seed_5/trace.jsonl": "7b0e6840d5c24b54df3f4520b1c094ea7939a8a1232b34bbafe484e93d34d535",
+        "seed_5/trace.jsonl": "0b575fba44ec99f738b443e5b487dd889169ffe1811c8f7236009bc98da7bd7e",
         "summary.json": "d3f96428b35628b6ffeb4bf5ff9f9864fd51d1eb97230186dec758f0643c18d5",
     },
 }

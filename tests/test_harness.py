@@ -28,6 +28,8 @@ from pushsim.harness import ENV_OUTPUT_ROOT, load_config
 from pushsim.protocol import SeedStreams, sample_initial_values
 from pushsim.traceio import TraceFormatError, read_trace
 
+from helpers import v2_trace_lines
+
 
 def small_config(tmp_path: Path, **extra) -> dict:
     data = {
@@ -323,13 +325,15 @@ def write_small_trace(tmp_path: Path) -> Path:
 
 
 V1_FIXTURE = Path(__file__).parent / "data" / "demo_v1.jsonl"
+V2_FIXTURE = Path(__file__).parent / "data" / "demo_v2.jsonl"
 
 
 def tampered_copy(path: Path, line_no: int, mutate) -> Path:
     """A copy of a trace file with line line_no edited by mutate.
 
-    mutate sees the base64 arrays of a format-v2 line decoded to float64
-    arrays, and its edits are encoded back; a v1 line it sees as parsed.
+    mutate sees the base64 arrays of a format-v3 or v2 round line decoded
+    to float64 arrays, and its edits are encoded back; a header, and a v1
+    line, it sees as parsed.
     """
     lines = path.read_text().splitlines()
     record = json.loads(lines[line_no - 1])
@@ -362,7 +366,10 @@ def test_check_invariants_catches_bad_weight(tmp_path: Path) -> None:
 
 
 def test_check_invariants_catches_bad_product(tmp_path: Path) -> None:
-    path = write_small_trace(tmp_path)
+    # only a v2 or v1 file records the products; a v3 read derives them
+    path = tmp_path / "v2.jsonl"
+    path.write_text("".join(line + "\n" for line in v2_trace_lines(read_trace(write_small_trace(tmp_path)))))
+    assert check_invariants(path).ok
 
     def bump_product(record: dict) -> None:
         sent = record["sent"]
@@ -574,9 +581,10 @@ def test_cli_check_tampered_edge_weight_exits_one(tmp_path: Path, capsys) -> Non
     assert "FAIL  column_stochasticity: round 1" in capsys.readouterr().out
 
 
-def test_v1_fixture_checks_and_matches_run_protocol(capsys) -> None:
-    assert cli_main(["check", str(V1_FIXTURE)]) == 0
-    trace = read_trace(V1_FIXTURE)
+def fixture_matches_run_protocol(fixture: Path) -> None:
+    """A committed 5-round demo trace passes check and holds run_protocol's bits, sent included."""
+    assert cli_main(["check", str(fixture)]) == 0
+    trace = read_trace(fixture)
     assert trace.protocol == "decomposed" and trace.n_rounds == 5 and trace.graph == demo_digraph()
     fresh = run_protocol(trace.graph, trace.x0, trace.protocol, trace.n_rounds, trace.spread, trace.seed)
     assert trace.stray_weight is None
@@ -584,14 +592,34 @@ def test_v1_fixture_checks_and_matches_run_protocol(capsys) -> None:
         assert getattr(trace, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
+def test_v1_fixture_checks_and_matches_run_protocol(capsys) -> None:
+    fixture_matches_run_protocol(V1_FIXTURE)
+
+
+def test_v2_fixture_checks_and_matches_run_protocol(tmp_path: Path, capsys) -> None:
+    fixture_matches_run_protocol(V2_FIXTURE)
+    # the file is the v2 oracle's: a format 2 header, and records that must hold the products
+    text = V2_FIXTURE.read_text()
+    header = json.loads(text.splitlines()[0])
+    assert header["format"] == 2
+    lines = v2_trace_lines(read_trace(V2_FIXTURE), {"config_hash": header["config_hash"]})
+    assert text == "".join(line + "\n" for line in lines)
+    path = tmp_path / "demo_v2.jsonl"
+    path.write_text(text)
+    with pytest.raises(TraceFormatError, match="line 4 record invalid: missing sent"):
+        read_trace(tampered_copy(path, 4, lambda r: r.pop("sent")))
+
+
 @pytest.mark.parametrize(
     "line_no, mutate, needle",
     [
         (3, lambda r: r.update(alpha="not base64!"), "line 3 record invalid: alpha is not base64"),
         (3, lambda r: r.update(alpha=r["alpha"][:-1]), "line 3 record invalid: alpha holds 32 bytes, expected 40"),
-        (4, lambda r: r.pop("sent"), "line 4 record invalid: missing sent"),
+        (4, lambda r: r.pop("self_w"), "line 4 record invalid: missing self_w"),
         (5, lambda r: r.update(k=4), "line 5 record invalid: k=4, expected 3"),
-        (1, lambda r: r.update(format=3), "line 1 header invalid: unknown format 3"),
+        (1, lambda r: r.update(format=4), "line 1 header invalid: unknown format 4"),
+        (1, lambda r: r.update(x0=r["x0"][:-4]), "line 1 header invalid: x0 holds 39 bytes, expected 40"),
+        (1, lambda r: r.update(state0=[0.0] * 20), "line 1 header invalid: state0 is not base64"),
         (1, lambda r: r.update(seed=1.5), "line 1 header invalid: seed: must be a non-negative integer, got 1.5"),
         (1, lambda r: r.update(seed=True), "line 1 header invalid: seed: must be a non-negative integer, got True"),
         (1, lambda r: r.update(seed="1"), "line 1 header invalid: seed: must be a non-negative integer, got '1'"),
@@ -599,7 +627,7 @@ def test_v1_fixture_checks_and_matches_run_protocol(capsys) -> None:
         (1, lambda r: r.update(n=5.9), "line 1 header invalid: n: must be a non-negative integer, got 5.9"),
         (1, lambda r: r.update(n="5"), "line 1 header invalid: n: must be a non-negative integer, got '5'"),
     ],
-    ids=["bad_base64", "truncated", "missing_key", "k_order", "format_3",
+    ids=["bad_base64", "truncated", "missing_key", "k_order", "format_4", "x0_truncated", "state0_text",
          "seed_float", "seed_bool", "seed_string", "seed_negative", "n_float", "n_string"],
 )
 def test_v2_rejections_exit_two(tmp_path: Path, capsys, line_no, mutate, needle) -> None:
@@ -609,6 +637,51 @@ def test_v2_rejections_exit_two(tmp_path: Path, capsys, line_no, mutate, needle)
     capsys.readouterr()
     for command in ("check", "attack"):
         assert cli_main([command, str(bad)]) == 2
+        assert needle in capsys.readouterr().err
+
+
+EDGE_NEEDLE = "edges[0]: must be a pair of integers (receiver, sender), got "
+N_NEEDLE = "n: need an integer number of nodes >= 1, got "
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("edges", [], EDGE_NEEDLE + "[]"),
+        ("edges", [1], EDGE_NEEDLE + "[1]"),
+        ("edges", [1, 2, 3], EDGE_NEEDLE + "[1, 2, 3]"),
+        ("edges", ["1", "2"], EDGE_NEEDLE + "['1', '2']"),
+        ("edges", [1.5, 2], EDGE_NEEDLE + "[1.5, 2]"),
+        ("n", "5", N_NEEDLE + "'5'"),
+        ("n", 5.0, N_NEEDLE + "5.0"),
+        ("n", True, N_NEEDLE + "True"),
+        ("protocol", ["decomposed"], "protocol: must be a string, got ['decomposed']"),
+    ],
+    ids=["edge_empty", "edge_short", "edge_long", "edge_strings", "edge_float", "n_string", "n_float", "n_bool",
+         "protocol_list"],
+)
+def test_malformed_graph_or_protocol_exits_two(tmp_path: Path, capsys, field, value, needle) -> None:
+    """A trace header or a graph file whose graph or protocol has the wrong JSON
+    type is rejected with the field's name, never coerced or crashed on."""
+
+    def mutate(header: dict) -> None:
+        if field == "edges":
+            header["graph"]["edges"][0] = value
+        elif field == "n":
+            header["graph"]["n"] = value
+        else:
+            header["protocol"] = value
+
+    bad = tampered_copy(write_small_trace(tmp_path), 1, mutate)
+    capsys.readouterr()
+    for command in ("check", "attack"):
+        assert cli_main([command, str(bad)]) == 2
+        assert needle in capsys.readouterr().err
+    if field != "protocol":
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(json.loads(bad.read_text().splitlines()[0])["graph"]))
+        run = ["run", "--graph", str(graph_path), "--rounds", "5", "--seeds", "1", "--output-dir", str(tmp_path / "run")]
+        assert cli_main(run) == 2
         assert needle in capsys.readouterr().err
 
 

@@ -41,8 +41,7 @@ from pushsim.protocol import (
     conserved_sums,
     sample_initial_values,
 )
-from pushsim.graph import digraph_to_dict
-from pushsim.traceio import STATE_KEYS, trace_lines, write_table
+from pushsim.traceio import ROUND_KEYS, STATE_KEYS, trace_lines, write_table
 
 from helpers import (
     decomposed_round,
@@ -50,7 +49,9 @@ from helpers import (
     loop_states,
     loop_write_table,
     protocol_traces,
+    reference_trace_lines,
     spoiled,
+    v2_trace_lines,
     weight_matrix,
 )
 
@@ -608,47 +609,7 @@ def test_roundtrip_and_replay_are_bit_exact(tmp_path_factory, n, prob, graph_see
     assert trace_arrays(replay(trace)) == trace_arrays(trace)
 
 
-def reference_trace_lines(trace, p, extra_header=None) -> list[str]:
-    """A v1 file of the trace as json.dumps writes it, with the dense
-    weights p in place of the trace's own: the v1 writer's oracle."""
-    g = trace.graph
-    keys = STATE_KEYS[trace.protocol]
-    header = {
-        "protocol": trace.protocol,
-        "n": g.n,
-        "seed": trace.seed,
-        "M": trace.spread,
-        "x0": trace.x0.tolist(),
-        "graph": digraph_to_dict(g),
-        "state0": dict(zip(keys, trace.states[0].tolist())),
-    }
-    if extra_header:
-        header.update(extra_header)
-    lines = [json.dumps(header, sort_keys=True)]
-    order = sorted(range(len(g.sorted_edges)), key=lambda e: g.sorted_edges[e][::-1])
-    edges = [(e, *g.sorted_edges[e]) for e in order]
-    for k in range(trace.n_rounds):
-        values = trace.sent[k].tolist()
-        lines.append(
-            json.dumps(
-                {
-                    "k": k,
-                    "p": p[k].reshape(-1).tolist(),
-                    "alpha": trace.alpha[k].tolist(),
-                    "state": dict(zip(keys, trace.states[k + 1].tolist())),
-                    "transmitted": [
-                        {"from": i, "to": j, "l": l, "value": values[e][l - 1]}
-                        for e, j, i in edges
-                        for l in (1, 2)
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    return lines
-
-
-# a NaN with its sign bit set and one with a payload; only format v2 keeps them apart
+# a NaN with its sign bit set and one with a payload; only base64 arrays keep them apart
 ODD_NANS = tuple(np.array([0xFFF8000000000000, 0x7FF8000000000ABC], dtype=np.uint64).view(np.float64).tolist())
 SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-310, 1e16, 1.2345678901234567e300) + ODD_NANS
 TRACE_FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
@@ -732,15 +693,14 @@ def test_v1_reader_restores_json_dumps_trace(tmp_path_factory, trace, extra, str
 
 
 @settings(max_examples=60, deadline=None)
-@given(trace=array_traces())
-def test_v2_roundtrip_keeps_every_bit(tmp_path_factory, trace) -> None:
+@given(trace=array_traces(), extra=st.sampled_from([None, {"config_hash": "abc"}]))
+def test_v2_roundtrip_keeps_every_bit(tmp_path_factory, trace, extra) -> None:
     path = tmp_path_factory.mktemp("v2") / "trace.jsonl"
-    write_trace(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines == [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+    path.write_text("".join(line + "\n" for line in v2_trace_lines(trace, extra)))
     back = read_trace(path)
-    # round lines hold raw bytes, NaN payloads included; the JSON header
-    # holds x0 and the round-0 state as text
+    # round lines hold raw bytes, NaN payloads included, and the recorded
+    # sent products are kept as read; the JSON header holds x0 and the
+    # round-0 state as text
     assert back.edge_w.tobytes() == trace.edge_w.tobytes()
     assert back.self_w.tobytes() == trace.self_w.tobytes()
     assert back.alpha.tobytes() == trace.alpha.tobytes()
@@ -748,6 +708,42 @@ def test_v2_roundtrip_keeps_every_bit(tmp_path_factory, trace) -> None:
     states = stored_states(trace)
     assert back.states[1:].tobytes() == states[1:].tobytes()
     assert back.states[0].tobytes() == canonical_nan(states[0]).tobytes()
+    assert canonical_nan(back.x0).tobytes() == canonical_nan(trace.x0).tobytes()
+    assert (back.protocol, back.seed, back.spread, back.graph) == (trace.protocol, trace.seed, trace.spread, trace.graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=array_traces())
+@example(trace=Trace("decomposed", RING3, np.array(ODD_NANS + (-0.0,)), 7, 100.0, np.zeros((0, 3)), np.zeros((0, 3)),
+                     np.zeros((0, 3)), np.array(ODD_NANS * 6).reshape(1, 4, 3), np.zeros((0, 3, 2))))
+def test_v3_roundtrip_keeps_every_bit(tmp_path_factory, trace) -> None:
+    path = tmp_path_factory.mktemp("v3") / "trace.jsonl"
+    write_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+    assert all(sorted(json.loads(line)) == list(ROUND_KEYS) for line in lines[1:])
+    back = read_trace(path)
+    # every array is raw bytes, the header's x0 and round-0 state included,
+    # so NaN payloads survive; sent is the products of what was read
+    states = stored_states(trace)
+    assert back.x0.tobytes() == trace.x0.tobytes()
+    assert back.states.tobytes() == states.tobytes()
+    assert back.edge_w.tobytes() == trace.edge_w.tobytes()
+    assert back.self_w.tobytes() == trace.self_w.tobytes()
+    assert back.alpha.tobytes() == trace.alpha.tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = transmissions(trace.graph, trace.edge_w, states)
+    assert back.sent.tobytes() == expected.tobytes()
+    assert (back.protocol, back.seed, back.spread, back.graph) == (trace.protocol, trace.seed, trace.spread, trace.graph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(trace=protocol_traces())
+def test_v3_read_restores_recorded_sent(tmp_path_factory, trace) -> None:
+    # a v3 file stores no products: the read recomputes the ones run_protocol recorded
+    path = tmp_path_factory.mktemp("v3sent") / "trace.jsonl"
+    write_trace(trace, path)
+    assert read_trace(path).sent.tobytes() == trace.sent.tobytes()
 
 
 def test_trace_file_rejects_corruption(tmp_path) -> None:
