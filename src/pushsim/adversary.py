@@ -77,6 +77,8 @@ def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
     t = target - 1
     out_edges = list(g.out_edges[target])
     in_edges = [g.edge_position[(target, j)] for j in g.in_neighbors[target]]
+    # the products the observer intercepts: the target's out-edges, then its in-edges
+    sent = trace.products(out_edges + in_edges)
 
     # Recover the target's exchanged state at every observed round from the
     # out-edge with the largest weight magnitude.
@@ -87,16 +89,16 @@ def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
         rows = np.arange(n_rounds)
         divisor = weights[rows, best]
         known = divisor != 0.0
-        x_plus[known] = trace.sent[rows, np.array(out_edges)[best]][known] / divisor[known, None]
-        unrecoverable = [int(k) for k in np.flatnonzero(~known)]
+        np.divide(sent[rows, best], divisor[:, None], out=x_plus, where=known[:, None])
+        unrecoverable = np.flatnonzero(~known).tolist()
     else:
         unrecoverable = list(range(n_rounds))
 
     cols = trace.weight_column(target)[:-1]
     assumed_self = 1.0 - (cols.sum(axis=1) - cols[:, t])
     inflow = assumed_self[:, None] * x_plus[:-1]
-    for e in in_edges:  # one in-neighbor at a time, in sorted order
-        inflow += trace.sent[:-1, e]
+    for c in range(len(out_edges), sent.shape[1]):  # one in-neighbor at a time, in sorted order
+        inflow += sent[:-1, c]
     # s[k+1] = s[k] + x_plus[k+1] - inflow[k] as one running sum down x_plus[0], x_plus[1], -inflow[0],
     # x_plus[2], ...; a - b is a + (-b) bit for bit, and a NaN keeps its sign, as subtraction passes it on
     terms = np.empty((2 * n_rounds - 1, 2))
@@ -236,6 +238,11 @@ def build_coalition_view(trace: Trace, coalition) -> CoalitionView:
     if members == set(g.nodes):
         raise ValueError("coalition of all nodes is rejected: no one is left to protect")
     order = sorted(members)
+    links = [(a, p) for a in order for p in g.in_neighbors[a]]
+    sent = trace.products([g.edge_position[link] for link in links])
+    received: dict[int, dict[int, np.ndarray]] = {a: {} for a in order}
+    for c, (a, p) in enumerate(links):
+        received[a][p] = sent[:, c]
     return CoalitionView(
         coalition=members,
         graph=g,
@@ -243,10 +250,7 @@ def build_coalition_view(trace: Trace, coalition) -> CoalitionView:
         substates={a: trace.states[:, :, a - 1].copy() for a in order},
         weight_columns={a: trace.weight_column(a) for a in order},
         retention={a: trace.alpha[:, a - 1].copy() for a in order},
-        received={
-            a: {p: trace.sent[:, g.edge_position[(a, p)]].copy() for p in g.in_neighbors[a]}
-            for a in order
-        },
+        received=received,
     )
 
 
@@ -261,7 +265,9 @@ def equivalent_trace(trace: Trace, i: int, m: int, e: float) -> Trace:
     sends to m, i's self-weight and its weight toward m are adjusted
     against i's.  No weight generated by any other node, no retention
     weight, and no later round changes, so any coalition excluding i and m
-    sees the exact same run.
+    sees the exact same run.  A trace that records its products gets the
+    repaired round-0 product in a copy of them; on one that derives them,
+    the repaired weight gives the same product.
     """
     if trace.protocol != "decomposed":
         raise ValueError("equivalent traces are defined for decomposed traces")
@@ -273,9 +279,10 @@ def equivalent_trace(trace: Trace, i: int, m: int, e: float) -> Trace:
     if not (to_i or from_i):
         raise ValueError(f"node {m} is not a neighbor of node {i}")
 
+    recorded = None if trace.recorded_sent is None else trace.recorded_sent.copy()
     out = Trace(
         trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread, trace.edge_w.copy(),
-        trace.self_w.copy(), trace.alpha.copy(), trace.states.copy(), trace.sent.copy(),
+        trace.self_w.copy(), trace.alpha.copy(), trace.states.copy(), recorded,
     )
     if e == 0:
         return out
@@ -298,7 +305,8 @@ def equivalent_trace(trace: Trace, i: int, m: int, e: float) -> Trace:
         )
     out.self_w[0, s] = (trace.self_w[0, s] * divisor + sign * 2.0 * e) / divisor
     out.edge_w[0, edge] = (trace.edge_w[0, edge] * divisor - sign * 2.0 * e) / divisor
-    out.sent[0, edge] = out.edge_w[0, edge] * trace.states[0, :2, s]
+    if recorded is not None:
+        recorded[0, edge] = out.edge_w[0, edge] * trace.states[0, :2, s]
     return out
 
 

@@ -369,6 +369,10 @@ class InvariantReport:
         return all(item.status != "fail" for item in self.items)
 
 
+# Rounds of transmitted products that replay_consistency compares at once.
+REPLAY_BLOCK = 16
+
+
 def check_invariants(trace_or_path) -> InvariantReport:
     """Check a trace (object or file) against the protocol invariants.
 
@@ -428,7 +432,12 @@ def check_invariants(trace_or_path) -> InvariantReport:
     labels = traceio.STATE_KEYS[trace.protocol]
     rows = len(labels)
     state_off = ~np.isclose(trace.states[1:, :rows], redone.states[1:, :rows], rtol=1e-9, atol=1e-12).all(axis=2)
-    sent_off = ~np.isclose(trace.sent, redone.sent, rtol=1e-9, atol=1e-12).all(axis=2)
+    # products REPLAY_BLOCK rounds at a time, so no full (R, E, 2) array is ever held
+    sent_off = np.empty((trace.n_rounds, len(g.sorted_edges)), dtype=bool)
+    for start in range(0, trace.n_rounds, REPLAY_BLOCK):
+        block = slice(start, start + REPLAY_BLOCK)
+        close = np.isclose(trace.products(rounds=block), redone.products(rounds=block), rtol=1e-9, atol=1e-12)
+        np.logical_not(close.all(axis=2), out=sent_off[block])
     k = _first(state_off.any(axis=1) | sent_off.any(axis=1))
     if k is not None and state_off[k].any():
         bad_detail = f"round {k}: recorded {labels[int(np.argmax(state_off[k]))]} diverges from replay"

@@ -222,14 +222,20 @@ class Trace:
     * ``states`` (R+1, 4, n): the state after k rounds, rows x_alpha_1,
       x_alpha_2, x_beta_1, x_beta_2.  A ``push_sum`` state keeps x1, x2 in
       the first two rows and zeros in the retained ones;
-    * ``sent`` (R, E, 2): the values (l=1, l=2) that crossed edge
-      graph.sorted_edges[e] in round k, i.e. the edge weight times the
-      sender's pre-round exchanged state (transmissions).  A format-v3 file
-      stores no products, so reading one derives them from the weights and
-      states; a v1 or v2 file records its own, which are kept as read, so a
-      check can catch a file whose products disagree with it;
+    * ``recorded_sent`` (R, E, 2) or None: transmitted products as a
+      format-v1 or v2 file recorded them, kept as read so that a check can
+      catch a file whose products disagree with its weights and states.
+      run_protocol, replay and a format-v3 read leave it None;
     * ``stray_weight``: (round, receiver, sender) of the first nonzero weight
       a format-v1 file held off the edges and the diagonal, or None.
+
+    The transmitted products are entry [k, e, l-1] = the value (l=1, l=2)
+    that crossed edge graph.sorted_edges[e] in round k: the edge weight
+    times the sender's pre-round exchanged state (transmissions).  Each is
+    one float multiply of two arrays the trace holds, so a trace without
+    recorded products derives them, bit for bit as run_protocol's own, for
+    just the edges and rounds asked for (products); ``sent`` is the full
+    (R, E, 2) array, recorded or derived.
     """
 
     protocol: str
@@ -241,12 +247,30 @@ class Trace:
     self_w: np.ndarray
     alpha: np.ndarray
     states: np.ndarray
-    sent: np.ndarray
+    recorded_sent: np.ndarray | None = None
     stray_weight: tuple[int, int, int] | None = None
 
     @property
     def n_rounds(self) -> int:
         return self.alpha.shape[0]
+
+    @property
+    def sent(self) -> np.ndarray:
+        """Every transmitted product, shape (R, E, 2): the recorded array, or a derived one."""
+        return self.recorded_sent if self.recorded_sent is not None else self.products()
+
+    def products(self, edges=None, rounds: slice = slice(None)) -> np.ndarray:
+        """Transmitted products of a slice of rounds (step 1) on edges, a
+        sequence of edge indices (default all), shape (rounds, edges, 2).
+
+        Recorded products are returned as recorded, a view when edges is
+        None; otherwise they are derived with transmissions.
+        """
+        if self.recorded_sent is not None:
+            sent = self.recorded_sent[rounds]
+            return sent if edges is None else sent[:, edges]
+        start, stop, _ = rounds.indices(self.n_rounds)
+        return transmissions(self.graph, self.edge_w[start:stop], self.states[start:stop + 1], edges)
 
     def weight_column(self, i: int) -> np.ndarray:
         """Sender i's dense weight column per round, shape (R, n), zero off its out-edges and itself."""
@@ -402,17 +426,24 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
 # the round update
 
 
-def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray) -> np.ndarray:
+def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray, edges=None) -> np.ndarray:
     """What crossed each edge in each round, shape (rounds, edges, 2).
 
     Entry [k, e] is edge_w[k, e] times sender i's exchanged state before
-    round k, for edge (j, i) = g.sorted_edges[e].  The products go straight
-    into the returned array, so it is the one allocation of its size.
+    round k, states[k, :2, i-1], for edge (j, i) = g.sorted_edges[e]; states
+    holds one more row than edge_w.  With edges, a sequence of edge indices,
+    only those columns are computed, in that order.  The products go
+    straight into the returned array.  They are computed as the values give
+    them, inf * 0 and overflow included, without a warning.
     """
-    senders = np.array(g.sorted_edges, dtype=np.intp).reshape(-1, 2)[:, 1] - 1
+    senders = g.weight_slots[: len(g.sorted_edges)] % g.n
+    if edges is not None:
+        edges = np.asarray(edges, dtype=np.intp)
+        edge_w, senders = edge_w[:, edges], senders[edges]
     sent = np.empty(edge_w.shape + (2,))
-    for l in range(2):
-        np.multiply(edge_w, states[:-1, l, senders], out=sent[..., l])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for l in range(2):
+            np.multiply(edge_w, states[:-1, l, senders], out=sent[..., l])
     return sent
 
 
@@ -508,20 +539,20 @@ def run_protocol(g: Digraph, x0, protocol: str, rounds: int, spread: float = 100
         state0 = init_decomposed(x0, spread, streams)
         edge_w, self_w, alpha = sample_round_weights(g, range(rounds), spread, streams)
     states = _evolve(g, edge_w, self_w, alpha, state0)
-    return Trace(protocol, g, x0.copy(), seed, spread, edge_w, self_w, alpha, states, transmissions(g, edge_w, states))
+    return Trace(protocol, g, x0.copy(), seed, spread, edge_w, self_w, alpha, states)
 
 
 def replay(trace: Trace) -> Trace:
     """Recompute a trace from its initial state and recorded weights.
 
     Applies the round update to the stored weight sequence, ignoring the
-    recorded later states and products.  For traces produced by
-    run_protocol the result is bit-identical to the original.
+    recorded later states and products; the result records no products.
+    For traces produced by run_protocol the result is bit-identical to the
+    original.
     """
     g, edge_w, self_w, alpha = trace.graph, trace.edge_w.copy(), trace.self_w.copy(), trace.alpha.copy()
     states = _evolve(g, edge_w, self_w, alpha, trace.states[0])
-    return Trace(trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread,
-                 edge_w, self_w, alpha, states, transmissions(g, edge_w, states))
+    return Trace(trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread, edge_w, self_w, alpha, states)
 
 
 def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:

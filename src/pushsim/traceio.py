@@ -18,14 +18,17 @@ round k's rows of ``alpha``, ``edge_w`` (one weight per edge, in
 graph.sorted_edges order), ``self_w`` and ``state`` (the post-round
 STATE_KEYS rows).  The bytes are the values themselves, so every float
 reads back bit for bit, NaN payloads and +-inf included.  A file stores
-no ``sent``: each entry is one product of an edge weight and a pre-round
-state, so read_trace recomputes it with protocol.transmissions and gets the
-bits run_protocol recorded.
+no transmitted products (``sent``): each is one product of an edge weight
+and a pre-round state, so a v3 read, like run_protocol, leaves
+Trace.recorded_sent None, and Trace.products derives the bits run_protocol
+would give for just the edges and rounds a caller asks for.
 
-Format v2 files still read, with their recorded ``sent``: a header whose
-``x0`` and ``state0`` are JSON text (a list, and an object with one list per
-STATE_KEYS name) and round records {alpha, edge_w, k, self_w, sent, state},
-where ``sent`` is the E x 2 values, row-major.
+Format v2 files still read, and their products are kept as recorded, in
+Trace.recorded_sent: a header whose ``x0`` and ``state0`` are JSON text (a
+list of numbers, and an object with one such list per STATE_KEYS name) and
+round records {alpha, edge_w, k, self_w, sent, state}, where ``sent`` is the
+E x 2 values, row-major.  The header's ``M`` is null or a number in every
+format.
 
 Files without a "format" key are format v1 and still read: there every
 round is {k, p, alpha, state, transmitted}, with the dense row-major
@@ -46,7 +49,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .graph import digraph_from_dict, digraph_to_dict
-from .protocol import Trace, estimate_series, transmissions
+from .protocol import Trace, estimate_series
 
 FORMAT = 3
 
@@ -66,12 +69,26 @@ class TraceFormatError(ValueError):
     """A trace file failed validation; the message names the bad line."""
 
 
-def _state_rows(data: dict, protocol: str, n: int) -> np.ndarray:
-    """The state rows a file stores for the protocol, shape (2 or 4, n)."""
+def _numbers(values, field: str) -> np.ndarray:
+    """A JSON list of numbers as float64; a bool, a string or any other
+    entry is rejected, not coerced."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field}: must be a list of numbers, got {values!r}")
+    for i, value in enumerate(values):
+        if type(value) not in (int, float):
+            raise ValueError(f"{field}[{i}]: must be a number, got {value!r}")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{field}: {exc}") from exc
+
+
+def _state_rows(data: dict, protocol: str, n: int, field: str) -> np.ndarray:
+    """The state rows a file stores for the protocol under field, shape (2 or 4, n)."""
     keys = STATE_KEYS["push_sum" if protocol == "push_sum" else "decomposed"]
     rows = []
     for key in keys:
-        vec = np.asarray(data[key], dtype=np.float64)
+        vec = _numbers(data[key], f"{field}.{key}")
         if vec.shape != (n,):
             raise ValueError(f"state vector {key} has length {vec.shape}, expected {n}")
         rows.append(vec)
@@ -152,9 +169,8 @@ def read_trace(path) -> Trace:
 
     Raises TraceFormatError naming the first malformed line.  Rounds are
     parsed one line at a time into arrays sized by a first pass that counts
-    the lines.  A v3 file's ``sent`` is then computed from the weights and
-    states read, the one allocation it takes; v2 and v1 files keep the
-    products they record.
+    the lines.  A v3 file holds no products and the trace records none; v2
+    and v1 files keep the products they record in Trace.recorded_sent.
     """
     with open(path, "r", encoding="utf-8") as fh:
         n_lines = sum(1 for _ in fh)
@@ -178,10 +194,12 @@ def read_trace(path) -> Trace:
                 x0 = _from_b64(head["x0"], "x0", n).copy()
                 state0 = _from_b64(head["state0"], "state0", n_rows * n).reshape(n_rows, n)
             else:
-                x0 = np.asarray(head["x0"], dtype=np.float64)
-                state0 = _state_rows(head["state0"], protocol, n)
+                x0 = _numbers(head["x0"], "x0")
+                state0 = _state_rows(head["state0"], protocol, n, "state0")
             seed = _header_int(head, "seed")
             spread = head["M"]
+            if spread is not None and type(spread) not in (int, float):
+                raise ValueError(f"M: must be null or a number, got {spread!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"{path}: line 1 header invalid: {exc}") from exc
         if graph.n != n or x0.shape != (n,):
@@ -196,9 +214,6 @@ def read_trace(path) -> Trace:
             _read_rounds_v1(path, fh, trace)
         else:
             _read_rounds_b64(path, fh, trace, ROUND_KEYS if fmt == FORMAT else sorted(ROUND_KEYS + ("sent",)))
-    if recorded is None:
-        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow as the values give them
-            trace.sent = transmissions(graph, trace.edge_w, trace.states)
     return trace
 
 
@@ -206,11 +221,11 @@ def _read_rounds_b64(path, fh, trace: Trace, keys) -> None:
     """Fill a trace's arrays from the base64 round lines of a v3 or v2 file.
 
     keys are the keys each record must hold; a v2 file's hold "sent", which
-    fills trace.sent.
+    fills trace.recorded_sent.
     """
     n_rows = len(STATE_KEYS[trace.protocol])
     rows = {"alpha": trace.alpha, "edge_w": trace.edge_w, "self_w": trace.self_w,
-            "state": trace.states[1:, :n_rows], "sent": trace.sent}
+            "state": trace.states[1:, :n_rows], "sent": trace.recorded_sent}
     fields = [(key, rows[key], rows[key].shape[1:], math.prod(rows[key].shape[1:])) for key in keys if key != "k"]
     for line_no, text in enumerate(fh, start=2):
         obj = _parse_line(path, line_no, text)
@@ -244,7 +259,7 @@ def _read_rounds_v1(path, fh, trace: Trace) -> None:
             k = int(obj["k"])
             p = np.asarray(obj["p"], dtype=np.float64).reshape(n * n)
             alpha_r = np.asarray(obj["alpha"], dtype=np.float64)
-            state = _state_rows(obj["state"], trace.protocol, n)
+            state = _state_rows(obj["state"], trace.protocol, n, "state")
             sent_list = obj["transmitted"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: {exc}") from exc
@@ -274,7 +289,7 @@ def _read_rounds_v1(path, fh, trace: Trace) -> None:
             raise TraceFormatError(
                 f"{path}: line {line_no + 1} record invalid: incomplete transmission list"
             )
-        trace.sent[r] = np.reshape(values, (n_edges, 2))
+        trace.recorded_sent[r] = np.reshape(values, (n_edges, 2))
 
 
 def write_json(path, payload: dict, indent: int | None = None) -> None:

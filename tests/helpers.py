@@ -17,6 +17,7 @@ from pushsim import (
     ergodicity_coefficient,
     estimate_average,
     random_strongly_connected,
+    replay,
     run_protocol,
 )
 from pushsim.adversary import POST_TRANSIENT_ROUND
@@ -232,6 +233,24 @@ def spoiled(trace: Trace, target: int, data) -> Trace:
     edge_w[data.draw(st.integers(0, rounds - 1), label="zero out-weight round"), list(g.out_edges[target])] = 0.0
     return Trace(trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread, edge_w,
                  trace.self_w.copy(), trace.alpha.copy(), states, sent)
+
+
+def one_shot_replay_consistency(trace: Trace) -> tuple[str, str]:
+    """Reference for check_invariants' replay_consistency (status, detail):
+    every state and every transmitted product compared in one np.isclose."""
+    redone = replay(trace)
+    labels = STATE_KEYS[trace.protocol]
+    rows = len(labels)
+    state_off = ~np.isclose(trace.states[1:, :rows], redone.states[1:, :rows], rtol=1e-9, atol=1e-12).all(axis=2)
+    sent_off = ~np.isclose(trace.sent, redone.sent, rtol=1e-9, atol=1e-12).all(axis=2)
+    hits = np.flatnonzero(state_off.any(axis=1) | sent_off.any(axis=1))
+    if not hits.size:
+        return "pass", "states and products match a fresh replay"
+    k = int(hits[0])
+    if state_off[k].any():
+        return "fail", f"round {k}: recorded {labels[int(np.argmax(state_off[k]))]} diverges from replay"
+    edge = trace.graph.sorted_edges[int(np.argmax(sent_off[k]))]
+    return "fail", f"round {k}: transmitted product on edge {edge} diverges from replay"
 
 
 def augmented_matrix(p_k: np.ndarray, alpha_k: np.ndarray) -> np.ndarray:

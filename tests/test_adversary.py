@@ -9,6 +9,7 @@ from pushsim import (
     attack_report,
     build_coalition_view,
     build_digraph,
+    check_invariants,
     coalition_reconstruct,
     demo_digraph,
     eavesdrop,
@@ -237,6 +238,28 @@ def test_equivalent_trace_zero_offset_is_identity() -> None:
     trace = demo_trace("decomposed", 3, rounds=20)
     rewritten = equivalent_trace(trace, 1, 5, 0.0)
     assert list(trace_lines(rewritten)) == list(trace_lines(trace))
+
+
+@pytest.mark.parametrize("i,m", [(1, 5), (1, 2)], ids=["m_sends_to_i", "i_sends_to_m"])
+def test_equivalent_trace_on_recorded_and_derived_products(i, m) -> None:
+    """A recorded trace gets the repaired round-0 product in a copy of its
+    products; a derived one records none and derives the same bits."""
+    derived = demo_trace("decomposed", 11, rounds=30)
+    original = derived.sent
+    recorded = Trace(derived.protocol, derived.graph, derived.x0, derived.seed, derived.spread, derived.edge_w,
+                     derived.self_w, derived.alpha, derived.states, original.copy())
+    from_derived = equivalent_trace(derived, i, m, 7.5)
+    from_recorded = equivalent_trace(recorded, i, m, 7.5)
+    assert from_derived.recorded_sent is None
+    assert from_recorded.recorded_sent is not recorded.recorded_sent
+    assert recorded.recorded_sent.tobytes() == original.tobytes()
+    assert from_recorded.recorded_sent.tobytes() == from_derived.sent.tobytes()
+    # only the repaired edge's round-0 product moves
+    moved = np.argwhere(from_derived.sent != original)
+    sender, receiver = (m, i) if (i, m) in derived.graph.edges else (i, m)
+    assert {(int(k), int(e)) for k, e, _ in moved} == {(0, derived.graph.edge_position[(receiver, sender)])}
+    for rewritten in (from_derived, from_recorded):
+        assert [item.status for item in check_invariants(rewritten).items][:4] == ["pass"] * 4
 
 
 def test_equivalent_trace_rejections() -> None:

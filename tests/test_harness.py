@@ -4,12 +4,14 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pushsim import (
     ConfigError,
@@ -25,10 +27,10 @@ import pushsim
 from pushsim import cli, graph as graphmod
 from pushsim.cli import main as cli_main
 from pushsim.harness import ENV_OUTPUT_ROOT, load_config
-from pushsim.protocol import SeedStreams, sample_initial_values
+from pushsim.protocol import SeedStreams, Trace, sample_initial_values
 from pushsim.traceio import TraceFormatError, read_trace
 
-from helpers import v2_trace_lines
+from helpers import one_shot_replay_consistency, protocol_traces, spoiled, v2_trace_lines
 
 
 def small_config(tmp_path: Path, **extra) -> dict:
@@ -626,18 +628,89 @@ def test_v2_fixture_checks_and_matches_run_protocol(tmp_path: Path, capsys) -> N
         (1, lambda r: r.update(seed=-1), "line 1 header invalid: seed: must be a non-negative integer, got -1"),
         (1, lambda r: r.update(n=5.9), "line 1 header invalid: n: must be a non-negative integer, got 5.9"),
         (1, lambda r: r.update(n="5"), "line 1 header invalid: n: must be a non-negative integer, got '5'"),
+        (1, lambda r: r.update(M="abc"), "line 1 header invalid: M: must be null or a number, got 'abc'"),
+        (1, lambda r: r.update(M=True), "line 1 header invalid: M: must be null or a number, got True"),
+        (1, lambda r: r.update(M=[100.0]), "line 1 header invalid: M: must be null or a number, got [100.0]"),
     ],
     ids=["bad_base64", "truncated", "missing_key", "k_order", "format_4", "x0_truncated", "state0_text",
-         "seed_float", "seed_bool", "seed_string", "seed_negative", "n_float", "n_string"],
+         "seed_float", "seed_bool", "seed_string", "seed_negative", "n_float", "n_string", "M_string", "M_bool",
+         "M_list"],
 )
 def test_v2_rejections_exit_two(tmp_path: Path, capsys, line_no, mutate, needle) -> None:
     bad = tampered_copy(write_small_trace(tmp_path), line_no, mutate)
-    with pytest.raises(TraceFormatError, match=needle):
+    with pytest.raises(TraceFormatError, match=re.escape(needle)):
         read_trace(bad)
     capsys.readouterr()
     for command in ("check", "attack"):
         assert cli_main([command, str(bad)]) == 2
         assert needle in capsys.readouterr().err
+
+
+def stringify(values: list) -> list:
+    return [str(v) for v in values]
+
+
+@pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
+@pytest.mark.parametrize(
+    "mutate, needle",
+    [
+        (lambda h: h.update(x0=stringify(h["x0"])), "x0[0]: must be a number, got '"),
+        (lambda h: h["x0"].__setitem__(2, True), "x0[2]: must be a number, got True"),
+        (lambda h: h.update(x0="46.08"), "x0: must be a list of numbers, got '46.08'"),
+        (lambda h: h["state0"].update(x_beta_2=stringify(h["state0"]["x_beta_2"])),
+         "state0.x_beta_2[0]: must be a number, got '2"),
+        (lambda h: h["state0"]["x_alpha_1"].__setitem__(4, None), "state0.x_alpha_1[4]: must be a number, got None"),
+        (lambda h: h.update(M="abc"), "M: must be null or a number, got 'abc'"),
+    ],
+    ids=["x0_strings", "x0_bool", "x0_string", "state0_strings", "state0_null", "M_string"],
+)
+def test_older_header_numbers_exit_two(tmp_path: Path, capsys, fixture, mutate, needle) -> None:
+    """A v1 or v2 header's x0, state0 rows and M take JSON numbers only,
+    never a string, a bool or null coerced to a float."""
+    path = tmp_path / fixture.name
+    path.write_text(fixture.read_text())
+    bad = tampered_copy(path, 1, mutate)
+    with pytest.raises(TraceFormatError, match=re.escape(f"line 1 header invalid: {needle}")):
+        read_trace(bad)
+    capsys.readouterr()
+    for command in ("check", "attack"):
+        assert cli_main([command, str(bad)]) == 2
+        assert needle in capsys.readouterr().err
+
+
+def replay_item(trace: Trace) -> tuple[str, str]:
+    item = next(item for item in check_invariants(trace).items if item.name == "replay_consistency")
+    return item.status, item.detail
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=protocol_traces(), data=st.data())
+def test_blockwise_replay_check_matches_one_shot_oracle(trace: Trace, data) -> None:
+    """replay_consistency compares products a block of rounds at a time and
+    reports the same status and detail as one comparison of every product."""
+    kind = data.draw(st.sampled_from(["derived", "spoiled", "tampered"]), label="kind")
+    if kind == "spoiled":
+        trace = spoiled(trace, data.draw(st.integers(1, trace.graph.n), label="target"), data)
+    elif kind == "tampered":
+        sent = trace.sent.copy()
+        index = tuple(data.draw(st.integers(0, size - 1)) for size in sent.shape)
+        sent[index] *= data.draw(st.sampled_from([1.0 + 1e-12, 1.0 + 1e-6, 1.5, -1.0]), label="factor")
+        trace = Trace(trace.protocol, trace.graph, trace.x0, trace.seed, trace.spread, trace.edge_w,
+                      trace.self_w, trace.alpha, trace.states, sent)
+    assert replay_item(trace) == one_shot_replay_consistency(trace)
+
+
+def test_blockwise_replay_check_matches_oracle_on_v2_fixture(tmp_path: Path) -> None:
+    """Every single-product tamper of the v2 fixture, and the file itself."""
+    trace = read_trace(V2_FIXTURE)
+    assert replay_item(trace) == one_shot_replay_consistency(trace) == ("pass", "states and products match a fresh replay")
+    recorded = trace.recorded_sent
+    for index in np.ndindex(recorded.shape):
+        trace.recorded_sent = recorded.copy()
+        trace.recorded_sent[index] += 1.0
+        assert replay_item(trace) == one_shot_replay_consistency(trace)
+        assert replay_item(trace)[1] == f"round {index[0]}: transmitted product on edge " \
+            f"{trace.graph.sorted_edges[index[1]]} diverges from replay"
 
 
 EDGE_NEEDLE = "edges[0]: must be a pair of integers (receiver, sender), got "

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -640,7 +641,7 @@ def array_traces(draw):
         self_w=fill((rounds, n)),
         alpha=fill((rounds, n)),
         states=fill((rounds + 1, 4, n)),
-        sent=fill((rounds, len(g.sorted_edges), 2)),
+        recorded_sent=fill((rounds, len(g.sorted_edges), 2)),
     )
 
 
@@ -664,6 +665,7 @@ def off_pattern(g) -> np.ndarray:
     return off
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(
     trace=array_traces(),
@@ -692,6 +694,7 @@ def test_v1_reader_restores_json_dumps_trace(tmp_path_factory, trace, extra, str
     assert (back.protocol, back.seed, back.spread, back.graph) == (trace.protocol, trace.seed, trace.spread, trace.graph)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(trace=array_traces(), extra=st.sampled_from([None, {"config_hash": "abc"}]))
 def test_v2_roundtrip_keeps_every_bit(tmp_path_factory, trace, extra) -> None:
@@ -712,6 +715,7 @@ def test_v2_roundtrip_keeps_every_bit(tmp_path_factory, trace, extra) -> None:
     assert (back.protocol, back.seed, back.spread, back.graph) == (trace.protocol, trace.seed, trace.spread, trace.graph)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(trace=array_traces())
 @example(trace=Trace("decomposed", RING3, np.array(ODD_NANS + (-0.0,)), 7, 100.0, np.zeros((0, 3)), np.zeros((0, 3)),
@@ -724,26 +728,76 @@ def test_v3_roundtrip_keeps_every_bit(tmp_path_factory, trace) -> None:
     assert all(sorted(json.loads(line)) == list(ROUND_KEYS) for line in lines[1:])
     back = read_trace(path)
     # every array is raw bytes, the header's x0 and round-0 state included,
-    # so NaN payloads survive; sent is the products of what was read
+    # so NaN payloads survive; the read records no products and derives
+    # them from what was read, inf * 0 and overflow without a warning
     states = stored_states(trace)
     assert back.x0.tobytes() == trace.x0.tobytes()
     assert back.states.tobytes() == states.tobytes()
     assert back.edge_w.tobytes() == trace.edge_w.tobytes()
     assert back.self_w.tobytes() == trace.self_w.tobytes()
     assert back.alpha.tobytes() == trace.alpha.tobytes()
-    with np.errstate(invalid="ignore", over="ignore"):
-        expected = transmissions(trace.graph, trace.edge_w, states)
-    assert back.sent.tobytes() == expected.tobytes()
+    assert back.recorded_sent is None
+    assert back.sent.tobytes() == transmissions(trace.graph, trace.edge_w, states).tobytes()
     assert (back.protocol, back.seed, back.spread, back.graph) == (trace.protocol, trace.seed, trace.spread, trace.graph)
 
 
 @settings(max_examples=30, deadline=None)
 @given(trace=protocol_traces())
 def test_v3_read_restores_recorded_sent(tmp_path_factory, trace) -> None:
-    # a v3 file stores no products: the read recomputes the ones run_protocol recorded
+    # a v3 file stores no products: the read derives the bits run_protocol's trace derives
     path = tmp_path_factory.mktemp("v3sent") / "trace.jsonl"
     write_trace(trace, path)
     assert read_trace(path).sent.tobytes() == trace.sent.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=protocol_traces(), data=st.data())
+def test_products_are_transmissions_on_any_edges_and_rounds(tmp_path_factory, trace, data) -> None:
+    """products(edges, rounds) is transmissions' slice bit for bit; only a
+    recorded trace returns its own values, tampered ones included."""
+    g, rounds = trace.graph, trace.n_rounds
+    edges = data.draw(st.lists(st.integers(0, len(g.sorted_edges) - 1), max_size=12), label="edges")
+    start = data.draw(st.integers(0, rounds), label="start")
+    block = slice(start, data.draw(st.integers(start, rounds + 2), label="stop"))
+    full = transmissions(g, trace.edge_w, trace.states)
+    path = tmp_path_factory.mktemp("products") / "trace.jsonl"
+    write_trace(trace, path)
+    for derived in (trace, replay(trace), read_trace(path)):
+        assert derived.recorded_sent is None
+        assert derived.products(edges).tobytes() == full[:, edges].tobytes()
+        assert derived.products(edges, block).tobytes() == full[block][:, edges].tobytes()
+        assert derived.products(rounds=block).tobytes() == full[block].tobytes()
+        assert derived.sent.tobytes() == full.tobytes()
+    recorded = full.copy()
+    recorded[data.draw(st.integers(0, rounds - 1), label="tampered round")] *= 3.0
+    tampered = Trace(trace.protocol, g, trace.x0, trace.seed, trace.spread, trace.edge_w, trace.self_w,
+                     trace.alpha, trace.states, recorded)
+    assert tampered.sent is recorded
+    assert tampered.products(edges).tobytes() == recorded[:, edges].tobytes()
+    assert tampered.products(edges, block).tobytes() == recorded[block][:, edges].tobytes()
+
+
+def test_run_and_read_hold_no_product_array(tmp_path) -> None:
+    """On the benchmark's 24-node graph (177 edges), the tracemalloc peak of
+    run_protocol over 200 rounds and of read_trace over 60 stays below the
+    returned trace's own arrays plus one (R, E, 2) array's size: the trace
+    and a full product array never fit under it together."""
+    g = random_strongly_connected(24, 0.3, 7)
+    assert len(g.sorted_edges) == 177
+    x0 = sample_initial_values(g.n, {"dist": "uniform", "low": 0.0, "high": 50.0}, SeedStreams(1))
+    path = tmp_path / "trace.jsonl"
+    write_trace(run_protocol(g, x0, "decomposed", 60, 100.0, 1), path)
+    for rounds, call in ((200, lambda: run_protocol(g, x0, "decomposed", 200, 100.0, 1)), (60, lambda: read_trace(path))):
+        tracemalloc.start()
+        try:
+            trace = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.n_rounds == rounds and trace.recorded_sent is None
+        own = sum(a.nbytes for a in (trace.x0, trace.edge_w, trace.self_w, trace.alpha, trace.states))
+        allowance = rounds * len(g.sorted_edges) * 2 * 8
+        assert peak < own + allowance, (rounds, peak, own, allowance)
 
 
 def test_trace_file_rejects_corruption(tmp_path) -> None:
