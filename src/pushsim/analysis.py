@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Trace, estimate_series
+from .protocol import ROUND_BLOCK, Trace, estimate_series, round_blocks
 
 COLUMN_SUM_TOL = 1e-9
 
@@ -69,9 +69,12 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     after round k maps the state at round 1 to the state at round k+1.  The
     round-0 matrix never enters the product or the epsilon statistic.
 
-    Each round refills one 2n x 2n buffer, runs the full matrix product and
-    keeps its column sums, row maxima and row minima; the final product goes
-    through ergodicity_coefficient.  The first failing round raises.
+    Each round refills one 2n x 2n buffer and runs the full matrix product
+    into a spare buffer that it then swaps in.  Column sums, row maxima and
+    row minima go into a (3, ROUND_BLOCK, 2n) buffer, and _spread turns one
+    block of them into delta at a time, so the first failing round raises;
+    epsilon is the minimum of per-block minima.  The final product goes
+    through ergodicity_coefficient.
 
     Args:
         trace: a decomposed-protocol trace with at least 2 rounds.
@@ -92,21 +95,27 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     edge_slots = rows * 2 * n + cols
     self_diag, alpha_diag = flat[: 2 * n * n : 2 * n + 1], flat[2 * n * n :: 2 * n + 1]
     # smallest positive entry of any round matrix; the identity block holds ones
-    weights = (trace.edge_w[1 : last + 1], trace.self_w[1 : last + 1], trace.alpha[1 : last + 1])
-    epsilon = min([1.0] + [float(np.min(w, where=w > 0.0, initial=np.inf)) for w in weights])
-    product = np.eye(2 * n)
-    col_sums, row_max, row_min = np.empty((3, last - 1, 2 * n))
+    epsilon = 1.0
+    product, spare = np.eye(2 * n), np.empty((2 * n, 2 * n))
+    col_sums, row_max, row_min = np.empty((3, ROUND_BLOCK, 2 * n))
+    delta = np.empty(last)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite product fails the column check
-        for r in range(1, last + 1):
-            flat[edge_slots] = trace.edge_w[r]
-            self_diag[:] = trace.self_w[r]
-            alpha_diag[:] = trace.alpha[r]
-            product = m @ product
-            if r < last:
-                product.sum(axis=0, out=col_sums[r - 1])
-                product.max(axis=1, out=row_max[r - 1])
-                product.min(axis=1, out=row_min[r - 1])
-        delta = np.append(_spread(col_sums, row_max, row_min), ergodicity_coefficient(product))
+        for block in round_blocks(1, last + 1):
+            w = np.concatenate([trace.edge_w[block], trace.self_w[block], trace.alpha[block]], axis=1)
+            epsilon = min(epsilon, float(np.min(w, where=w > 0.0, initial=np.inf)))
+            for i, r in enumerate(range(block.start, block.stop)):
+                flat[edge_slots] = trace.edge_w[r]
+                self_diag[:] = trace.self_w[r]
+                alpha_diag[:] = trace.alpha[r]
+                np.matmul(m, product, out=spare)
+                product, spare = spare, product
+                if r < last:
+                    product.sum(axis=0, out=col_sums[i])
+                    product.max(axis=1, out=row_max[i])
+                    product.min(axis=1, out=row_min[i])
+            done = min(block.stop, last) - block.start  # rounds of the block before the last
+            delta[block.start - 1 : block.start - 1 + done] = _spread(col_sums[:done], row_max[:done], row_min[:done])
+        delta[-1] = ergodicity_coefficient(product)
     rounds_arr = np.arange(1, last + 1, dtype=np.int64)
     bound = (1.0 - epsilon**n) ** np.floor_divide(rounds_arr, n)
     return ErgodicityReport(rounds_arr, delta, bound, epsilon, product, limit_column=product[:, 0].copy())

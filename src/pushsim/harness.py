@@ -369,53 +369,27 @@ class InvariantReport:
         return all(item.status != "fail" for item in self.items)
 
 
-# Rounds of transmitted products that replay_consistency compares at once.
-REPLAY_BLOCK = 16
-
-
 def check_invariants(trace_or_path) -> InvariantReport:
     """Check a trace (object or file) against the protocol invariants.
 
     Covered: conservation of both coordinate sums, column stochasticity of
     every round's weights, the zero pattern against the digraph, replay
     consistency of states and transmitted products, and the contraction
-    bound for decomposed traces.
+    bound for decomposed traces.  Column sums, states and products are
+    compared one block of protocol.ROUND_BLOCK rounds at a time, and of the
+    replay only its states are kept, so besides the trace and the replayed
+    states no array grows with the round count.
     """
     trace = trace_or_path
     if not isinstance(trace, protocol.Trace):
         trace = traceio.read_trace(trace_or_path)
     items: list[InvariantResult] = []
-    g = trace.graph
 
     # Each check is written as "not (error <= tolerance)" so that a NaN
-    # fails it: every comparison with NaN is false.
-    s1, s2 = protocol.conserved_sums(trace)
-    held = (np.abs(s1 - s1[0]) <= 1e-9 * max(1.0, abs(s1[0]))) & (
-        np.abs(s2 - s2[0]) <= 1e-9 * max(1.0, abs(s2[0]))
-    )
-    bad = _first(~held)
-    items.append(
-        InvariantResult(
-            "conservation",
-            "pass" if bad is None else "fail",
-            f"sums {s1[0]:.6g}/{s2[0]:.6g} held for {len(s1)} states"
-            if bad is None
-            else f"first violation after round {bad - 1}: sums {s1[bad]:.6g}/{s2[bad]:.6g} vs {s1[0]:.6g}/{s2[0]:.6g}",
-        )
-    )
-
-    bad_detail = None
-    err = np.abs(protocol.column_sums(trace) + trace.alpha - 1.0)
-    k = _first(~(err <= 1e-12).all(axis=1))
-    if k is not None:
-        bad_detail = f"round {k}, sender {int(np.argmax(err[k])) + 1}: column sum off by {err[k].max():.3e}"
-    items.append(
-        InvariantResult(
-            "column_stochasticity",
-            "pass" if bad_detail is None else "fail",
-            bad_detail or "all columns plus retention sum to 1 within 1e-12",
-        )
-    )
+    # fails it: every comparison with NaN is false.  The ones that hold
+    # arrays are functions of their own, so none outlives its check.
+    items.append(_conservation(trace))
+    items.append(_column_stochasticity(trace))
 
     stray = trace.stray_weight
     items.append(
@@ -427,30 +401,7 @@ def check_invariants(trace_or_path) -> InvariantReport:
         )
     )
 
-    bad_detail = None
-    redone = protocol.replay(trace)
-    labels = traceio.STATE_KEYS[trace.protocol]
-    rows = len(labels)
-    state_off = ~np.isclose(trace.states[1:, :rows], redone.states[1:, :rows], rtol=1e-9, atol=1e-12).all(axis=2)
-    # products REPLAY_BLOCK rounds at a time, so no full (R, E, 2) array is ever held
-    sent_off = np.empty((trace.n_rounds, len(g.sorted_edges)), dtype=bool)
-    for start in range(0, trace.n_rounds, REPLAY_BLOCK):
-        block = slice(start, start + REPLAY_BLOCK)
-        close = np.isclose(trace.products(rounds=block), redone.products(rounds=block), rtol=1e-9, atol=1e-12)
-        np.logical_not(close.all(axis=2), out=sent_off[block])
-    k = _first(state_off.any(axis=1) | sent_off.any(axis=1))
-    if k is not None and state_off[k].any():
-        bad_detail = f"round {k}: recorded {labels[int(np.argmax(state_off[k]))]} diverges from replay"
-    elif k is not None:
-        edge = g.sorted_edges[int(np.argmax(sent_off[k]))]
-        bad_detail = f"round {k}: transmitted product on edge {edge} diverges from replay"
-    items.append(
-        InvariantResult(
-            "replay_consistency",
-            "pass" if bad_detail is None else "fail",
-            bad_detail or "states and products match a fresh replay",
-        )
-    )
+    items.append(_replay_consistency(trace))
 
     if trace.protocol == "decomposed" and trace.n_rounds >= 2:
         try:
@@ -481,6 +432,68 @@ def check_invariants(trace_or_path) -> InvariantReport:
             InvariantResult("ergodicity_bound", "skip", "only defined for decomposed traces with 2+ rounds")
         )
     return InvariantReport(items)
+
+
+def _conservation(trace: protocol.Trace) -> InvariantResult:
+    s1, s2 = protocol.conserved_sums(trace)
+    held = (np.abs(s1 - s1[0]) <= 1e-9 * max(1.0, abs(s1[0]))) & (
+        np.abs(s2 - s2[0]) <= 1e-9 * max(1.0, abs(s2[0]))
+    )
+    bad = _first(~held)
+    return InvariantResult(
+        "conservation",
+        "pass" if bad is None else "fail",
+        f"sums {s1[0]:.6g}/{s2[0]:.6g} held for {len(s1)} states"
+        if bad is None
+        else f"first violation after round {bad - 1}: sums {s1[bad]:.6g}/{s2[bad]:.6g} vs {s1[0]:.6g}/{s2[0]:.6g}",
+    )
+
+
+def _column_stochasticity(trace: protocol.Trace) -> InvariantResult:
+    for block in protocol.round_blocks(0, trace.n_rounds):
+        err = np.abs(protocol.column_sums(trace, block) + trace.alpha[block] - 1.0)
+        r = _first(~(err <= 1e-12).all(axis=1))
+        if r is not None:
+            return InvariantResult(
+                "column_stochasticity",
+                "fail",
+                f"round {block.start + r}, sender {int(np.argmax(err[r])) + 1}: column sum off by {err[r].max():.3e}",
+            )
+    return InvariantResult("column_stochasticity", "pass", "all columns plus retention sum to 1 within 1e-12")
+
+
+def _replay_consistency(trace: protocol.Trace) -> InvariantResult:
+    """Recorded states and products against a replay's, within rtol 1e-9 and atol 1e-12.
+
+    The replay's products are derived from the trace's own edge weights,
+    of which the replay's are copies.
+    """
+    replayed = protocol.replay(trace).states
+    g, labels = trace.graph, traceio.STATE_KEYS[trace.protocol]
+    rows = len(labels)
+    for block in protocol.round_blocks(0, trace.n_rounds):
+        after = slice(block.start + 1, block.stop + 1)
+        state_off = ~_close(trace.states[after, :rows], replayed[after, :rows]).all(axis=2)
+        redone = protocol.transmissions(g, trace.edge_w[block], replayed[block.start : block.stop + 1])
+        sent_off = ~_close(trace.products(rounds=block), redone).all(axis=2)
+        r = _first(state_off.any(axis=1) | sent_off.any(axis=1))
+        if r is None:
+            continue
+        if state_off[r].any():
+            detail = f"recorded {labels[int(np.argmax(state_off[r]))]} diverges from replay"
+        else:
+            detail = f"transmitted product on edge {g.sorted_edges[int(np.argmax(sent_off[r]))]} diverges from replay"
+        return InvariantResult("replay_consistency", "fail", f"round {block.start + r}: {detail}")
+    return InvariantResult("replay_consistency", "pass", "states and products match a fresh replay")
+
+
+def _close(recorded: np.ndarray, redone: np.ndarray) -> np.ndarray:
+    """np.isclose(recorded, redone, rtol=1e-9, atol=1e-12), by numpy's own
+    formula but without its argument handling, which costs as much as the
+    arithmetic on one block: within tolerance of a finite replayed value,
+    or equal (so infinities of one sign match and NaN never does)."""
+    with np.errstate(invalid="ignore"):
+        return (np.abs(recorded - redone) <= 1e-12 + 1e-9 * np.abs(redone)) & np.isfinite(redone) | (recorded == redone)
 
 
 def _first(flags: np.ndarray) -> int | None:

@@ -22,7 +22,7 @@ one master seed, so any node's draws replay independently of the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,6 +34,10 @@ ESTIMATE_GUARD = 1e-12
 REDRAW_GUARD = 1e-6
 # Round-0 draws a node may take before M is declared too small to normalize.
 REDRAW_CAP = 10_000
+# Rounds that a whole-run pass after sampling (the round loop, column sums,
+# forward products, the estimates table, the replay check) handles at once,
+# so that none of its temporaries grows with the round count.
+ROUND_BLOCK = 16
 
 # Substream purposes for the seed derivation scheme documented in SeedStreams.
 PURPOSE_INIT_SUBSTATE = 0
@@ -447,30 +451,40 @@ def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray, edges=None
     return sent
 
 
+def round_blocks(start: int, stop: int) -> Iterator[slice]:
+    """Consecutive slices of at most ROUND_BLOCK rounds that cover start..stop-1, each with an exact stop."""
+    return (slice(first, min(first + ROUND_BLOCK, stop)) for first in range(start, stop, ROUND_BLOCK))
+
+
 def _evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray, state0: np.ndarray) -> np.ndarray:
     """States after 0..R rounds from state0, each round written in place into one array.
 
     x_l(k+1) = p_k @ x_l(k) + b_l(k), with p_k one reused dense matrix, and
     b_l(k+1) = alpha(k) * x_l(k) where alpha(k) is nonzero; elsewhere b stays
     the array's +0.0, so a push_sum run (alpha all zero) never takes that step.
+    The edge and self weights are joined into one row per round, and the
+    nonzero-alpha mask built, one block of ROUND_BLOCK rounds at a time.
     """
-    weights = np.concatenate([edge_w, self_w], axis=1)
     p_k = np.zeros((g.n, g.n))
     flat, slots = p_k.reshape(-1), g.weight_slots
     states = np.zeros((len(alpha) + 1,) + state0.shape)
     states[0] = state0
     x1, x2, b1, b2 = states.transpose(1, 0, 2)
     exchanged, retained = states[:, :2], states[:, 2:]
-    keep = alpha != 0.0
-    retains = keep.any(axis=1)
-    for k in range(len(alpha)):
-        flat[slots] = weights[k]
-        np.matmul(p_k, x1[k], out=x1[k + 1])
-        x1[k + 1] += b1[k]
-        np.matmul(p_k, x2[k], out=x2[k + 1])
-        x2[k + 1] += b2[k]
-        if retains[k]:
-            np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[k])
+    for block in round_blocks(0, len(alpha)):
+        weights = np.concatenate([edge_w[block], self_w[block]], axis=1)
+        keep = alpha[block] != 0.0
+        retains = keep.any(axis=1)
+        for r, k in enumerate(range(block.start, block.stop)):
+            flat[slots] = weights[r]
+            new, old = x1[k + 1], x1[k]
+            np.matmul(p_k, old, out=new)
+            new += b1[k]
+            new, old = x2[k + 1], x2[k]
+            np.matmul(p_k, old, out=new)
+            new += b2[k]
+            if retains[r]:
+                np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[r])
     return states
 
 
@@ -494,13 +508,14 @@ def estimate_average(numerator, denominator):
     return out
 
 
-def estimate_series(trace: Trace) -> np.ndarray:
+def estimate_series(trace: Trace, rounds: slice = slice(None)) -> np.ndarray:
     """Per-round ratio estimates, shape (rounds+1, n); NaN where undefined.
 
     Row k holds each node's estimate after k rounds: x1/x2 for push_sum,
-    exchanged-substate ratio for the decomposed protocol.
+    exchanged-substate ratio for the decomposed protocol.  rounds selects
+    a slice of the R+1 rows (step 1) and returns just those.
     """
-    return estimate_average(trace.states[:, 0], trace.states[:, 1])
+    return estimate_average(trace.states[rounds, 0], trace.states[rounds, 1])
 
 
 def retained_ratio_series(trace: Trace) -> np.ndarray:
@@ -566,18 +581,26 @@ def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     return sums[:, 0] + sums[:, 2], sums[:, 1] + sums[:, 3]
 
 
-def column_sums(trace: Trace) -> np.ndarray:
-    """Each sender's weights summed per round, shape (R, n), alpha excluded.
+def column_sums(trace: Trace, rounds: slice = slice(None)) -> np.ndarray:
+    """Each sender's weights summed per round, shape (R, n), alpha excluded;
+    rounds selects a slice of rounds (step 1) and returns just those rows.
 
-    One bincount adds them in row-major slot order, so each sum adds its
-    terms in receiver order, bit for bit as summing a dense weight matrix
-    over its receiver axis does.
+    One bincount per block of ROUND_BLOCK rounds adds them in row-major slot
+    order, so each sum adds its terms in receiver order, bit for bit as
+    summing a dense weight matrix over its receiver axis does.
     """
-    g, rounds = trace.graph, trace.n_rounds
+    g = trace.graph
+    start, stop, _ = rounds.indices(trace.n_rounds)
     order = np.argsort(g.weight_slots)
-    weights = np.concatenate([trace.edge_w, trace.self_w], axis=1)[:, order]
-    bins = np.arange(rounds)[:, None] * g.n + g.weight_slots[order] % g.n
-    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=rounds * g.n).reshape(rounds, g.n)
+    bins = np.arange(ROUND_BLOCK)[:, None] * g.n + g.weight_slots[order] % g.n
+    sums = np.empty((max(stop - start, 0), g.n))
+    for block in round_blocks(start, stop):
+        size = block.stop - block.start
+        weights = np.concatenate([trace.edge_w[block], trace.self_w[block]], axis=1)[:, order]
+        sums[block.start - start : block.stop - start] = np.bincount(
+            bins[:size].ravel(), weights=weights.ravel(), minlength=size * g.n
+        ).reshape(size, g.n)
+    return sums
 
 
 def sample_initial_values(n: int, dist: dict, streams: SeedStreams) -> np.ndarray:

@@ -33,10 +33,12 @@ format.
 Files without a "format" key are format v1 and still read: there every
 round is {k, p, alpha, state, transmitted}, with the dense row-major
 weight matrix and the transmissions as {from, to, l, value} objects, all
-numbers as JSON text.  The reader keeps the edge and diagonal entries of
-each matrix and records where the first nonzero entry elsewhere sits
-(Trace.stray_weight), so the zero_pattern invariant can only fail on a v1
-file.
+numbers as JSON text: ``p``, ``alpha``, the state rows and each ``value``
+must be JSON numbers, and ``k``, ``from``, ``to`` and ``l`` JSON integers;
+a string or a bool is rejected, not coerced.  The reader keeps the edge
+and diagonal entries of each matrix and records where the first nonzero
+entry elsewhere sits (Trace.stray_weight), so the zero_pattern invariant
+can only fail on a v1 file.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .graph import digraph_from_dict, digraph_to_dict
-from .protocol import Trace, estimate_series
+from .protocol import ROUND_BLOCK, Trace, estimate_series
 
 FORMAT = 3
 
@@ -61,12 +63,33 @@ STATE_KEYS = {
     "decomposed": ("x_alpha_1", "x_alpha_2", "x_beta_1", "x_beta_2"),
 }
 
+# Rows of a bundle CSV file that are formatted at once.
+TABLE_CHUNK = 256
+
 # Keys of a round record; a v2 record also holds "sent".
 ROUND_KEYS = ("alpha", "edge_w", "k", "self_w", "state")
 
 
 class TraceFormatError(ValueError):
     """A trace file failed validation; the message names the bad line."""
+
+
+def _number(value, field: str) -> float:
+    """A JSON number as a float; a bool, a string or any other value is
+    rejected, not coerced."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{field}: must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{field}: {exc}") from exc
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer; a bool, a float or a string is rejected, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{field}: must be an integer, got {value!r}")
+    return value
 
 
 def _numbers(values, field: str) -> np.ndarray:
@@ -256,9 +279,11 @@ def _read_rounds_v1(path, fh, trace: Trace) -> None:
         obj = _parse_line(path, line_no + 1, text)
         r = line_no - 1
         try:
-            k = int(obj["k"])
-            p = np.asarray(obj["p"], dtype=np.float64).reshape(n * n)
-            alpha_r = np.asarray(obj["alpha"], dtype=np.float64)
+            k = _integer(obj["k"], "k")
+            p = _numbers(obj["p"], "p")
+            if p.size != n * n:
+                raise ValueError(f"p: holds {p.size} entries, expected {n * n}")
+            alpha_r = _numbers(obj["alpha"], "alpha")
             state = _state_rows(obj["state"], trace.protocol, n, "state")
             sent_list = obj["transmitted"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -277,8 +302,10 @@ def _read_rounds_v1(path, fh, trace: Trace) -> None:
         # None marks a slot no transmission filled; NaN is a value a file can hold
         values = [None] * (2 * n_edges)
         try:
-            for item in sent_list:
-                i, j, l, value = int(item["from"]), int(item["to"]), int(item["l"]), float(item["value"])
+            for t, item in enumerate(sent_list):
+                field = f"transmitted[{t}]"
+                i, j, l = (_integer(item[key], f"{field}.{key}") for key in ("from", "to", "l"))
+                value = _number(item["value"], f"{field}.value")
                 e = edge_position.get((j, i))
                 if e is None or l not in (1, 2):
                     raise ValueError(f"transmission ({i}->{j}, l={l}) does not fit the graph")
@@ -308,16 +335,25 @@ def write_table(path, header, columns, comment: str | None = None) -> None:
     whole, so a seed above 2**64 must stay a Python int and not pass through
     a float array.  A NaN is an empty cell.  No cell needs quoting.  Rows are
     formatted 256 at a time, so the cell strings of a whole table are never
-    in memory at once.  Within such a chunk an array column computes one
-    repr per distinct bit pattern and reuses it for every cell that repeats
-    it, which writes the same bytes as one repr per cell.
+    in memory at once.
+    """
+    chunks = ([col[start : start + TABLE_CHUNK] for col in columns] for start in range(0, len(columns[0]), TABLE_CHUNK))
+    _write_chunks(path, header, chunks, comment)
+
+
+def _write_chunks(path, header, chunks, comment: str | None) -> None:
+    """write_table's file, from an iterable of chunks, each a list of equal-length column pieces.
+
+    Within a chunk an array column computes one repr per distinct bit
+    pattern and reuses it for every cell that repeats it, which writes the
+    same bytes as one repr per cell.
     """
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), 256):
-            cells = [_cells(col[start : start + 256]) for col in columns]
+        for chunk in chunks:
+            cells = [_cells(col) for col in chunk]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -338,10 +374,18 @@ def write_estimates_csv(trace: Trace, path, comment: str | None = None) -> None:
     """Per-round per-node estimates: columns k, node, estimate, abs_error.
 
     abs_error is against the true average of x0; undefined estimates leave
-    both cells empty.
+    both cells empty.  The four columns are built and formatted for a block
+    of whole rounds at a time, at least ROUND_BLOCK rounds and at least
+    TABLE_CHUNK rows, so no column of the whole table is ever held and a
+    small graph's rows are not formatted in many small chunks.
     """
-    est = estimate_series(trace)
-    rounds, n = est.shape
-    k, node = np.arange(rounds).repeat(n), np.tile(np.arange(1, n + 1), rounds)
-    err = np.abs(est - np.mean(trace.x0))
-    write_table(path, ("k", "node", "estimate", "abs_error"), (k, node, est.ravel(), err.ravel()), comment)
+    n, truth = trace.graph.n, np.mean(trace.x0)
+    span = max(ROUND_BLOCK, -(-TABLE_CHUNK // n))
+    nodes = np.tile(np.arange(1, n + 1), span)
+
+    def chunks():
+        for first in range(0, trace.n_rounds + 1, span):
+            est = estimate_series(trace, slice(first, first + span)).ravel()
+            yield np.arange(first, first + est.size // n).repeat(n), nodes[: est.size], est, np.abs(est - truth)
+
+    _write_chunks(path, ("k", "node", "estimate", "abs_error"), chunks(), comment)

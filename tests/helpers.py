@@ -21,8 +21,9 @@ from pushsim import (
     run_protocol,
 )
 from pushsim.adversary import POST_TRANSIENT_ROUND
+from pushsim.analysis import ErgodicityReport, _spread
 from pushsim.graph import digraph_to_dict
-from pushsim.protocol import sample_initial_values
+from pushsim.protocol import ROUND_BLOCK, conserved_sums, estimate_series, sample_initial_values
 from pushsim.traceio import STATE_KEYS
 
 
@@ -329,3 +330,176 @@ def loop_write_table(path, header, columns, comment: str | None = None) -> None:
             values = (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk for chunk in chunks)
             cells = (["" if v != v else repr(v) for v in chunk] for chunk in values)  # v != v: NaN
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+# ---------------------------------------------------------------------------
+# whole-run oracles for the passes that now work in blocks of ROUND_BLOCK rounds
+
+
+def one_shot_evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray,
+                    state0: np.ndarray) -> np.ndarray:
+    """Reference for protocol._evolve: every round's weights joined in one (R, E+n) array and
+    one (R, n) retention mask up front, then the same in-place round loop."""
+    weights = np.concatenate([edge_w, self_w], axis=1)
+    p_k = np.zeros((g.n, g.n))
+    flat, slots = p_k.reshape(-1), g.weight_slots
+    states = np.zeros((len(alpha) + 1,) + state0.shape)
+    states[0] = state0
+    x1, x2, b1, b2 = states.transpose(1, 0, 2)
+    exchanged, retained = states[:, :2], states[:, 2:]
+    keep = alpha != 0.0
+    retains = keep.any(axis=1)
+    for k in range(len(alpha)):
+        flat[slots] = weights[k]
+        np.matmul(p_k, x1[k], out=x1[k + 1])
+        x1[k + 1] += b1[k]
+        np.matmul(p_k, x2[k], out=x2[k + 1])
+        x2[k + 1] += b2[k]
+        if retains[k]:
+            np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[k])
+    return states
+
+
+def one_shot_column_sums(trace: Trace) -> np.ndarray:
+    """Reference for protocol.column_sums: one bincount over the whole (R, E+n) weight array."""
+    g, rounds = trace.graph, trace.n_rounds
+    order = np.argsort(g.weight_slots)
+    weights = np.concatenate([trace.edge_w, trace.self_w], axis=1)[:, order]
+    bins = np.arange(rounds)[:, None] * g.n + g.weight_slots[order] % g.n
+    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=rounds * g.n).reshape(rounds, g.n)
+
+
+def one_shot_forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
+    """Reference for analysis.forward_product: epsilon over every round at once, a new product
+    array per round, and the (3, k-1, 2n) statistics of every round through one _spread."""
+    last = trace.n_rounds - 1 if k is None else k
+    n, n_edges = trace.graph.n, trace.edge_w.shape[1]
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, n:] = np.eye(n)
+    flat = m.reshape(-1)
+    rows, cols = np.divmod(trace.graph.weight_slots[:n_edges], n)
+    edge_slots = rows * 2 * n + cols
+    self_diag, alpha_diag = flat[: 2 * n * n : 2 * n + 1], flat[2 * n * n :: 2 * n + 1]
+    weights = (trace.edge_w[1 : last + 1], trace.self_w[1 : last + 1], trace.alpha[1 : last + 1])
+    epsilon = min([1.0] + [float(np.min(w, where=w > 0.0, initial=np.inf)) for w in weights])
+    product = np.eye(2 * n)
+    col_sums, row_max, row_min = np.empty((3, last - 1, 2 * n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r in range(1, last + 1):
+            flat[edge_slots] = trace.edge_w[r]
+            self_diag[:] = trace.self_w[r]
+            alpha_diag[:] = trace.alpha[r]
+            product = m @ product
+            if r < last:
+                product.sum(axis=0, out=col_sums[r - 1])
+                product.max(axis=1, out=row_max[r - 1])
+                product.min(axis=1, out=row_min[r - 1])
+        delta = np.append(_spread(col_sums, row_max, row_min), ergodicity_coefficient(product))
+    rounds_arr = np.arange(1, last + 1, dtype=np.int64)
+    bound = (1.0 - epsilon**n) ** np.floor_divide(rounds_arr, n)
+    return ErgodicityReport(rounds_arr, delta, bound, epsilon, product, limit_column=product[:, 0].copy())
+
+
+def one_shot_estimates_csv(trace: Trace, path, comment: str | None = None) -> None:
+    """Reference for traceio.write_estimates_csv: the four whole-table columns, one repr per cell."""
+    est = estimate_series(trace)
+    rounds, n = est.shape
+    k, node = np.arange(rounds).repeat(n), np.tile(np.arange(1, n + 1), rounds)
+    err = np.abs(est - np.mean(trace.x0))
+    loop_write_table(path, ("k", "node", "estimate", "abs_error"), (k, node, est.ravel(), err.ravel()), comment)
+
+
+def one_shot_check_invariants(trace: Trace) -> list[tuple[str, str, str]]:
+    """Reference for harness.check_invariants, as (name, status, detail) per check: whole-run
+    column sums, one comparison of every state and product, and one_shot_forward_product."""
+    s1, s2 = conserved_sums(trace)
+    held = (np.abs(s1 - s1[0]) <= 1e-9 * max(1.0, abs(s1[0]))) & (np.abs(s2 - s2[0]) <= 1e-9 * max(1.0, abs(s2[0])))
+    hits = np.flatnonzero(~held)
+    if hits.size:
+        bad = int(hits[0])
+        items = [("conservation", "fail", f"first violation after round {bad - 1}: sums {s1[bad]:.6g}/{s2[bad]:.6g} "
+                  f"vs {s1[0]:.6g}/{s2[0]:.6g}")]
+    else:
+        items = [("conservation", "pass", f"sums {s1[0]:.6g}/{s2[0]:.6g} held for {len(s1)} states")]
+    err = np.abs(one_shot_column_sums(trace) + trace.alpha - 1.0)
+    hits = np.flatnonzero(~(err <= 1e-12).all(axis=1))
+    if hits.size:
+        k = int(hits[0])
+        items.append(("column_stochasticity", "fail",
+                      f"round {k}, sender {int(np.argmax(err[k])) + 1}: column sum off by {err[k].max():.3e}"))
+    else:
+        items.append(("column_stochasticity", "pass", "all columns plus retention sum to 1 within 1e-12"))
+    stray = trace.stray_weight
+    items.append(("zero_pattern", "fail", "round {}: weight on missing edge ({}, {})".format(*stray)) if stray
+                 else ("zero_pattern", "pass", "nonzero weights only on edges and the diagonal"))
+    items.append(("replay_consistency", *one_shot_replay_consistency(trace)))
+    if trace.protocol != "decomposed" or trace.n_rounds < 2:
+        items.append(("ergodicity_bound", "skip", "only defined for decomposed traces with 2+ rounds"))
+        return items
+    try:
+        report = one_shot_forward_product(trace)
+    except ValueError as exc:
+        items.append(("ergodicity_bound", "fail", str(exc)))
+        return items
+    hits = np.flatnonzero(~(report.delta <= report.bound + 1e-12))
+    if hits.size:
+        t = int(hits[0])
+        items.append(("ergodicity_bound", "fail",
+                      f"round {int(report.rounds[t])}: delta {report.delta[t]:.3e} above bound {report.bound[t]:.3e}"))
+    else:
+        items.append(("ergodicity_bound", "pass", f"delta stayed within the bound; final delta {report.delta[-1]:.3e}"))
+    return items
+
+
+def block_edges(block: int) -> tuple[int, ...]:
+    """Round counts on and around the edges of blocks of that many rounds."""
+    return (1, block - 1, block, block + 1, 2 * block + 1)
+
+
+@st.composite
+def block_edge_traces(draw, protocols=PROTOCOLS, extra_rounds: int = 0, nodes=(3, 12),
+                      block=lambda n: ROUND_BLOCK) -> Trace:
+    """run_protocol traces on random strongly connected graphs with nodes[0]
+    to nodes[1] nodes and extra_rounds more rounds than a count in
+    block_edges(block(n))."""
+    n, prob = draw(st.integers(*nodes), label="n"), draw(st.floats(0.0, 0.6), label="prob")
+    g = random_strongly_connected(n, prob, draw(st.integers(0, 1000), label="graph seed"))
+    seed = draw(st.integers(0, 2**40), label="seed")
+    x0 = sample_initial_values(n, {"dist": "uniform", "low": -50.0, "high": 50.0}, SeedStreams(seed))
+    rounds = max(1, draw(st.sampled_from(block_edges(block(n))), label="rounds") + extra_rounds)
+    return run_protocol(g, x0, draw(st.sampled_from(protocols), label="protocol"), rounds, 100.0, seed)
+
+
+def tampered(trace: Trace, data) -> Trace:
+    """A copy of trace with at most one value spoiled, drawn through hypothesis' data.
+
+    The kinds: none; a NaN, a +-inf or a +-0.0 anywhere in the weights,
+    alpha or states (a zero alpha makes a round that retains nothing); an
+    edge or self weight off by an amount that breaks its column sum or not;
+    a state entry after round 0 off by an amount inside or outside the
+    replay tolerance; or recorded products with one scaled.
+    """
+    kind = data.draw(st.sampled_from(["none", "nan", "inf", "zero", "column", "state", "product"]), label="tamper")
+    arrays = {"edge_w": trace.edge_w.copy(), "self_w": trace.self_w.copy(), "alpha": trace.alpha.copy(),
+              "states": trace.states.copy()}
+    sent = None
+
+    def index_into(array, low=0):
+        return (data.draw(st.integers(low, array.shape[0] - 1), label="round"),
+                *(data.draw(st.integers(0, size - 1), label="index") for size in array.shape[1:]))
+
+    if kind in ("nan", "inf", "zero"):
+        values = {"nan": [np.nan], "inf": [np.inf, -np.inf], "zero": [0.0, -0.0]}[kind]
+        array = arrays[data.draw(st.sampled_from(sorted(arrays)), label="array")]
+        array[index_into(array)] = data.draw(st.sampled_from(values), label="value")
+    elif kind == "column":
+        array = arrays[data.draw(st.sampled_from(["edge_w", "self_w"]), label="array")]
+        array[index_into(array)] += data.draw(st.sampled_from([1e-13, 1e-6, 0.25]), label="offset")
+    elif kind == "state":
+        arrays["states"][index_into(arrays["states"], low=1)] += data.draw(
+            st.sampled_from([1e-13, 1e-6, 0.5]), label="offset")
+    elif kind == "product":
+        sent = trace.sent.copy()
+        sent[index_into(sent)] *= data.draw(st.sampled_from([1.0 + 1e-12, 1.0 + 1e-6, 1.5, -1.0]), label="factor")
+    return Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread, arrays["edge_w"],
+                 arrays["self_w"], arrays["alpha"], arrays["states"], sent)

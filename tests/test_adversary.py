@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pushsim import (
     attack_report,
@@ -142,6 +142,51 @@ def test_eavesdrop_and_reports_match_sequential_ledger(trace, spoil, data) -> No
 
 # ---------------------------------------------------------------------------
 # diagnostics
+
+
+def books_tolerance(trace, rounds: np.ndarray) -> np.ndarray:
+    """Absolute tolerance of the books after each of rounds: a few ulps of
+    every term summed so far.  Each round adds the target's exchanged state
+    and takes away an inflow of at most n + 2 weighted states, so the terms
+    are bounded by the largest weight magnitude times the largest exchanged
+    state (or initial value) seen up to that round."""
+    exchanged = np.abs(trace.states[:, :2]).max(axis=(1, 2))
+    scale = np.maximum.accumulate(np.maximum(exchanged, np.abs(trace.x0).max()))[rounds]
+    weights = max(1.0, *(float(np.abs(w).max()) for w in (trace.edge_w, trace.self_w, trace.alpha)))
+    return 8 * np.finfo(np.float64).eps * (rounds + 1) * (trace.graph.n + 2) * weights * scale
+
+
+DEMO_27076 = demo_trace("decomposed", 27076, rounds=200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=protocol_traces(protocols=("decomposed",), min_rounds=2), pick=st.integers(0, 29))
+@example(trace=DEMO_27076, pick=4)
+def test_eavesdropper_books_follow_the_error_law(trace, pick) -> None:
+    """The error law without its division, on the observer's books:
+    s2 = 2 - retained_mass and s1 - x0[t] * s2 = initial_offset *
+    retained_mass + residual, in every round from 1 on, within a tolerance
+    that grows with the round count and the size of the summed terms."""
+    target = 1 + pick % trace.graph.n
+    obs, diag = eavesdrop(trace, target), eavesdropper_diagnostics(trace, target)
+    rounds = np.arange(1, trace.n_rounds)
+    atol = books_tolerance(trace, rounds)
+    assert np.all(np.abs(obs.s2[rounds] - (2.0 - diag.retained_mass[rounds])) <= atol)
+    law = diag.initial_offset * diag.retained_mass[rounds] + diag.residual[rounds]
+    assert np.all(np.abs(obs.s1[rounds] - trace.x0[target - 1] * obs.s2[rounds] - law) <= atol)
+
+
+def test_error_law_books_hold_where_the_estimate_is_ill_conditioned() -> None:
+    """Demo seed 27076, round 33: s2 is -1.5e-6, so dividing by it turns a
+    match of the books to a few ulps into a 0.028 gap between the observed
+    and predicted estimate errors.  The books themselves match."""
+    trace, k = DEMO_27076, np.array([33])
+    obs, diag = eavesdrop(trace, 5), eavesdropper_diagnostics(trace, 5)
+    assert abs(obs.s2[33]) < 2e-6
+    atol = books_tolerance(trace, k)[0]
+    assert abs(obs.s2[33] - (2.0 - diag.retained_mass[33])) <= atol
+    law = diag.initial_offset * diag.retained_mass[33] + diag.residual[33]
+    assert abs(obs.s1[33] - trace.x0[4] * obs.s2[33] - law) <= atol
 
 
 def test_diagnostics_identity_and_accumulators() -> None:

@@ -16,6 +16,7 @@ from pushsim import (
     run_protocol,
 )
 from pushsim.protocol import (
+    ROUND_BLOCK,
     SeedStreams,
     init_decomposed,
     sample_round_weights,
@@ -23,13 +24,17 @@ from pushsim.protocol import (
 
 from helpers import (
     augmented_matrix,
+    block_edge_traces,
+    block_edges,
     decomposed_round,
     dense_forward_product,
     dense_weights,
     loop_convergence_round,
     loop_mse,
+    one_shot_forward_product,
     protocol_traces,
     spoiled,
+    tampered,
     stack_state,
     weight_matrix,
 )
@@ -194,6 +199,28 @@ def test_forward_product_inf_weight_raises_without_warning(value, round_) -> Non
         forward_product(trace)
     assert str(reused.value) == str(dense.value)
     assert "columns must sum to 1" in str(dense.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=block_edge_traces(protocols=("decomposed",), extra_rounds=1), data=st.data())
+def test_blockwise_forward_product_matches_one_shot_oracle(trace, data) -> None:
+    """forward_product, a block of rounds at a time, gives the one-shot loop's
+    bits, or raises its message, for k on and around the block edges and on
+    traces with a NaN, an infinity or a broken column sum."""
+    trace = tampered(trace, data)
+    k = data.draw(st.sampled_from([None, *block_edges(ROUND_BLOCK)]).filter(lambda k: k is None or k < trace.n_rounds),
+                  label="k")
+    try:
+        expected = one_shot_forward_product(trace, k)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            forward_product(trace, k)
+        assert str(raised.value) == str(exc)
+        return
+    report = forward_product(trace, k)
+    for name in ("rounds", "delta", "bound", "product", "limit_column"):
+        assert getattr(report, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert repr(report.epsilon) == repr(expected.epsilon)
 
 
 @settings(max_examples=40, deadline=None)

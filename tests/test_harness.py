@@ -30,7 +30,15 @@ from pushsim.harness import ENV_OUTPUT_ROOT, load_config
 from pushsim.protocol import SeedStreams, Trace, sample_initial_values
 from pushsim.traceio import TraceFormatError, read_trace
 
-from helpers import one_shot_replay_consistency, protocol_traces, spoiled, v2_trace_lines
+from helpers import (
+    block_edge_traces,
+    one_shot_check_invariants,
+    one_shot_replay_consistency,
+    protocol_traces,
+    spoiled,
+    tampered,
+    v2_trace_lines,
+)
 
 
 def small_config(tmp_path: Path, **extra) -> dict:
@@ -678,6 +686,44 @@ def test_older_header_numbers_exit_two(tmp_path: Path, capsys, fixture, mutate, 
         assert needle in capsys.readouterr().err
 
 
+def first_transmission(record: dict) -> dict:
+    return record["transmitted"][0]
+
+
+@pytest.mark.parametrize(
+    "mutate, needle",
+    [
+        (lambda r: r["p"].__setitem__(0, str(r["p"][0])), "p[0]: must be a number, got '"),
+        (lambda r: r["alpha"].__setitem__(1, str(r["alpha"][1])), "alpha[1]: must be a number, got '"),
+        (lambda r: r.update(alpha=stringify(r["alpha"])), "alpha[0]: must be a number, got '"),
+        (lambda r: first_transmission(r).update(value=str(first_transmission(r)["value"])),
+         "transmitted[0].value: must be a number, got '"),
+        (lambda r: first_transmission(r).update(value=True), "transmitted[0].value: must be a number, got True"),
+        (lambda r: r.update(k="1"), "k: must be an integer, got '1'"),
+        (lambda r: r.update(k=1.0), "k: must be an integer, got 1.0"),
+        (lambda r: first_transmission(r).update(l="1"), "transmitted[0].l: must be an integer, got '1'"),
+        (lambda r: first_transmission(r).update(l=True), "transmitted[0].l: must be an integer, got True"),
+        (lambda r: first_transmission(r).update({"from": 2.0}), "transmitted[0].from: must be an integer, got 2.0"),
+        (lambda r: first_transmission(r).update(to="1"), "transmitted[0].to: must be an integer, got '1'"),
+        (lambda r: r.update(p=r["p"][:-1]), "p: holds 24 entries, expected 25"),
+    ],
+    ids=["p_string", "alpha_string", "alpha_strings", "value_string", "value_bool", "k_string", "k_float",
+         "l_string", "l_bool", "from_float", "to_string", "p_short"],
+)
+def test_v1_round_numbers_exit_two(tmp_path: Path, capsys, mutate, needle) -> None:
+    """A v1 round line's p, alpha and transmitted values take JSON numbers only,
+    and k, from, to and l JSON integers, never a string or a bool coerced."""
+    path = tmp_path / V1_FIXTURE.name
+    path.write_text(V1_FIXTURE.read_text())
+    bad = tampered_copy(path, 3, mutate)
+    with pytest.raises(TraceFormatError, match=re.escape(f"line 3 record invalid: {needle}")):
+        read_trace(bad)
+    capsys.readouterr()
+    for command in ("check", "attack"):
+        assert cli_main([command, str(bad)]) == 2
+        assert needle in capsys.readouterr().err
+
+
 def replay_item(trace: Trace) -> tuple[str, str]:
     item = next(item for item in check_invariants(trace).items if item.name == "replay_consistency")
     return item.status, item.detail
@@ -698,6 +744,19 @@ def test_blockwise_replay_check_matches_one_shot_oracle(trace: Trace, data) -> N
         trace = Trace(trace.protocol, trace.graph, trace.x0, trace.seed, trace.spread, trace.edge_w,
                       trace.self_w, trace.alpha, trace.states, sent)
     assert replay_item(trace) == one_shot_replay_consistency(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=block_edge_traces(), data=st.data())
+def test_blockwise_check_matches_one_shot_oracle(trace: Trace, data) -> None:
+    """check_invariants, a block of rounds at a time, reports every check's
+    status and detail, the failing round included, as whole-run passes do,
+    on round counts at the block edges and on spoiled traces."""
+    trace = tampered(trace, data)
+    with np.errstate(all="ignore"):
+        report = check_invariants(trace)
+        expected = one_shot_check_invariants(trace)
+    assert [(item.name, item.status, item.detail) for item in report.items] == expected
 
 
 def test_blockwise_replay_check_matches_oracle_on_v2_fixture(tmp_path: Path) -> None:

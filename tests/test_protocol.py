@@ -33,25 +33,31 @@ from pushsim import (
     write_estimates_csv,
     write_trace,
 )
-from pushsim import protocol
+from pushsim import analysis, harness, protocol
 from pushsim.protocol import (
     PURPOSE_INIT_SUBSTATE,
     PURPOSE_INITIAL_VALUES,
     PURPOSE_WEIGHTS,
+    ROUND_BLOCK,
     column_sums,
     conserved_sums,
     sample_initial_values,
 )
-from pushsim.traceio import ROUND_KEYS, STATE_KEYS, trace_lines, write_table
+from pushsim.traceio import ROUND_KEYS, STATE_KEYS, TABLE_CHUNK, trace_lines, write_table
 
 from helpers import (
+    block_edge_traces,
     decomposed_round,
     dense_weights,
     loop_states,
     loop_write_table,
+    one_shot_column_sums,
+    one_shot_estimates_csv,
+    one_shot_evolve,
     protocol_traces,
     reference_trace_lines,
     spoiled,
+    tampered,
     v2_trace_lines,
     weight_matrix,
 )
@@ -555,6 +561,26 @@ def test_conservation_under_any_column_stochastic_weights(n, prob, graph_seed, p
     assert np.abs(s2 - s2[0]).max() <= 1e-9 * max(1.0, abs(s2[0]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(trace=block_edge_traces(), data=st.data())
+def test_blockwise_round_loop_and_column_sums_match_one_shot_oracles(trace, data) -> None:
+    """_evolve and column_sums, a block of rounds at a time, give the bits of
+    one pass over the whole run, on round counts at the block edges, on
+    spoiled weights and states and with any rounds retaining nothing; so
+    does any slice of column_sums."""
+    trace = tampered(trace, data)
+    idle = data.draw(arrays(np.bool_, trace.n_rounds), label="rounds retaining nothing")
+    for alpha in (trace.alpha, np.where(idle[:, None], 0.0, trace.alpha)):
+        args = (trace.graph, trace.edge_w, trace.self_w, alpha, trace.states[0])
+        with np.errstate(all="ignore"):
+            assert protocol._evolve(*args).tobytes() == one_shot_evolve(*args).tobytes()
+    sums = one_shot_column_sums(trace)
+    assert column_sums(trace).tobytes() == sums.tobytes()
+    start = data.draw(st.integers(0, trace.n_rounds), label="start")
+    stop = data.draw(st.integers(start, trace.n_rounds), label="stop")
+    assert column_sums(trace, slice(start, stop)).tobytes() == sums[start:stop].tobytes()
+
+
 def test_replay_reproduces_states_exactly() -> None:
     g = demo_digraph()
     x0 = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
@@ -800,6 +826,44 @@ def test_run_and_read_hold_no_product_array(tmp_path) -> None:
         assert peak < own + allowance, (rounds, peak, own, allowance)
 
 
+def test_blockwise_passes_hold_no_temporary_that_grows_with_rounds(tmp_path) -> None:
+    """On the benchmark's 24-node graph, each pass's tracemalloc peak above the
+    whole-run arrays it must hold grows by at most 2x from 200 to 2,000
+    rounds: the report's arrays for forward_product, the returned sums for
+    column_sums, nothing for write_estimates_csv, and for check_invariants
+    the replay, a second trace of the trace's own shapes.  A temporary as
+    long as the run would grow about tenfold."""
+    g = random_strongly_connected(24, 0.3, 7)
+    assert len(g.sorted_edges) == 177
+    x0 = sample_initial_values(g.n, {"dist": "uniform", "low": 0.0, "high": 50.0}, SeedStreams(1))
+
+    def above_held(call, held) -> int:
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - held(result)
+
+    def report_arrays(report):
+        return sum(a.nbytes for a in (report.rounds, report.delta, report.bound, report.product, report.limit_column))
+
+    extra: dict[str, list[int]] = {}
+    for rounds in (200, 2000):
+        trace = run_protocol(g, x0, "decomposed", rounds, 100.0, 1)
+        own = sum(a.nbytes for a in (trace.x0, trace.edge_w, trace.self_w, trace.alpha, trace.states))
+        for name, call, held in (
+            ("forward_product", lambda: analysis.forward_product(trace), report_arrays),
+            ("column_sums", lambda: column_sums(trace), lambda sums: sums.nbytes),
+            ("write_estimates_csv", lambda: write_estimates_csv(trace, tmp_path / "est.csv"), lambda _: 0),
+            ("check_invariants", lambda: harness.check_invariants(trace), lambda _: own),
+        ):
+            extra.setdefault(name, []).append(above_held(call, held))
+    for name, (short, long) in extra.items():
+        assert 0 < long <= 2 * short, (name, short, long)
+
+
 def test_trace_file_rejects_corruption(tmp_path) -> None:
     g = demo_digraph()
     trace = run_protocol(g, np.arange(5.0), "decomposed", 5, 100.0, seed=1)
@@ -837,6 +901,25 @@ def test_estimates_csv(tmp_path) -> None:
     assert len(rows) == 2 + 11 * 5
     k1_node1 = rows[2 + 5].split(",")
     assert float(k1_node1[2]) == pytest.approx(estimate_series(trace)[1, 0])
+
+
+def estimates_span(n: int) -> int:
+    """Rounds in one of write_estimates_csv's chunks on n nodes."""
+    return max(ROUND_BLOCK, -(-TABLE_CHUNK // n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=block_edge_traces(nodes=(3, 30), block=estimates_span), data=st.data())
+def test_blockwise_estimates_csv_matches_whole_table_oracle(tmp_path_factory, trace, data) -> None:
+    """write_estimates_csv, a block of rounds at a time, writes the bytes of
+    the whole-table writer, on round counts at the chunk edges, for small
+    graphs (longer chunks) and larger ones, and on spoiled states."""
+    trace = tampered(trace, data)
+    comment = data.draw(st.one_of(st.none(), st.just("config_hash=abc")), label="comment")
+    where = tmp_path_factory.mktemp("estimates")
+    write_estimates_csv(trace, where / "blocks.csv", comment)
+    one_shot_estimates_csv(trace, where / "oracle.csv", comment)
+    assert (where / "blocks.csv").read_bytes() == (where / "oracle.csv").read_bytes()
 
 
 @st.composite
