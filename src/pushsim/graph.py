@@ -8,16 +8,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 Edge = tuple[int, int]
 
+# Distinct graphs whose instance build_digraph keeps for reuse.
+GRAPH_TABLE = 32
+
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable digraph on nodes 1..n with edge set {(receiver, sender)}."""
+    """Immutable digraph on nodes 1..n with edge set {(receiver, sender)}.
+
+    build_digraph hands one instance to every caller that builds an equal
+    graph, so the cached properties below are shared: their arrays are
+    read-only, and their maps are not to be changed either.
+    """
 
     n: int
     edges: frozenset[Edge]
@@ -56,14 +64,32 @@ class Digraph:
         """Flat indices into an n x n weight matrix: entry [j-1, i-1] of each
         edge (j, i) in sorted_edges order, then the n diagonal entries."""
         edges = np.array(self.sorted_edges, dtype=np.intp).reshape(-1, 2) - 1
-        slots = np.concatenate([edges[:, 0] * self.n + edges[:, 1], np.arange(self.n) * (self.n + 1)])
-        slots.flags.writeable = False
-        return slots
+        return _read_only(np.concatenate([edges[:, 0] * self.n + edges[:, 1], np.arange(self.n) * (self.n + 1)]))
+
+    @cached_property
+    def edge_senders(self) -> np.ndarray:
+        """0-based sender i-1 of each edge (j, i) in sorted_edges order, read-only."""
+        return _read_only(self.weight_slots[: len(self.edges)] % self.n)
+
+    @cached_property
+    def slot_order(self) -> np.ndarray:
+        """The permutation that puts weight_slots in ascending (row-major) order, read-only."""
+        return _read_only(np.argsort(self.weight_slots))
+
+    @cached_property
+    def slot_senders(self) -> np.ndarray:
+        """0-based sender of each weight slot in slot_order, read-only."""
+        return _read_only(self.weight_slots[self.slot_order] % self.n)
 
     @cached_property
     def out_edges(self) -> dict[int, tuple[int, ...]]:
         """Map sender -> positions in sorted_edges of its out-edges, in sorted receiver order."""
         return {i: tuple(self.edge_position[(j, i)] for j in self.out_neighbors[i]) for i in self.nodes}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_digraph(n: int, edges) -> Digraph:
@@ -73,20 +99,32 @@ def build_digraph(n: int, edges) -> Digraph:
     bool, a float or a string is not), an edge is not a pair of integers,
     an endpoint lies outside 1..n, or an edge is a self-loop.  Duplicate
     edges collapse silently.
+
+    Every input is validated; then an equal (n, edge set) returns the
+    instance already built for it, from a table of the last GRAPH_TABLE
+    distinct graphs, so that a graph file, a trace header and the demo graph
+    of one graph share one Digraph and compute its cached properties once
+    per process.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n: need an integer number of nodes >= 1, got {n!r}")
     edge_set = set()
     for t, pair in enumerate(edges):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(type(v) is not int for v in pair):
+        j, i = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (None, None)
+        if type(j) is not int or type(i) is not int:
             raise ValueError(f"edges[{t}]: must be a pair of integers (receiver, sender), got {pair!r}")
-        j, i = pair
         if not (1 <= j <= n) or not (1 <= i <= n):
             raise ValueError(f"edges[{t}]: edge ({j}, {i}) has endpoint outside 1..{n}")
         if j == i:
             raise ValueError(f"edges[{t}]: self-loop ({j}, {i}) not allowed; self-weights are implicit")
         edge_set.add((j, i))
-    return Digraph(n=n, edges=frozenset(edge_set))
+    return _shared_digraph(n, frozenset(edge_set))
+
+
+@lru_cache(maxsize=GRAPH_TABLE)
+def _shared_digraph(n: int, edges: frozenset[Edge]) -> Digraph:
+    """The one Digraph of (n, edges) among the last GRAPH_TABLE distinct graphs asked for."""
+    return Digraph(n=n, edges=edges)
 
 
 def is_strongly_connected(g: Digraph) -> bool:
@@ -138,7 +176,7 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Digr
                 continue
             if rng.random() < extra_edge_prob:
                 edges.add((j, i))
-    return Digraph(n=n, edges=frozenset(edges))
+    return _shared_digraph(n, frozenset(edges))
 
 
 def _graph_rng(seed: int):

@@ -435,7 +435,12 @@ def check_invariants(trace_or_path) -> InvariantReport:
 
 
 def _conservation(trace: protocol.Trace) -> InvariantResult:
-    s1, s2 = protocol.conserved_sums(trace)
+    """Both sums of every state against state 0's; state 0's own sums fail
+    when they are not finite, since no later sum can match them."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        s1, s2 = protocol.conserved_sums(trace)
+    if not (np.isfinite(s1[0]) and np.isfinite(s2[0])):
+        return InvariantResult("conservation", "fail", f"state 0: sums {s1[0]:.6g}/{s2[0]:.6g} are not finite")
     held = (np.abs(s1 - s1[0]) <= 1e-9 * max(1.0, abs(s1[0]))) & (
         np.abs(s2 - s2[0]) <= 1e-9 * max(1.0, abs(s2[0]))
     )
@@ -466,7 +471,7 @@ def _replay_consistency(trace: protocol.Trace) -> InvariantResult:
     """Recorded states and products against a replay's, within rtol 1e-9 and atol 1e-12.
 
     The replay's products are derived from the trace's own edge weights,
-    of which the replay's are copies.
+    which the replay shares.
     """
     replayed = protocol.replay(trace).states
     g, labels = trace.graph, traceio.STATE_KEYS[trace.protocol]

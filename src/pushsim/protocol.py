@@ -440,7 +440,7 @@ def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray, edges=None
     straight into the returned array.  They are computed as the values give
     them, inf * 0 and overflow included, without a warning.
     """
-    senders = g.weight_slots[: len(g.sorted_edges)] % g.n
+    senders = g.edge_senders
     if edges is not None:
         edges = np.asarray(edges, dtype=np.intp)
         edge_w, senders = edge_w[:, edges], senders[edges]
@@ -464,6 +464,8 @@ def _evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarra
     the array's +0.0, so a push_sum run (alpha all zero) never takes that step.
     The edge and self weights are joined into one row per round, and the
     nonzero-alpha mask built, one block of ROUND_BLOCK rounds at a time.
+    Non-finite states propagate as the arithmetic gives them (inf * 0 in
+    the dense product is NaN), without a warning.
     """
     p_k = np.zeros((g.n, g.n))
     flat, slots = p_k.reshape(-1), g.weight_slots
@@ -471,20 +473,21 @@ def _evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarra
     states[0] = state0
     x1, x2, b1, b2 = states.transpose(1, 0, 2)
     exchanged, retained = states[:, :2], states[:, 2:]
-    for block in round_blocks(0, len(alpha)):
-        weights = np.concatenate([edge_w[block], self_w[block]], axis=1)
-        keep = alpha[block] != 0.0
-        retains = keep.any(axis=1)
-        for r, k in enumerate(range(block.start, block.stop)):
-            flat[slots] = weights[r]
-            new, old = x1[k + 1], x1[k]
-            np.matmul(p_k, old, out=new)
-            new += b1[k]
-            new, old = x2[k + 1], x2[k]
-            np.matmul(p_k, old, out=new)
-            new += b2[k]
-            if retains[r]:
-                np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[r])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block in round_blocks(0, len(alpha)):
+            weights = np.concatenate([edge_w[block], self_w[block]], axis=1)
+            keep = alpha[block] != 0.0
+            retains = keep.any(axis=1)
+            for r, k in enumerate(range(block.start, block.stop)):
+                flat[slots] = weights[r]
+                new, old = x1[k + 1], x1[k]
+                np.matmul(p_k, old, out=new)
+                new += b1[k]
+                new, old = x2[k + 1], x2[k]
+                np.matmul(p_k, old, out=new)
+                new += b2[k]
+                if retains[r]:
+                    np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[r])
     return states
 
 
@@ -562,12 +565,14 @@ def replay(trace: Trace) -> Trace:
 
     Applies the round update to the stored weight sequence, ignoring the
     recorded later states and products; the result records no products.
+    Its states are new, and its edge_w, self_w and alpha are the input's own
+    arrays, not copies, so a replay adds only one states array to memory.
     For traces produced by run_protocol the result is bit-identical to the
     original.
     """
-    g, edge_w, self_w, alpha = trace.graph, trace.edge_w.copy(), trace.self_w.copy(), trace.alpha.copy()
-    states = _evolve(g, edge_w, self_w, alpha, trace.states[0])
-    return Trace(trace.protocol, g, trace.x0.copy(), trace.seed, trace.spread, edge_w, self_w, alpha, states)
+    states = _evolve(trace.graph, trace.edge_w, trace.self_w, trace.alpha, trace.states[0])
+    return Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread, trace.edge_w,
+                 trace.self_w, trace.alpha, states)
 
 
 def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
@@ -591,8 +596,8 @@ def column_sums(trace: Trace, rounds: slice = slice(None)) -> np.ndarray:
     """
     g = trace.graph
     start, stop, _ = rounds.indices(trace.n_rounds)
-    order = np.argsort(g.weight_slots)
-    bins = np.arange(ROUND_BLOCK)[:, None] * g.n + g.weight_slots[order] % g.n
+    order = g.slot_order
+    bins = np.arange(ROUND_BLOCK)[:, None] * g.n + g.slot_senders
     sums = np.empty((max(stop - start, 0), g.n))
     for block in round_blocks(start, stop):
         size = block.stop - block.start

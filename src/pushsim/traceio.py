@@ -122,15 +122,15 @@ def _b64(values: np.ndarray) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _from_b64(text, key: str, size: int) -> np.ndarray:
-    """The size float64 values of field key, a base64 string of "<f8" bytes."""
+def _b64_bytes(text, key: str, size: int) -> bytes:
+    """The "<f8" bytes of field key's size values, from its base64 string."""
     try:
         raw = base64.b64decode(text, validate=True)
     except (binascii.Error, TypeError, ValueError) as exc:
         raise ValueError(f"{key} is not base64: {exc}") from exc
     if len(raw) != 8 * size:
         raise ValueError(f"{key} holds {len(raw)} bytes, expected {8 * size}")
-    return np.frombuffer(raw, dtype="<f8")
+    return raw
 
 
 def trace_lines(trace: Trace, extra_header: dict | None = None) -> Iterator[str]:
@@ -191,9 +191,12 @@ def read_trace(path) -> Trace:
     """Load and validate a trace file of format v3, v2 or v1.
 
     Raises TraceFormatError naming the first malformed line.  Rounds are
-    parsed one line at a time into arrays sized by a first pass that counts
-    the lines.  A v3 file holds no products and the trace records none; v2
-    and v1 files keep the products they record in Trace.recorded_sent.
+    parsed and checked one line at a time into arrays sized by a first pass
+    that counts the lines; a v3 or v2 file's base64 fields reach their
+    arrays a block of ROUND_BLOCK lines at a time (_read_rounds_b64).  The
+    header's graph is build_digraph's shared instance of it.  A v3 file
+    holds no products and the trace records none; v2 and v1 files keep the
+    products they record in Trace.recorded_sent.
     """
     with open(path, "r", encoding="utf-8") as fh:
         n_lines = sum(1 for _ in fh)
@@ -214,8 +217,8 @@ def read_trace(path) -> Trace:
             graph = digraph_from_dict(head["graph"])
             n_rows = len(STATE_KEYS[protocol])
             if fmt == FORMAT:
-                x0 = _from_b64(head["x0"], "x0", n).copy()
-                state0 = _from_b64(head["state0"], "state0", n_rows * n).reshape(n_rows, n)
+                x0 = np.frombuffer(_b64_bytes(head["x0"], "x0", n), "<f8").copy()
+                state0 = np.frombuffer(_b64_bytes(head["state0"], "state0", n_rows * n), "<f8").reshape(n_rows, n)
             else:
                 x0 = _numbers(head["x0"], "x0")
                 state0 = _state_rows(head["state0"], protocol, n, "state0")
@@ -244,12 +247,31 @@ def _read_rounds_b64(path, fh, trace: Trace, keys) -> None:
     """Fill a trace's arrays from the base64 round lines of a v3 or v2 file.
 
     keys are the keys each record must hold; a v2 file's hold "sent", which
-    fills trace.recorded_sent.
+    fills trace.recorded_sent.  Each line is parsed and checked on its own,
+    in file order: its JSON, its keys, its k, then each field's base64 and
+    byte count.  A field's bytes are copied into one reused bytearray of a
+    block's size, and every ROUND_BLOCK lines, and after the last, each
+    block goes into its array with one frombuffer, so a read holds at most
+    one block of raw bytes besides the trace and calls numpy once per
+    field and block rather than once per field and line.
     """
     n_rows = len(STATE_KEYS[trace.protocol])
     rows = {"alpha": trace.alpha, "edge_w": trace.edge_w, "self_w": trace.self_w,
             "state": trace.states[1:, :n_rows], "sent": trace.recorded_sent}
-    fields = [(key, rows[key], rows[key].shape[1:], math.prod(rows[key].shape[1:])) for key in keys if key != "k"]
+    block = min(ROUND_BLOCK, trace.n_rounds)
+    # (key, its array, values per round, a view of a block's bytes, which no
+    # write can resize)
+    fields = []
+    for key in keys:
+        if key != "k":
+            size = math.prod(rows[key].shape[1:])
+            fields.append((key, rows[key], size, memoryview(bytearray(8 * size * block))))
+    first = 0
+
+    def flush(stop: int) -> None:
+        for _, array, size, raw in fields:
+            array[first:stop] = np.frombuffer(raw, "<f8", (stop - first) * size).reshape((stop - first,) + array.shape[1:])
+
     for line_no, text in enumerate(fh, start=2):
         obj = _parse_line(path, line_no, text)
         r = line_no - 2
@@ -259,11 +281,17 @@ def _read_rounds_b64(path, fh, trace: Trace, keys) -> None:
         k = obj["k"]
         if type(k) is not int or k != r:
             raise TraceFormatError(f"{path}: line {line_no} record invalid: k={k!r}, expected {r}")
+        at = r - first
         try:
-            for key, array, shape, size in fields:
-                array[r] = _from_b64(obj[key], key, size).reshape(shape)
+            for key, _, size, raw in fields:
+                raw[8 * size * at : 8 * size * (at + 1)] = _b64_bytes(obj[key], key, size)
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {line_no} record invalid: {exc}") from exc
+        if at + 1 == block:
+            flush(r + 1)
+            first = r + 1
+    if first < trace.n_rounds:
+        flush(trace.n_rounds)
 
 
 def _read_rounds_v1(path, fh, trace: Trace) -> None:

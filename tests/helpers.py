@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 
@@ -24,7 +25,7 @@ from pushsim.adversary import POST_TRANSIENT_ROUND
 from pushsim.analysis import ErgodicityReport, _spread
 from pushsim.graph import digraph_to_dict
 from pushsim.protocol import ROUND_BLOCK, conserved_sums, estimate_series, sample_initial_values
-from pushsim.traceio import STATE_KEYS
+from pushsim.traceio import STATE_KEYS, TraceFormatError, _parse_line
 
 
 def weight_matrix(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray) -> np.ndarray:
@@ -415,7 +416,9 @@ def one_shot_check_invariants(trace: Trace) -> list[tuple[str, str, str]]:
     s1, s2 = conserved_sums(trace)
     held = (np.abs(s1 - s1[0]) <= 1e-9 * max(1.0, abs(s1[0]))) & (np.abs(s2 - s2[0]) <= 1e-9 * max(1.0, abs(s2[0])))
     hits = np.flatnonzero(~held)
-    if hits.size:
+    if not (np.isfinite(s1[0]) and np.isfinite(s2[0])):
+        items = [("conservation", "fail", f"state 0: sums {s1[0]:.6g}/{s2[0]:.6g} are not finite")]
+    elif hits.size:
         bad = int(hits[0])
         items = [("conservation", "fail", f"first violation after round {bad - 1}: sums {s1[bad]:.6g}/{s2[bad]:.6g} "
                   f"vs {s1[0]:.6g}/{s2[0]:.6g}")]
@@ -503,3 +506,90 @@ def tampered(trace: Trace, data) -> Trace:
         sent[index_into(sent)] *= data.draw(st.sampled_from([1.0 + 1e-12, 1.0 + 1e-6, 1.5, -1.0]), label="factor")
     return Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread, arrays["edge_w"],
                  arrays["self_w"], arrays["alpha"], arrays["states"], sent)
+
+
+# ---------------------------------------------------------------------------
+# the base64 round reader, one line at a time
+
+
+def row_from_b64(text, key: str, size: int) -> np.ndarray:
+    """The size float64 values of field key, a base64 string of "<f8" bytes."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, TypeError, ValueError) as exc:
+        raise ValueError(f"{key} is not base64: {exc}") from exc
+    if len(raw) != 8 * size:
+        raise ValueError(f"{key} holds {len(raw)} bytes, expected {8 * size}")
+    return np.frombuffer(raw, dtype="<f8")
+
+
+def line_at_a_time_rounds_b64(path, fh, trace: Trace, keys) -> None:
+    """Reference for traceio._read_rounds_b64: every field of every line
+    decoded and stored into its round's row on its own."""
+    n_rows = len(STATE_KEYS[trace.protocol])
+    rows = {"alpha": trace.alpha, "edge_w": trace.edge_w, "self_w": trace.self_w,
+            "state": trace.states[1:, :n_rows], "sent": trace.recorded_sent}
+    fields = [(key, rows[key], rows[key].shape[1:], math.prod(rows[key].shape[1:])) for key in keys if key != "k"]
+    for line_no, text in enumerate(fh, start=2):
+        obj = _parse_line(path, line_no, text)
+        r = line_no - 2
+        missing = [key for key in keys if key not in obj]
+        if missing:
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: missing {', '.join(missing)}")
+        k = obj["k"]
+        if type(k) is not int or k != r:
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: k={k!r}, expected {r}")
+        try:
+            for key, array, shape, size in fields:
+                array[r] = row_from_b64(obj[key], key, size).reshape(shape)
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: {exc}") from exc
+
+
+def corrupt_line(lines: list[str], data) -> list[str]:
+    """A copy of a v3 or v2 file's lines with at most one line spoiled,
+    drawn through hypothesis' data.
+
+    The kinds: none; a base64 field that is not base64 (a bad character, a
+    non-ASCII one, a lost character, or not a string); a base64 field one
+    byte or one value short or one value long; a missing key; a round's k
+    wrong, a float, a string or a bool; a line that is not JSON; or a line
+    that is JSON but not an object.  A header's base64 fields are the v3
+    x0 and state0.
+    """
+    kind = data.draw(st.sampled_from(["none", "base64", "length", "missing", "k", "json", "object"]), label="corrupt")
+    if kind == "none":
+        return lines
+    low = 1 if kind == "k" else 0
+    at = data.draw(st.integers(low, len(lines) - 1), label="line")
+    obj = json.loads(lines[at])
+    if at:
+        b64_keys = sorted(key for key in obj if key != "k")
+    else:
+        b64_keys = ["state0", "x0"] if obj["format"] == 3 else []
+    if kind in ("base64", "length") and not b64_keys:
+        kind = "missing"
+    if kind == "json":
+        text = lines[at][: data.draw(st.integers(0, len(lines[at]) - 1), label="cut")]
+    elif kind == "object":
+        text = data.draw(st.sampled_from([json.dumps(list(obj.values())), "7", '"text"', "null"]), label="non-object")
+    else:
+        if kind == "missing":
+            del obj[data.draw(st.sampled_from(sorted(obj)), label="key")]
+        elif kind == "k":
+            obj["k"] = data.draw(st.sampled_from([obj["k"] + 1, obj["k"] - 1, float(obj["k"]), str(obj["k"]), True]),
+                                 label="k")
+        else:
+            key = data.draw(st.sampled_from(b64_keys), label="key")
+            value = obj[key]
+            if kind == "base64":
+                cut = data.draw(st.integers(0, len(value)), label="position")
+                obj[key] = data.draw(st.sampled_from(
+                    [value[:cut] + "!" + value[cut:], value[:cut] + "\u00e9" + value[cut:],
+                     value[:cut] + value[cut + 1 :], 7, None]), label="value")
+            else:
+                raw = base64.b64decode(value)
+                raw = data.draw(st.sampled_from([raw[:-1], raw[:-8], raw + raw[:8]]), label="bytes")
+                obj[key] = base64.b64encode(raw).decode("ascii")
+        text = json.dumps(obj, sort_keys=True)
+    return lines[:at] + [text] + lines[at + 1 :]

@@ -14,8 +14,12 @@ from pushsim import (
     is_strongly_connected,
     load_digraph,
     random_strongly_connected,
+    read_trace,
+    run_protocol,
     save_digraph,
+    write_trace,
 )
+from pushsim.graph import DEMO_EDGES, GRAPH_TABLE, _shared_digraph, digraph_from_dict, digraph_to_dict
 
 
 def bfs_strongly_connected(n: int, edges) -> bool:
@@ -173,3 +177,53 @@ def test_json_load_validates(tmp_path) -> None:
     path.write_text('{"edges": []}')
     with pytest.raises(ValueError, match="malformed"):
         load_digraph(path)
+
+
+def test_equal_graphs_share_one_instance(tmp_path) -> None:
+    """build_digraph, digraph_from_dict, load_digraph, a trace header, the
+    demo graph and the generator give one object per equal (n, edge set),
+    whatever the order, duplicates and pair types of the input edges."""
+    g = random_strongly_connected(7, 0.25, 11)
+    edges = sorted(g.edges, reverse=True)
+    assert build_digraph(7, edges) is g
+    assert build_digraph(7, [list(e) for e in edges] + [list(edges[0])]) is g
+    assert digraph_from_dict(digraph_to_dict(g)) is g
+    save_digraph(g, tmp_path / "g.json")
+    assert load_digraph(tmp_path / "g.json") is g
+    assert random_strongly_connected(7, 0.25, 11) is g
+    write_trace(run_protocol(g, np.arange(7.0), "decomposed", 3), tmp_path / "trace.jsonl")
+    assert read_trace(tmp_path / "trace.jsonl").graph is g
+    assert demo_digraph() is demo_digraph() is build_digraph(5, sorted(DEMO_EDGES))
+    # equal graphs only: another n or one edge fewer is another object
+    assert build_digraph(8, edges) is not g and build_digraph(8, edges) != g
+    fewer = build_digraph(7, edges[1:])
+    assert fewer is not g and fewer != g
+    # every input is still validated
+    with pytest.raises(ValueError, match=r"edges\[7\]: self-loop"):
+        build_digraph(7, edges[:7] + [(3, 3)])
+    with pytest.raises(ValueError, match=r"edges\[0\]: must be a pair of integers"):
+        build_digraph(7, [(1.0, 2)] + edges)
+
+
+def test_shared_graph_table_stays_bounded() -> None:
+    first = build_digraph(3, ring_edges(3))
+    for n in range(3, 3 + 2 * GRAPH_TABLE):
+        build_digraph(n, ring_edges(n))
+    info = _shared_digraph.cache_info()
+    assert info.maxsize == GRAPH_TABLE and info.currsize <= GRAPH_TABLE
+    # an evicted graph is built anew, equal to the old one
+    again = build_digraph(3, ring_edges(3))
+    assert again == first
+    assert build_digraph(3, ring_edges(3)) is again
+
+
+def test_shared_graph_index_arrays_stay_read_only() -> None:
+    g = build_digraph(4, ring_edges(4) | {(3, 1)})
+    assert g.edge_senders.tolist() == [i - 1 for _, i in g.sorted_edges]
+    assert g.slot_order.tolist() == np.argsort(g.weight_slots).tolist()
+    assert g.slot_senders.tolist() == (np.sort(g.weight_slots) % g.n).tolist()
+    for name in ("weight_slots", "edge_senders", "slot_order", "slot_senders"):
+        array = getattr(build_digraph(4, ring_edges(4) | {(3, 1)}), name)
+        assert array is getattr(g, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1

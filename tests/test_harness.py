@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,25 @@ def test_header_only_trace(tmp_path: Path, capsys) -> None:
 
     assert cli_main(["attack", str(header_only)]) == 2
     assert "trace has no rounds to observe" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run's own overflow warnings
+def test_check_names_state_zero_when_its_sums_are_not_finite(tmp_path: Path, capsys) -> None:
+    """Initial values near the float limit make 2 x0 overflow: the run
+    writes its bundle and exits 0, and check fails conservation at state 0,
+    not "after round -1", with no numpy warning."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(small_config(tmp_path, rounds=20, seeds=[1],
+                                              initials={"dist": "uniform", "low": 1e308, "high": 1.7e308})))
+    assert cli_main(["run", "--config", str(config)]) == 0
+    trace_path = tmp_path / "out" / "seed_1" / "trace.jsonl"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["check", str(trace_path)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "FAIL  conservation: state 0: sums inf/10 are not finite"
+    assert [line.split()[0] for line in printed] == ["FAIL", "PASS", "PASS", "FAIL", "PASS"]
 
 
 def test_corrupt_line_raises_format_error(tmp_path: Path) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from pushsim import (
     write_estimates_csv,
     write_trace,
 )
-from pushsim import analysis, harness, protocol
+from pushsim import analysis, harness, protocol, traceio
 from pushsim.protocol import (
     PURPOSE_INIT_SUBSTATE,
     PURPOSE_INITIAL_VALUES,
@@ -47,8 +48,10 @@ from pushsim.traceio import ROUND_KEYS, STATE_KEYS, TABLE_CHUNK, trace_lines, wr
 
 from helpers import (
     block_edge_traces,
+    corrupt_line,
     decomposed_round,
     dense_weights,
+    line_at_a_time_rounds_b64,
     loop_states,
     loop_write_table,
     one_shot_column_sums,
@@ -767,6 +770,38 @@ def test_v3_roundtrip_keeps_every_bit(tmp_path_factory, trace) -> None:
     assert (back.protocol, back.seed, back.spread, back.graph) == (trace.protocol, trace.seed, trace.spread, trace.graph)
 
 
+def read_or_error(path) -> Trace | str:
+    try:
+        return read_trace(path)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace=block_edge_traces(), fmt=st.sampled_from([2, 3]), data=st.data())
+def test_block_reader_matches_line_at_a_time_oracle(tmp_path_factory, trace, fmt, data) -> None:
+    """A v3 or v2 file of 1, B-1, B, B+1 or 2B+1 rounds (B = ROUND_BLOCK),
+    clean or with one line spoiled, reads as the line-at-a-time reader
+    reads it: equal bytes in every array, or the same TraceFormatError
+    text, line number included."""
+    lines = list(trace_lines(trace)) if fmt == 3 else v2_trace_lines(trace)
+    path = tmp_path_factory.mktemp("blocks") / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in corrupt_line(lines, data)))
+    got = read_or_error(path)
+    with mock.patch.object(traceio, "_read_rounds_b64", line_at_a_time_rounds_b64):
+        expected = read_or_error(path)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    for name in ("x0", "edge_w", "self_w", "alpha", "states"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert (got.recorded_sent is None) == (fmt == 3) == (expected.recorded_sent is None)
+    if fmt == 2:
+        assert got.recorded_sent.tobytes() == expected.recorded_sent.tobytes()
+    assert (got.protocol, got.seed, got.spread, got.graph) == (expected.protocol, expected.seed, expected.spread,
+                                                               expected.graph)
+
+
 @settings(max_examples=30, deadline=None)
 @given(trace=protocol_traces())
 def test_v3_read_restores_recorded_sent(tmp_path_factory, trace) -> None:
@@ -831,8 +866,9 @@ def test_blockwise_passes_hold_no_temporary_that_grows_with_rounds(tmp_path) -> 
     whole-run arrays it must hold grows by at most 2x from 200 to 2,000
     rounds: the report's arrays for forward_product, the returned sums for
     column_sums, nothing for write_estimates_csv, and for check_invariants
-    the replay, a second trace of the trace's own shapes.  A temporary as
-    long as the run would grow about tenfold."""
+    the replay's states, an array of the trace's own states' shape (the
+    replay shares the trace's weights).  A temporary as long as the run
+    would grow about tenfold."""
     g = random_strongly_connected(24, 0.3, 7)
     assert len(g.sorted_edges) == 177
     x0 = sample_initial_values(g.n, {"dist": "uniform", "low": 0.0, "high": 50.0}, SeedStreams(1))
@@ -852,12 +888,11 @@ def test_blockwise_passes_hold_no_temporary_that_grows_with_rounds(tmp_path) -> 
     extra: dict[str, list[int]] = {}
     for rounds in (200, 2000):
         trace = run_protocol(g, x0, "decomposed", rounds, 100.0, 1)
-        own = sum(a.nbytes for a in (trace.x0, trace.edge_w, trace.self_w, trace.alpha, trace.states))
         for name, call, held in (
             ("forward_product", lambda: analysis.forward_product(trace), report_arrays),
             ("column_sums", lambda: column_sums(trace), lambda sums: sums.nbytes),
             ("write_estimates_csv", lambda: write_estimates_csv(trace, tmp_path / "est.csv"), lambda _: 0),
-            ("check_invariants", lambda: harness.check_invariants(trace), lambda _: own),
+            ("check_invariants", lambda: harness.check_invariants(trace), lambda _: trace.states.nbytes),
         ):
             extra.setdefault(name, []).append(above_held(call, held))
     for name, (short, long) in extra.items():
