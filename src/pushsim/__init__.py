@@ -12,6 +12,7 @@ from .graph import (
 )
 from .protocol import (
     PROTOCOLS,
+    RoundBlock,
     SeedStreams,
     Trace,
     conserved_sums,
@@ -26,7 +27,7 @@ from .protocol import (
     sample_round_weights,
     transmissions,
 )
-from .traceio import TraceFormatError, read_trace, write_estimates_csv, write_trace
+from .traceio import TraceFormatError, read_blocks, read_trace, write_estimates_csv, write_trace
 from .adversary import (
     CoalitionView,
     EavesdropperDiagnostics,

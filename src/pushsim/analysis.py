@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ROUND_BLOCK, Trace, estimate_series, round_blocks
+from .graph import Digraph
+from .protocol import RoundBlock, Trace, estimate_series
 
 COLUMN_SUM_TOL = 1e-9
 
@@ -67,14 +68,8 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
 
     Multiplication puts each new round's matrix on the left, so the product
     after round k maps the state at round 1 to the state at round k+1.  The
-    round-0 matrix never enters the product or the epsilon statistic.
-
-    Each round refills one 2n x 2n buffer and runs the full matrix product
-    into a spare buffer that it then swaps in.  Column sums, row maxima and
-    row minima go into a (3, ROUND_BLOCK, 2n) buffer, and _spread turns one
-    block of them into delta at a time, so the first failing round raises;
-    epsilon is the minimum of per-block minima.  The final product goes
-    through ergodicity_coefficient.
+    round-0 matrix never enters the product or the epsilon statistic.  The
+    rounds go through a ForwardProduct one block of the trace at a time.
 
     Args:
         trace: a decomposed-protocol trace with at least 2 rounds.
@@ -86,39 +81,75 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     last = final if k is None else int(k)
     if last < 1 or last > final:
         raise ValueError(f"k must be in 1..{final}, got {last}")
-    n, n_edges = trace.graph.n, trace.edge_w.shape[1]
-    # one buffer [[P, I], [diag(alpha), 0]]; each round refills P and alpha
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = np.eye(n)
-    flat = m.reshape(-1)
-    rows, cols = np.divmod(trace.graph.weight_slots[:n_edges], n)
-    edge_slots = rows * 2 * n + cols
-    self_diag, alpha_diag = flat[: 2 * n * n : 2 * n + 1], flat[2 * n * n :: 2 * n + 1]
-    # smallest positive entry of any round matrix; the identity block holds ones
-    epsilon = 1.0
-    product, spare = np.eye(2 * n), np.empty((2 * n, 2 * n))
-    col_sums, row_max, row_min = np.empty((3, ROUND_BLOCK, 2 * n))
-    delta = np.empty(last)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite product fails the column check
-        for block in round_blocks(1, last + 1):
-            w = np.concatenate([trace.edge_w[block], trace.self_w[block], trace.alpha[block]], axis=1)
-            epsilon = min(epsilon, float(np.min(w, where=w > 0.0, initial=np.inf)))
-            for i, r in enumerate(range(block.start, block.stop)):
-                flat[edge_slots] = trace.edge_w[r]
-                self_diag[:] = trace.self_w[r]
-                alpha_diag[:] = trace.alpha[r]
+    product = ForwardProduct(trace.graph, last)
+    for block in trace.blocks():
+        product.add(block)
+    return product.report()
+
+
+class ForwardProduct:
+    """forward_product's accumulation, fed one RoundBlock at a time in round order.
+
+    add multiplies in the matrices of a block's rounds from round 1 up to
+    last (every round when last is None); report gives the ErgodicityReport
+    of the rounds added.  Between blocks only the running product, epsilon
+    and each round's delta are kept.
+
+    In add, each round refills one 2n x 2n buffer and runs the full matrix
+    product into a spare buffer that it then swaps in.  Column sums, row
+    maxima and row minima go into a (3, rounds, 2n) buffer, and _spread
+    turns the block's into delta, so the first failing round raises its
+    ValueError from add; epsilon is the minimum of per-block minima.  The
+    final product goes through ergodicity_coefficient.
+    """
+
+    def __init__(self, graph: Digraph, last: int | None = None):
+        n = graph.n
+        self.n, self.last = n, last
+        rows, cols = np.divmod(graph.weight_slots[: len(graph.sorted_edges)], n)
+        self.edge_slots = rows * 2 * n + cols
+        # smallest positive entry of any round matrix; the identity block holds ones
+        self.epsilon = 1.0
+        self.product = np.eye(2 * n)
+        self.deltas: list[np.ndarray] = []
+
+    def add(self, block: RoundBlock) -> None:
+        first = max(1 - block.start, 0)  # round 0 is left out
+        stop = block.n_rounds if self.last is None else min(block.n_rounds, self.last + 1 - block.start)
+        if first >= stop:
+            return
+        n, edge_slots, product = self.n, self.edge_slots, self.product
+        edge_w, self_w, alpha = block.edge_w[first:stop], block.self_w[first:stop], block.alpha[first:stop]
+        w = np.concatenate([edge_w, self_w, alpha], axis=1)
+        self.epsilon = min(self.epsilon, float(np.min(w, where=w > 0.0, initial=np.inf)))
+        # one buffer [[P, I], [diag(alpha), 0]]; each round refills P and alpha
+        m = np.zeros((2 * n, 2 * n))
+        m[:n, n:] = np.eye(n)
+        flat = m.reshape(-1)
+        self_diag, alpha_diag = flat[: 2 * n * n : 2 * n + 1], flat[2 * n * n :: 2 * n + 1]
+        spare = np.empty_like(product)
+        col_sums, row_max, row_min = np.empty((3, stop - first, 2 * n))
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite product fails the column check
+            for i in range(stop - first):
+                flat[edge_slots] = edge_w[i]
+                self_diag[:] = self_w[i]
+                alpha_diag[:] = alpha[i]
                 np.matmul(m, product, out=spare)
                 product, spare = spare, product
-                if r < last:
-                    product.sum(axis=0, out=col_sums[i])
-                    product.max(axis=1, out=row_max[i])
-                    product.min(axis=1, out=row_min[i])
-            done = min(block.stop, last) - block.start  # rounds of the block before the last
-            delta[block.start - 1 : block.start - 1 + done] = _spread(col_sums[:done], row_max[:done], row_min[:done])
-        delta[-1] = ergodicity_coefficient(product)
-    rounds_arr = np.arange(1, last + 1, dtype=np.int64)
-    bound = (1.0 - epsilon**n) ** np.floor_divide(rounds_arr, n)
-    return ErgodicityReport(rounds_arr, delta, bound, epsilon, product, limit_column=product[:, 0].copy())
+                product.sum(axis=0, out=col_sums[i])
+                product.max(axis=1, out=row_max[i])
+                product.min(axis=1, out=row_min[i])
+            self.product = product
+            self.deltas.append(_spread(col_sums, row_max, row_min))
+
+    def report(self) -> ErgodicityReport:
+        delta = np.concatenate(self.deltas)
+        with np.errstate(invalid="ignore", over="ignore"):
+            delta[-1] = ergodicity_coefficient(self.product)
+        rounds_arr = np.arange(1, delta.size + 1, dtype=np.int64)
+        bound = (1.0 - self.epsilon**self.n) ** np.floor_divide(rounds_arr, self.n)
+        return ErgodicityReport(rounds_arr, delta, bound, self.epsilon, self.product,
+                                limit_column=self.product[:, 0].copy())
 
 
 @dataclass

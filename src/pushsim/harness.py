@@ -187,9 +187,10 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"initials: low {low} is above high {high}")
         if not math.isfinite(high - low):
             raise ConfigError(f"initials: high - low must be finite, got {low} to {high}")
+        magnitude = max(abs(low), abs(high))
     else:
         _check_keys(initials, ("dist", "value"), "initials")
-        _finite(initials.get("value", 0.0), "initials.value")
+        magnitude = abs(_finite(initials.get("value", 0.0), "initials.value"))
     gspec = merged["graph"]
     _check_keys(gspec, ("demo", "file", "generator"), "graph")
     if len(gspec) != 1:
@@ -218,6 +219,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         graphmod.check_protocol_usable(g)
     except ValueError as exc:
         raise ConfigError(f"graph: {exc}") from exc
+    # every state-0 entry is within 2 |x0| + M, and each sum adds two rows of n
+    if not math.isfinite(2.0 * g.n * (magnitude + spread)):
+        raise ConfigError(f"initials: values up to {magnitude:g} in magnitude with M={spread:g} on {g.n} nodes "
+                          f"give state-0 sums up to 2*n*(|x0| + M), which are not finite")
     declared_n = data.get("n")
     if declared_n is not None and _integer(declared_n, "n") != g.n:
         raise ConfigError(f"n: declared {declared_n}, but the graph has {g.n} nodes")
@@ -254,39 +259,70 @@ def _lap(stage_s: dict[str, float], stage: str, start: float) -> float:
     return now
 
 
-def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, stage_s: dict[str, float]) -> dict:
+def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, outdir: Path, chash: str,
+                  stage_s: dict[str, float]) -> dict:
+    """Run one seed, write its files under seed_<seed>/ and return its summary entry.
+
+    Nothing of the run outlives the call but the entry, so a scenario holds
+    one seed's trace and results at a time.
+    """
     start = time.perf_counter()
     x0 = protocol.sample_initial_values(g.n, cfg.initials, protocol.SeedStreams(seed))
     trace = protocol.run_protocol(g, x0, cfg.protocol, cfg.rounds, cfg.spread, seed)
     start = _lap(stage_s, "simulate", start)
     metrics = analysis.run_metrics(trace)
-    result = {
+    convergence = analysis.convergence_round(metrics.abs_error)
+    entry = {
         "seed": seed,
-        "trace": trace,
-        "metrics": metrics,
-        "convergence_round": analysis.convergence_round(metrics.abs_error),
-        "final_max_error": float(np.nanmax(metrics.abs_error[-1])),
+        "convergence_round": convergence,
         "beta_convergence_round": None,
-        "ergodicity": None,
+        "final_max_error": float(np.nanmax(metrics.abs_error[-1])),
     }
+    ergodicity = None
     if cfg.protocol == "decomposed":
-        beta_err = np.abs(protocol.retained_ratio_series(trace) - metrics.target)
-        result["beta_convergence_round"] = analysis.convergence_round(beta_err)
+        entry["beta_convergence_round"] = analysis.convergence_round(
+            np.abs(protocol.retained_ratio_series(trace) - metrics.target))
         if cfg.rounds >= 2:
-            result["ergodicity"] = analysis.forward_product(trace)
+            ergodicity = analysis.forward_product(trace)
     start = _lap(stage_s, "analyse", start)
     target = cfg.attack_target if cfg.attack_target is not None else g.n
-    result["attack"] = adversary.attack_report(trace, target, cfg.threshold)
-    _lap(stage_s, "attack", start)
-    return result
+    attack = adversary.attack_report(trace, target, cfg.threshold)
+    start = _lap(stage_s, "attack", start)
+
+    seed_dir = outdir / f"seed_{seed}"
+    seed_dir.mkdir(exist_ok=True)
+    traceio.write_trace(trace, seed_dir / "trace.jsonl", {"config_hash": chash})
+    traceio.write_estimates_csv(trace, seed_dir / "estimates.csv", f"config_hash={chash}")
+    traceio.write_json(seed_dir / "attack.json", {**attack, "config_hash": chash})
+    adversary.write_attack_csv(attack, seed_dir / "attack.csv", f"config_hash={chash}")
+    entry["attack"] = {
+        "target": attack["target"],
+        "exceedance_count": len(attack["exceedance_rounds"]),
+        "post_transient_exceedance_count": len(attack["post_transient_exceedance_rounds"]),
+        "final_error": attack["final_error"],
+    }
+    if ergodicity is not None:
+        columns = (ergodicity.rounds, ergodicity.delta, ergodicity.bound, metrics.mse[ergodicity.rounds])
+        traceio.write_table(
+            seed_dir / "ergodicity.csv", ("k", "delta", "bound", "mse"), columns, f"config_hash={chash}"
+        )
+        entry["ergodicity"] = {"epsilon": ergodicity.epsilon, "final_delta": float(ergodicity.delta[-1])}
+        traceio.write_json(
+            seed_dir / "ergodicity.json",
+            {**entry["ergodicity"], "convergence_round": convergence, "config_hash": chash},
+        )
+    _lap(stage_s, "write", start)
+    return entry
 
 
 def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
     """Run every seed of a scenario and write the output bundle.
 
-    Seeds run one after another, then every file is written in seed order.
-    The summary's metadata block records the wall time of each stage,
-    summed over seeds.
+    Seeds run one after another, and each writes its own files as soon as
+    it finishes and then drops its trace, so the peak memory does not grow
+    with the seed count; summary.json gathers the per-seed entries.  The
+    summary's metadata block records the wall time of each stage, summed
+    over seeds.
     """
     g = cfg.resolve_graph()
     chash = cfg.config_hash()
@@ -294,51 +330,18 @@ def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
 
     stage_s = dict.fromkeys(("simulate", "analyse", "attack", "write"), 0.0)
-    results = [_run_one_seed(cfg, g, s, stage_s) for s in cfg.seeds]
-
     start = time.perf_counter()
     traceio.write_json(outdir / "config.json", {**cfg.materialized(), "config_hash": chash})
+    _lap(stage_s, "write", start)
 
     runs_summary = []
-    for res in results:
-        seed = res["seed"]
-        seed_dir = outdir / f"seed_{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        traceio.write_trace(res["trace"], seed_dir / "trace.jsonl", {"config_hash": chash})
-        traceio.write_estimates_csv(res["trace"], seed_dir / "estimates.csv", f"config_hash={chash}")
-        traceio.write_json(seed_dir / "attack.json", {**res["attack"], "config_hash": chash})
-        adversary.write_attack_csv(res["attack"], seed_dir / "attack.csv", f"config_hash={chash}")
-        entry = {
-            "seed": seed,
-            "convergence_round": res["convergence_round"],
-            "beta_convergence_round": res["beta_convergence_round"],
-            "final_max_error": res["final_max_error"],
-            "attack": {
-                "target": res["attack"]["target"],
-                "exceedance_count": len(res["attack"]["exceedance_rounds"]),
-                "post_transient_exceedance_count": len(
-                    res["attack"]["post_transient_exceedance_rounds"]
-                ),
-                "final_error": res["attack"]["final_error"],
-            },
-        }
-        if res["ergodicity"] is not None:
-            report = res["ergodicity"]
-            columns = (report.rounds, report.delta, report.bound, res["metrics"].mse[report.rounds])
-            traceio.write_table(
-                seed_dir / "ergodicity.csv", ("k", "delta", "bound", "mse"), columns, f"config_hash={chash}"
-            )
-            entry["ergodicity"] = {"epsilon": report.epsilon, "final_delta": float(report.delta[-1])}
-            traceio.write_json(
-                seed_dir / "ergodicity.json",
-                {**entry["ergodicity"], "convergence_round": res["convergence_round"], "config_hash": chash},
-            )
+    for seed in cfg.seeds:
+        entry = _run_one_seed(cfg, g, seed, outdir, chash, stage_s)
         runs_summary.append(entry)
         if verbose:
-            conv = res["convergence_round"]
+            conv = entry["convergence_round"]
             print(f"seed {seed}: converged at k={conv}" if conv is not None else f"seed {seed}: no convergence within {cfg.rounds} rounds")
 
-    _lap(stage_s, "write", start)
     summary = {
         "config": cfg.materialized(),
         "config_hash": chash,
@@ -375,130 +378,191 @@ def check_invariants(trace_or_path) -> InvariantReport:
     Covered: conservation of both coordinate sums, column stochasticity of
     every round's weights, the zero pattern against the digraph, replay
     consistency of states and transmitted products, and the contraction
-    bound for decomposed traces.  Column sums, states and products are
-    compared one block of protocol.ROUND_BLOCK rounds at a time, and of the
-    replay only its states are kept, so besides the trace and the replayed
-    states no array grows with the round count.
+    bound for decomposed traces.
+
+    Both inputs go one way: as RoundBlocks, from Trace.blocks or from
+    traceio.read_blocks, so a file is read in one pass and never held as a
+    Trace.  Every check runs on each block as it comes, and between blocks
+    keeps only what its result needs: state 0's sums, the last replayed
+    state and the forward product with its per-round delta.  The report is
+    made after the last block, so a malformed line anywhere in a file
+    raises TraceFormatError and no report is returned.
     """
-    trace = trace_or_path
-    if not isinstance(trace, protocol.Trace):
-        trace = traceio.read_trace(trace_or_path)
-    items: list[InvariantResult] = []
-
-    # Each check is written as "not (error <= tolerance)" so that a NaN
-    # fails it: every comparison with NaN is false.  The ones that hold
-    # arrays are functions of their own, so none outlives its check.
-    items.append(_conservation(trace))
-    items.append(_column_stochasticity(trace))
-
-    stray = trace.stray_weight
-    items.append(
-        InvariantResult(
-            "zero_pattern",
-            "pass" if stray is None else "fail",
-            "round {}: weight on missing edge ({}, {})".format(*stray) if stray
-            else "nonzero weights only on edges and the diagonal",
-        )
-    )
-
-    items.append(_replay_consistency(trace))
-
-    if trace.protocol == "decomposed" and trace.n_rounds >= 2:
-        try:
-            report = analysis.forward_product(trace)
-        except ValueError as exc:
-            # e.g. recorded weights whose columns no longer sum to one
-            items.append(InvariantResult("ergodicity_bound", "fail", str(exc)))
-            return InvariantReport(items)
-        t = _first(~(report.delta <= report.bound + 1e-12))
-        if t is not None:
-            items.append(
-                InvariantResult(
-                    "ergodicity_bound",
-                    "fail",
-                    f"round {int(report.rounds[t])}: delta {report.delta[t]:.3e} above bound {report.bound[t]:.3e}",
-                )
-            )
-        else:
-            items.append(
-                InvariantResult(
-                    "ergodicity_bound",
-                    "pass",
-                    f"delta stayed within the bound; final delta {report.delta[-1]:.3e}",
-                )
-            )
+    if isinstance(trace_or_path, protocol.Trace):
+        blocks = trace_or_path.blocks()
     else:
-        items.append(
-            InvariantResult("ergodicity_bound", "skip", "only defined for decomposed traces with 2+ rounds")
-        )
-    return InvariantReport(items)
+        blocks = traceio.read_blocks(trace_or_path)
+    checks = (_Conservation(), _ColumnStochasticity(), _ZeroPattern(), _ReplayConsistency(), _ErgodicityBound())
+    for block in blocks:
+        for check in checks:
+            check.add(block)
+    return InvariantReport([check.result() for check in checks])
 
 
-def _conservation(trace: protocol.Trace) -> InvariantResult:
+class _Check:
+    """One invariant, checked a RoundBlock at a time in round order.
+
+    first_failure(block) gives the detail of the block's first failure, or
+    None; after a failure no later block is looked at.  Each check is
+    written as "not (error <= tolerance)" so that a NaN fails it: every
+    comparison with NaN is false.
+    """
+
+    name = ""
+    passed = ""  # the detail when nothing failed
+
+    def __init__(self) -> None:
+        self.failure: str | None = None
+
+    def add(self, block: protocol.RoundBlock) -> None:
+        if self.failure is None:
+            self.failure = self.first_failure(block)
+
+    def first_failure(self, block: protocol.RoundBlock) -> str | None:
+        raise NotImplementedError
+
+    def result(self) -> InvariantResult:
+        return InvariantResult(self.name, "pass" if self.failure is None else "fail", self.failure or self.passed)
+
+
+class _Conservation(_Check):
     """Both sums of every state against state 0's; state 0's own sums fail
     when they are not finite, since no later sum can match them."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        s1, s2 = protocol.conserved_sums(trace)
-    if not (np.isfinite(s1[0]) and np.isfinite(s2[0])):
-        return InvariantResult("conservation", "fail", f"state 0: sums {s1[0]:.6g}/{s2[0]:.6g} are not finite")
-    held = (np.abs(s1 - s1[0]) <= 1e-9 * max(1.0, abs(s1[0]))) & (
-        np.abs(s2 - s2[0]) <= 1e-9 * max(1.0, abs(s2[0]))
-    )
-    bad = _first(~held)
-    return InvariantResult(
-        "conservation",
-        "pass" if bad is None else "fail",
-        f"sums {s1[0]:.6g}/{s2[0]:.6g} held for {len(s1)} states"
-        if bad is None
-        else f"first violation after round {bad - 1}: sums {s1[bad]:.6g}/{s2[bad]:.6g} vs {s1[0]:.6g}/{s2[0]:.6g}",
-    )
+
+    name = "conservation"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sums = self.states = None
+
+    def first_failure(self, block):
+        with np.errstate(invalid="ignore", over="ignore"):
+            s1, s2 = protocol.conserved_sums(block)
+        if self.sums is None:
+            self.sums = s1[0], s2[0]
+            if not (np.isfinite(s1[0]) and np.isfinite(s2[0])):
+                return f"state 0: sums {s1[0]:.6g}/{s2[0]:.6g} are not finite"
+        a, b = self.sums
+        self.states = block.start + len(s1)
+        bad = _first(~((np.abs(s1 - a) <= 1e-9 * max(1.0, abs(a))) & (np.abs(s2 - b) <= 1e-9 * max(1.0, abs(b)))))
+        if bad is None:
+            return None
+        return f"first violation after round {block.start + bad - 1}: sums {s1[bad]:.6g}/{s2[bad]:.6g} vs {a:.6g}/{b:.6g}"
+
+    def result(self) -> InvariantResult:
+        if self.failure is None:
+            self.passed = "sums {:.6g}/{:.6g} held for {} states".format(*self.sums, self.states)
+        return super().result()
 
 
-def _column_stochasticity(trace: protocol.Trace) -> InvariantResult:
-    for block in protocol.round_blocks(0, trace.n_rounds):
-        err = np.abs(protocol.column_sums(trace, block) + trace.alpha[block] - 1.0)
+class _ColumnStochasticity(_Check):
+    name, passed = "column_stochasticity", "all columns plus retention sum to 1 within 1e-12"
+
+    def first_failure(self, block):
+        err = np.abs(protocol.column_sums(block) + block.alpha - 1.0)
         r = _first(~(err <= 1e-12).all(axis=1))
-        if r is not None:
-            return InvariantResult(
-                "column_stochasticity",
-                "fail",
-                f"round {block.start + r}, sender {int(np.argmax(err[r])) + 1}: column sum off by {err[r].max():.3e}",
-            )
-    return InvariantResult("column_stochasticity", "pass", "all columns plus retention sum to 1 within 1e-12")
+        if r is None:
+            return None
+        return f"round {block.start + r}, sender {int(np.argmax(err[r])) + 1}: column sum off by {err[r].max():.3e}"
 
 
-def _replay_consistency(trace: protocol.Trace) -> InvariantResult:
+class _ZeroPattern(_Check):
+    name, passed = "zero_pattern", "nonzero weights only on edges and the diagonal"
+
+    def first_failure(self, block):
+        stray = block.stray_weight
+        return None if stray is None else "round {}: weight on missing edge ({}, {})".format(*stray)
+
+
+class _ReplayConsistency(_Check):
     """Recorded states and products against a replay's, within rtol 1e-9 and atol 1e-12.
 
-    The replay's products are derived from the trace's own edge weights,
-    which the replay shares.
+    Each block replays from the last state that the replay of the blocks
+    before it reached, state 0 for the first, and never from a recorded
+    state: the whole run is replayed from state 0 and the weights alone.
+    The replay's products are derived from the block's own edge weights.
     """
-    replayed = protocol.replay(trace).states
-    g, labels = trace.graph, traceio.STATE_KEYS[trace.protocol]
-    rows = len(labels)
-    for block in protocol.round_blocks(0, trace.n_rounds):
-        after = slice(block.start + 1, block.stop + 1)
-        state_off = ~_close(trace.states[after, :rows], replayed[after, :rows]).all(axis=2)
-        redone = protocol.transmissions(g, trace.edge_w[block], replayed[block.start : block.stop + 1])
-        sent_off = ~_close(trace.products(rounds=block), redone).all(axis=2)
+
+    name, passed = "replay_consistency", "states and products match a fresh replay"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.carried = None
+
+    def first_failure(self, block):
+        replayed = protocol.replay(block, self.carried).states
+        self.carried = replayed[-1].copy()
+        g, labels = block.graph, traceio.STATE_KEYS[block.protocol]
+        rows = len(labels)
+        # _close overwrites the replayed values it is given, so the products
+        # are derived first; one coordinate at a time halves its temporary
+        recorded, redone = block.products(), protocol.transmissions(g, block.edge_w, replayed)
+        sent_off = ~(_close(recorded[..., 0], redone[..., 0]) & _close(recorded[..., 1], redone[..., 1]))
+        state_off = ~_close(block.states[1:, :rows], replayed[1:, :rows]).all(axis=2)
         r = _first(state_off.any(axis=1) | sent_off.any(axis=1))
         if r is None:
-            continue
+            return None
         if state_off[r].any():
             detail = f"recorded {labels[int(np.argmax(state_off[r]))]} diverges from replay"
         else:
             detail = f"transmitted product on edge {g.sorted_edges[int(np.argmax(sent_off[r]))]} diverges from replay"
-        return InvariantResult("replay_consistency", "fail", f"round {block.start + r}: {detail}")
-    return InvariantResult("replay_consistency", "pass", "states and products match a fresh replay")
+        return f"round {block.start + r}: {detail}"
+
+
+class _ErgodicityBound(_Check):
+    """delta of the forward product within the realized bound, for decomposed traces of 2+ rounds."""
+
+    name = "ergodicity_bound"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.product: analysis.ForwardProduct | None = None
+        self.rounds = 0
+
+    def first_failure(self, block):
+        self.rounds = block.start + block.n_rounds
+        if block.protocol != "decomposed":
+            return None
+        if self.product is None:
+            self.product = analysis.ForwardProduct(block.graph)
+        try:
+            self.product.add(block)
+        except ValueError as exc:  # e.g. recorded weights whose columns no longer sum to one
+            return str(exc)
+        return None
+
+    def result(self) -> InvariantResult:
+        if self.failure is None and (self.product is None or self.rounds < 2):
+            return InvariantResult(self.name, "skip", "only defined for decomposed traces with 2+ rounds")
+        if self.failure is None:
+            report = self.product.report()
+            t = _first(~(report.delta <= report.bound + 1e-12))
+            if t is None:
+                self.passed = f"delta stayed within the bound; final delta {report.delta[-1]:.3e}"
+            else:
+                self.failure = (f"round {int(report.rounds[t])}: delta {report.delta[t]:.3e} "
+                                f"above bound {report.bound[t]:.3e}")
+        return super().result()
 
 
 def _close(recorded: np.ndarray, redone: np.ndarray) -> np.ndarray:
     """np.isclose(recorded, redone, rtol=1e-9, atol=1e-12), by numpy's own
     formula but without its argument handling, which costs as much as the
     arithmetic on one block: within tolerance of a finite replayed value,
-    or equal (so infinities of one sign match and NaN never does)."""
+    or equal (so infinities of one sign match and NaN never does).  It
+    overwrites redone, which must be the caller's own, with |recorded -
+    redone|, so that the comparison makes one temporary of redone's size,
+    the tolerance, rather than three."""
     with np.errstate(invalid="ignore"):
-        return (np.abs(recorded - redone) <= 1e-12 + 1e-9 * np.abs(redone)) & np.isfinite(redone) | (recorded == redone)
+        close = recorded == redone
+        tolerance = np.abs(redone)
+        tolerance *= 1e-9
+        tolerance += 1e-12
+        within = np.isfinite(redone)
+        np.subtract(recorded, redone, out=redone)
+        within &= np.abs(redone, out=redone) <= tolerance
+        close |= within
+        return close
 
 
 def _first(flags: np.ndarray) -> int | None:

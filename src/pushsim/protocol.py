@@ -34,9 +34,9 @@ ESTIMATE_GUARD = 1e-12
 REDRAW_GUARD = 1e-6
 # Round-0 draws a node may take before M is declared too small to normalize.
 REDRAW_CAP = 10_000
-# Rounds that a whole-run pass after sampling (the round loop, column sums,
-# forward products, the estimates table, the replay check) handles at once,
-# so that none of its temporaries grows with the round count.
+# Rounds of a RoundBlock: every whole-run pass after sampling (the round
+# loop, column sums, forward products, the checks, a file read) handles this
+# many at once, so that none of its temporaries grows with the round count.
 ROUND_BLOCK = 16
 
 # Substream purposes for the seed derivation scheme documented in SeedStreams.
@@ -283,6 +283,41 @@ class Trace:
         col[:, i - 1] = self.self_w[:, i - 1]
         return col
 
+    def blocks(self) -> Iterator[RoundBlock]:
+        """The trace's rounds as RoundBlock views into its arrays, in order."""
+        stray = self.stray_weight
+        for first in range(0, max(self.n_rounds, 1), ROUND_BLOCK):
+            stop = min(first + ROUND_BLOCK, self.n_rounds)
+            yield RoundBlock(self.protocol, self.graph, self.x0, self.seed, self.spread, self.edge_w[first:stop],
+                             self.self_w[first:stop], self.alpha[first:stop], self.states[first : stop + 1],
+                             None if self.recorded_sent is None else self.recorded_sent[first:stop],
+                             stray if stray is not None and first <= stray[0] < stop else None, start=first)
+
+
+@dataclass
+class RoundBlock(Trace):
+    """Rounds start .. start + n_rounds - 1 of a trace, as a trace of their own.
+
+    Its edge_w, self_w, alpha and (from a v1 or v2 file) recorded_sent hold
+    those rounds; its states hold n_rounds + 1 rows, from the state before
+    round start on; its stray_weight is the first off-pattern weight among
+    those rounds, with the round counted in the whole trace.  protocol,
+    graph, x0, seed and spread are the whole trace's.
+
+    Every block of a trace holds ROUND_BLOCK rounds but the last, and a
+    trace without rounds is one block without rounds, which holds state 0.
+    Trace.blocks yields views into a trace in memory, and
+    traceio.read_blocks the blocks of a file as it reads them; those are
+    views into buffers that the next block reuses.
+    """
+
+    start: int = 0
+
+    @property
+    def rounds(self) -> slice:
+        """The block's rounds in the whole trace."""
+        return slice(self.start, self.start + self.n_rounds)
+
 
 # ---------------------------------------------------------------------------
 # initialization
@@ -451,44 +486,39 @@ def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray, edges=None
     return sent
 
 
-def round_blocks(start: int, stop: int) -> Iterator[slice]:
-    """Consecutive slices of at most ROUND_BLOCK rounds that cover start..stop-1, each with an exact stop."""
-    return (slice(first, min(first + ROUND_BLOCK, stop)) for first in range(start, stop, ROUND_BLOCK))
-
-
-def _evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray, state0: np.ndarray) -> np.ndarray:
-    """States after 0..R rounds from state0, each round written in place into one array.
+def _evolve(trace: Trace) -> None:
+    """Fill trace.states[1:], which must hold zeros, with the states after
+    each round from trace.states[0], in place, one RoundBlock at a time.
 
     x_l(k+1) = p_k @ x_l(k) + b_l(k), with p_k one reused dense matrix, and
-    b_l(k+1) = alpha(k) * x_l(k) where alpha(k) is nonzero; elsewhere b stays
-    the array's +0.0, so a push_sum run (alpha all zero) never takes that step.
-    The edge and self weights are joined into one row per round, and the
-    nonzero-alpha mask built, one block of ROUND_BLOCK rounds at a time.
-    Non-finite states propagate as the arithmetic gives them (inf * 0 in
-    the dense product is NaN), without a warning.
+    b_l(k+1) = alpha(k) * x_l(k) where alpha(k) is nonzero; elsewhere b keeps
+    its +0.0, so a push_sum run (alpha all zero) never takes that step.  The
+    edge and self weights are joined into one row per round, and the
+    nonzero-alpha mask built, for a block at a time.  Non-finite states
+    propagate as the arithmetic gives them (inf * 0 in the dense product is
+    NaN), without a warning.
     """
+    g = trace.graph
     p_k = np.zeros((g.n, g.n))
     flat, slots = p_k.reshape(-1), g.weight_slots
-    states = np.zeros((len(alpha) + 1,) + state0.shape)
-    states[0] = state0
-    x1, x2, b1, b2 = states.transpose(1, 0, 2)
-    exchanged, retained = states[:, :2], states[:, 2:]
     with np.errstate(invalid="ignore", over="ignore"):
-        for block in round_blocks(0, len(alpha)):
-            weights = np.concatenate([edge_w[block], self_w[block]], axis=1)
-            keep = alpha[block] != 0.0
+        for block in trace.blocks():
+            x1, x2, b1, b2 = block.states.transpose(1, 0, 2)
+            exchanged, retained = block.states[:, :2], block.states[:, 2:]
+            weights = np.concatenate([block.edge_w, block.self_w], axis=1)
+            alpha = block.alpha
+            keep = alpha != 0.0
             retains = keep.any(axis=1)
-            for r, k in enumerate(range(block.start, block.stop)):
-                flat[slots] = weights[r]
+            for k in range(block.n_rounds):
+                flat[slots] = weights[k]
                 new, old = x1[k + 1], x1[k]
                 np.matmul(p_k, old, out=new)
                 new += b1[k]
                 new, old = x2[k + 1], x2[k]
                 np.matmul(p_k, old, out=new)
                 new += b2[k]
-                if retains[r]:
-                    np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[r])
-    return states
+                if retains[k]:
+                    np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[k])
 
 
 # ---------------------------------------------------------------------------
@@ -556,23 +586,27 @@ def run_protocol(g: Digraph, x0, protocol: str, rounds: int, spread: float = 100
     else:
         state0 = init_decomposed(x0, spread, streams)
         edge_w, self_w, alpha = sample_round_weights(g, range(rounds), spread, streams)
-    states = _evolve(g, edge_w, self_w, alpha, state0)
-    return Trace(protocol, g, x0.copy(), seed, spread, edge_w, self_w, alpha, states)
+    trace = Trace(protocol, g, x0.copy(), seed, spread, edge_w, self_w, alpha, np.zeros((rounds + 1, 4, g.n)))
+    trace.states[0] = state0
+    _evolve(trace)
+    return trace
 
 
-def replay(trace: Trace) -> Trace:
-    """Recompute a trace from its initial state and recorded weights.
+def replay(trace: Trace, state0: np.ndarray | None = None) -> Trace:
+    """Recompute a trace from state0, by default its own first state, and its recorded weights.
 
     Applies the round update to the stored weight sequence, ignoring the
     recorded later states and products; the result records no products.
     Its states are new, and its edge_w, self_w and alpha are the input's own
     arrays, not copies, so a replay adds only one states array to memory.
     For traces produced by run_protocol the result is bit-identical to the
-    original.
+    original.  A RoundBlock replays as a trace of its own rounds.
     """
-    states = _evolve(trace.graph, trace.edge_w, trace.self_w, trace.alpha, trace.states[0])
-    return Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread, trace.edge_w,
-                 trace.self_w, trace.alpha, states)
+    out = Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread, trace.edge_w,
+                trace.self_w, trace.alpha, np.zeros((trace.n_rounds + 1, 4, trace.graph.n)))
+    out.states[0] = trace.states[0] if state0 is None else state0
+    _evolve(out)
+    return out
 
 
 def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
@@ -586,25 +620,21 @@ def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     return sums[:, 0] + sums[:, 2], sums[:, 1] + sums[:, 3]
 
 
-def column_sums(trace: Trace, rounds: slice = slice(None)) -> np.ndarray:
-    """Each sender's weights summed per round, shape (R, n), alpha excluded;
-    rounds selects a slice of rounds (step 1) and returns just those rows.
+def column_sums(trace: Trace) -> np.ndarray:
+    """Each sender's weights summed per round, shape (R, n), alpha excluded.
 
-    One bincount per block of ROUND_BLOCK rounds adds them in row-major slot
-    order, so each sum adds its terms in receiver order, bit for bit as
-    summing a dense weight matrix over its receiver axis does.
+    One bincount per block of rounds adds them in row-major slot order, so
+    each sum adds its terms in receiver order, bit for bit as summing a
+    dense weight matrix over its receiver axis does.
     """
     g = trace.graph
-    start, stop, _ = rounds.indices(trace.n_rounds)
-    order = g.slot_order
     bins = np.arange(ROUND_BLOCK)[:, None] * g.n + g.slot_senders
-    sums = np.empty((max(stop - start, 0), g.n))
-    for block in round_blocks(start, stop):
-        size = block.stop - block.start
-        weights = np.concatenate([trace.edge_w[block], trace.self_w[block]], axis=1)[:, order]
-        sums[block.start - start : block.stop - start] = np.bincount(
-            bins[:size].ravel(), weights=weights.ravel(), minlength=size * g.n
-        ).reshape(size, g.n)
+    sums = np.empty((trace.n_rounds, g.n))
+    for block in trace.blocks():
+        size = block.n_rounds
+        weights = np.concatenate([block.edge_w, block.self_w], axis=1)[:, g.slot_order]
+        sums[block.rounds] = np.bincount(bins[:size].ravel(), weights=weights.ravel(),
+                                         minlength=size * g.n).reshape(size, g.n)
     return sums
 
 

@@ -51,7 +51,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .graph import digraph_from_dict, digraph_to_dict
-from .protocol import ROUND_BLOCK, Trace, estimate_series
+from .protocol import ROUND_BLOCK, RoundBlock, Trace, estimate_series
 
 FORMAT = 3
 
@@ -190,89 +190,149 @@ def _header_int(head: dict, key: str) -> int:
 def read_trace(path) -> Trace:
     """Load and validate a trace file of format v3, v2 or v1.
 
-    Raises TraceFormatError naming the first malformed line.  Rounds are
-    parsed and checked one line at a time into arrays sized by a first pass
-    that counts the lines; a v3 or v2 file's base64 fields reach their
-    arrays a block of ROUND_BLOCK lines at a time (_read_rounds_b64).  The
-    header's graph is build_digraph's shared instance of it.  A v3 file
-    holds no products and the trace records none; v2 and v1 files keep the
-    products they record in Trace.recorded_sent.
+    Raises TraceFormatError naming the first malformed line.  This is
+    read_blocks gathered into one Trace.  A first pass counts the lines, so
+    that each array is allocated once at its final size and every block is
+    copied straight into it: arrays grown as the blocks come would copy
+    what they hold at each growth, with old and new held at once, above
+    the trace's own size.  The header's graph is build_digraph's shared
+    instance of it.  A v3 file holds no products and the trace records
+    none; v2 and v1 files keep the products they record in
+    Trace.recorded_sent.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        n_lines = sum(1 for _ in fh)
-        if not n_lines:
-            raise TraceFormatError(f"{path}: empty trace file")
+        rounds = sum(1 for _ in fh) - 1
         fh.seek(0)
-        head = _parse_line(path, 1, fh.readline())
-        fmt = head.get("format", 1)
-        if "format" in head and (type(fmt) is not int or fmt not in (2, FORMAT)):
-            raise TraceFormatError(f"{path}: line 1 header invalid: unknown format {fmt!r}")
-        try:
-            protocol = head["protocol"]
-            if not isinstance(protocol, str):
-                raise ValueError(f"protocol: must be a string, got {protocol!r}")
-            if protocol not in STATE_KEYS:
-                raise ValueError(f"unknown protocol {protocol!r}")
-            n = _header_int(head, "n")
-            graph = digraph_from_dict(head["graph"])
-            n_rows = len(STATE_KEYS[protocol])
-            if fmt == FORMAT:
-                x0 = np.frombuffer(_b64_bytes(head["x0"], "x0", n), "<f8").copy()
-                state0 = np.frombuffer(_b64_bytes(head["state0"], "state0", n_rows * n), "<f8").reshape(n_rows, n)
-            else:
-                x0 = _numbers(head["x0"], "x0")
-                state0 = _state_rows(head["state0"], protocol, n, "state0")
-            seed = _header_int(head, "seed")
-            spread = head["M"]
-            if spread is not None and type(spread) not in (int, float):
-                raise ValueError(f"M: must be null or a number, got {spread!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"{path}: line 1 header invalid: {exc}") from exc
-        if graph.n != n or x0.shape != (n,):
-            raise TraceFormatError(f"{path}: line 1 header invalid: n, graph and x0 disagree")
-
-        rounds, n_edges = n_lines - 1, len(graph.sorted_edges)
-        recorded = None if fmt == FORMAT else np.empty((rounds, n_edges, 2))
-        trace = Trace(protocol, graph, x0, seed, spread, np.empty((rounds, n_edges)), np.empty((rounds, n)),
-                      np.empty((rounds, n)), np.zeros((rounds + 1, 4, n)), recorded)
-        trace.states[0, :n_rows] = state0
-        if fmt == 1:
-            _read_rounds_v1(path, fh, trace)
-        else:
-            _read_rounds_b64(path, fh, trace, ROUND_KEYS if fmt == FORMAT else sorted(ROUND_KEYS + ("sent",)))
+        trace = None
+        for block in _blocks(path, fh):
+            if trace is None:
+                n, n_edges = block.graph.n, len(block.graph.sorted_edges)
+                recorded = None if block.recorded_sent is None else np.empty((rounds, n_edges, 2))
+                trace = Trace(block.protocol, block.graph, block.x0, block.seed, block.spread,
+                              np.empty((rounds, n_edges)), np.empty((rounds, n)), np.empty((rounds, n)),
+                              np.empty((rounds + 1, 4, n)), recorded)
+                trace.states[0] = block.states[0]
+            at = block.rounds
+            trace.edge_w[at], trace.self_w[at], trace.alpha[at] = block.edge_w, block.self_w, block.alpha
+            trace.states[at.start + 1 : at.stop + 1] = block.states[1:]
+            if recorded is not None:
+                recorded[at] = block.recorded_sent
+            trace.stray_weight = trace.stray_weight or block.stray_weight
     return trace
 
 
-def _read_rounds_b64(path, fh, trace: Trace, keys) -> None:
-    """Fill a trace's arrays from the base64 round lines of a v3 or v2 file.
+def read_blocks(path) -> Iterator[RoundBlock]:
+    """The rounds of a trace file of format v3, v2 or v1, as RoundBlocks, in one pass.
 
-    keys are the keys each record must hold; a v2 file's hold "sent", which
-    fills trace.recorded_sent.  Each line is parsed and checked on its own,
-    in file order: its JSON, its keys, its k, then each field's base64 and
-    byte count.  A field's bytes are copied into one reused bytearray of a
-    block's size, and every ROUND_BLOCK lines, and after the last, each
-    block goes into its array with one frombuffer, so a read holds at most
-    one block of raw bytes besides the trace and calls numpy once per
-    field and block rather than once per field and line.
+    Each line is parsed and checked as it is read, with read_trace's checks
+    in read_trace's order, so a malformed line raises the same
+    TraceFormatError when the reader reaches it, after the blocks before it
+    were yielded.  No line count is made, and at most one block of raw
+    bytes is held.  A block's arrays are views into buffers that the next
+    block reuses: copy what must outlive it.
     """
-    n_rows = len(STATE_KEYS[trace.protocol])
-    rows = {"alpha": trace.alpha, "edge_w": trace.edge_w, "self_w": trace.self_w,
-            "state": trace.states[1:, :n_rows], "sent": trace.recorded_sent}
-    block = min(ROUND_BLOCK, trace.n_rounds)
-    # (key, its array, values per round, a view of a block's bytes, which no
-    # write can resize)
-    fields = []
-    for key in keys:
-        if key != "k":
-            size = math.prod(rows[key].shape[1:])
-            fields.append((key, rows[key], size, memoryview(bytearray(8 * size * block))))
-    first = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        yield from _blocks(path, fh)
 
-    def flush(stop: int) -> None:
-        for _, array, size, raw in fields:
-            array[first:stop] = np.frombuffer(raw, "<f8", (stop - first) * size).reshape((stop - first,) + array.shape[1:])
+
+def _header(path, fh) -> tuple[Trace, int]:
+    """A file's first line as a trace without rounds, and the file's format."""
+    text = fh.readline()
+    if not text:
+        raise TraceFormatError(f"{path}: empty trace file")
+    head = _parse_line(path, 1, text)
+    fmt = head.get("format", 1)
+    if "format" in head and (type(fmt) is not int or fmt not in (2, FORMAT)):
+        raise TraceFormatError(f"{path}: line 1 header invalid: unknown format {fmt!r}")
+    try:
+        protocol = head["protocol"]
+        if not isinstance(protocol, str):
+            raise ValueError(f"protocol: must be a string, got {protocol!r}")
+        if protocol not in STATE_KEYS:
+            raise ValueError(f"unknown protocol {protocol!r}")
+        n = _header_int(head, "n")
+        graph = digraph_from_dict(head["graph"])
+        n_rows = len(STATE_KEYS[protocol])
+        if fmt == FORMAT:
+            x0 = np.frombuffer(_b64_bytes(head["x0"], "x0", n), "<f8").copy()
+            state0 = np.frombuffer(_b64_bytes(head["state0"], "state0", n_rows * n), "<f8").reshape(n_rows, n)
+        else:
+            x0 = _numbers(head["x0"], "x0")
+            state0 = _state_rows(head["state0"], protocol, n, "state0")
+        seed = _header_int(head, "seed")
+        spread = head["M"]
+        if spread is not None and type(spread) not in (int, float):
+            raise ValueError(f"M: must be null or a number, got {spread!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"{path}: line 1 header invalid: {exc}") from exc
+    if graph.n != n or x0.shape != (n,):
+        raise TraceFormatError(f"{path}: line 1 header invalid: n, graph and x0 disagree")
+    n_edges = len(graph.sorted_edges)
+    states = np.zeros((1, 4, n))
+    states[0, :n_rows] = state0
+    return Trace(protocol, graph, x0, seed, spread, np.empty((0, n_edges)), np.empty((0, n)), np.empty((0, n)),
+                 states, None if fmt == FORMAT else np.empty((0, n_edges, 2))), fmt
+
+
+def _blocks(path, fh) -> Iterator[RoundBlock]:
+    """read_blocks on an open file at its start.
+
+    The round lines fill one set of block buffers, row at of each for a
+    line's round, with the states one row down: their first row carries the
+    last state of the block before (state 0 for the first block).  Every
+    ROUND_BLOCK lines, and after the last, the filled rows go out as a
+    RoundBlock.
+    """
+    head, fmt = _header(path, fh)
+    if fmt == 1:
+        buffers, store = _v1_rounds(path, head)
+    else:
+        buffers, store = _b64_rounds(path, head, ROUND_KEYS if fmt == FORMAT else sorted(ROUND_KEYS + ("sent",)))
+    states, sent = buffers["states"], buffers.get("sent")
+    states[0] = head.states[0]
+    start = at = 0
+    stray = None
+
+    def block() -> RoundBlock:
+        return RoundBlock(head.protocol, head.graph, head.x0, head.seed, head.spread, buffers["edge_w"][:at],
+                          buffers["self_w"][:at], buffers["alpha"][:at], states[: at + 1],
+                          None if sent is None else sent[:at], stray, start=start)
 
     for line_no, text in enumerate(fh, start=2):
+        found = store(line_no, text, at)
+        stray = stray or found
+        at += 1
+        if at == ROUND_BLOCK:
+            yield block()
+            states[0] = states[at]
+            start, at, stray = start + at, 0, None
+    if at or not start:
+        yield block()
+
+
+def _b64_rounds(path, head: Trace, keys):
+    """Block buffers for a v3 or v2 file, and the function that stores one base64 round line in them.
+
+    keys are the keys each record must hold; a v2 file's hold "sent", which
+    fills recorded_sent.  Each line is parsed and checked on its own: its
+    JSON, its keys, its k, then each field's base64 and byte count.  Each
+    field decodes to bytes, which go into one reused bytearray per field
+    that the buffers view, so no field is copied again before a block goes
+    out; a push_sum state fills the first two rows of its row of states.
+    """
+    n, n_edges = head.graph.n, len(head.graph.sorted_edges)
+    shapes = {"alpha": (n,), "edge_w": (n_edges,), "self_w": (n,), "sent": (n_edges, 2), "state": (4, n)}
+    buffers, fields = {}, []  # fields: (key, values per round, view of its bytes, bytes per row, first row)
+    for key in keys:
+        if key == "k":
+            continue
+        shape, first = shapes[key], int(key == "state")
+        raw = bytearray(8 * (ROUND_BLOCK + first) * math.prod(shape))
+        buffers["states" if first else key] = np.frombuffer(raw, "<f8").reshape((ROUND_BLOCK + first,) + shape)
+        size = len(STATE_KEYS[head.protocol]) * n if first else math.prod(shape)
+        fields.append((key, size, memoryview(raw), 8 * math.prod(shape), first))
+
+    def store(line_no: int, text: str, at: int) -> None:
         obj = _parse_line(path, line_no, text)
         r = line_no - 2
         missing = [key for key in keys if key not in obj]
@@ -281,52 +341,51 @@ def _read_rounds_b64(path, fh, trace: Trace, keys) -> None:
         k = obj["k"]
         if type(k) is not int or k != r:
             raise TraceFormatError(f"{path}: line {line_no} record invalid: k={k!r}, expected {r}")
-        at = r - first
         try:
-            for key, _, size, raw in fields:
-                raw[8 * size * at : 8 * size * (at + 1)] = _b64_bytes(obj[key], key, size)
+            for key, size, raw, row, first in fields:
+                offset = row * (at + first)
+                raw[offset : offset + 8 * size] = _b64_bytes(obj[key], key, size)
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {line_no} record invalid: {exc}") from exc
-        if at + 1 == block:
-            flush(r + 1)
-            first = r + 1
-    if first < trace.n_rounds:
-        flush(trace.n_rounds)
+
+    return buffers, store
 
 
-def _read_rounds_v1(path, fh, trace: Trace) -> None:
-    """Fill a trace's arrays from the JSON-text round lines of a v1 file.
+def _v1_rounds(path, head: Trace):
+    """Block buffers for a v1 file, and the function that stores one JSON-text round line in them.
 
-    Each dense weight matrix gives its edge and diagonal entries; the first
-    nonzero entry anywhere else, NaN included, becomes trace.stray_weight.
+    Each dense weight matrix gives its edge and diagonal entries; the store
+    returns where the first nonzero entry anywhere else, NaN included, sits
+    as (round, receiver, sender), or None.
     """
-    n = trace.graph.n
-    edge_position = trace.graph.edge_position
-    n_edges = len(edge_position)
-    for line_no, text in enumerate(fh, start=1):
-        obj = _parse_line(path, line_no + 1, text)
-        r = line_no - 1
+    g, n = head.graph, head.graph.n
+    n_edges = len(g.sorted_edges)
+    buffers = {"edge_w": np.empty((ROUND_BLOCK, n_edges)), "self_w": np.empty((ROUND_BLOCK, n)),
+               "alpha": np.empty((ROUND_BLOCK, n)), "states": np.zeros((ROUND_BLOCK + 1, 4, n)),
+               "sent": np.empty((ROUND_BLOCK, n_edges, 2))}
+
+    def store(line_no: int, text: str, at: int) -> tuple[int, int, int] | None:
+        obj = _parse_line(path, line_no, text)
+        r = line_no - 2
         try:
             k = _integer(obj["k"], "k")
             p = _numbers(obj["p"], "p")
             if p.size != n * n:
                 raise ValueError(f"p: holds {p.size} entries, expected {n * n}")
             alpha_r = _numbers(obj["alpha"], "alpha")
-            state = _state_rows(obj["state"], trace.protocol, n, "state")
+            state = _state_rows(obj["state"], head.protocol, n, "state")
             sent_list = obj["transmitted"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: {exc}") from exc
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: {exc}") from exc
         if alpha_r.shape != (n,):
-            raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: alpha length")
-        trace.edge_w[r], trace.self_w[r] = np.split(p[trace.graph.weight_slots], [n_edges])
-        p[trace.graph.weight_slots] = 0.0
-        stray = np.flatnonzero(p)
-        if stray.size and trace.stray_weight is None:
-            trace.stray_weight = (r, int(stray[0]) // n + 1, int(stray[0]) % n + 1)
-        trace.alpha[r] = alpha_r
-        trace.states[line_no, : len(state)] = state
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: alpha length")
+        buffers["edge_w"][at], buffers["self_w"][at] = np.split(p[g.weight_slots], [n_edges])
+        p[g.weight_slots] = 0.0
+        off = np.flatnonzero(p)
+        buffers["alpha"][at] = alpha_r
+        buffers["states"][at + 1, : len(state)] = state
         if k != r:
-            raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: k={k}, expected {r}")
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: k={k}, expected {r}")
         # None marks a slot no transmission filled; NaN is a value a file can hold
         values = [None] * (2 * n_edges)
         try:
@@ -334,23 +393,29 @@ def _read_rounds_v1(path, fh, trace: Trace) -> None:
                 field = f"transmitted[{t}]"
                 i, j, l = (_integer(item[key], f"{field}.{key}") for key in ("from", "to", "l"))
                 value = _number(item["value"], f"{field}.value")
-                e = edge_position.get((j, i))
+                e = g.edge_position.get((j, i))
                 if e is None or l not in (1, 2):
                     raise ValueError(f"transmission ({i}->{j}, l={l}) does not fit the graph")
                 values[2 * e + l - 1] = value
         except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"{path}: line {line_no + 1} record invalid: {exc}") from exc
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: {exc}") from exc
         if None in values:
-            raise TraceFormatError(
-                f"{path}: line {line_no + 1} record invalid: incomplete transmission list"
-            )
-        trace.recorded_sent[r] = np.reshape(values, (n_edges, 2))
+            raise TraceFormatError(f"{path}: line {line_no} record invalid: incomplete transmission list")
+        buffers["sent"][at] = np.reshape(values, (n_edges, 2))
+        return (r, int(off[0]) // n + 1, int(off[0]) % n + 1) if off.size else None
+
+    return buffers, store
 
 
 def write_json(path, payload: dict, indent: int | None = None) -> None:
-    """Write a bundle JSON file: json.dump with sorted keys, then one newline."""
+    """Write a bundle JSON file: json.dumps with sorted keys, then one newline.
+
+    json.dumps, not json.dump: without an indent it runs the C encoder,
+    where json.dump's Python encoder leaves reference cycles that hold
+    memory until the garbage collector runs.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=indent)
+        fh.write(json.dumps(payload, sort_keys=True, indent=indent))
         fh.write("\n")
 
 

@@ -25,7 +25,7 @@ from pushsim.adversary import POST_TRANSIENT_ROUND
 from pushsim.analysis import ErgodicityReport, _spread
 from pushsim.graph import digraph_to_dict
 from pushsim.protocol import ROUND_BLOCK, conserved_sums, estimate_series, sample_initial_values
-from pushsim.traceio import STATE_KEYS, TraceFormatError, _parse_line
+from pushsim.traceio import FORMAT, ROUND_KEYS, STATE_KEYS, TraceFormatError, _header, _parse_line, read_trace
 
 
 def weight_matrix(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray) -> np.ndarray:
@@ -473,16 +473,22 @@ def block_edge_traces(draw, protocols=PROTOCOLS, extra_rounds: int = 0, nodes=(3
     return run_protocol(g, x0, draw(st.sampled_from(protocols), label="protocol"), rounds, 100.0, seed)
 
 
-def tampered(trace: Trace, data) -> Trace:
-    """A copy of trace with at most one value spoiled, drawn through hypothesis' data.
+TAMPER_KINDS = ("none", "nan", "inf", "zero", "column", "state", "drift", "product")
+
+
+def tampered(trace: Trace, data, kinds=TAMPER_KINDS) -> Trace:
+    """A copy of trace with at most one value spoiled, of one of the kinds, drawn through hypothesis' data.
 
     The kinds: none; a NaN, a +-inf or a +-0.0 anywhere in the weights,
     alpha or states (a zero alpha makes a round that retains nothing); an
     edge or self weight off by an amount that breaks its column sum or not;
     a state entry after round 0 off by an amount inside or outside the
-    replay tolerance; or recorded products with one scaled.
+    replay tolerance; every state after round 0 drifting, state k scaled by
+    1 + 6.2e-11 k, which stays inside the tolerance over one block of
+    ROUND_BLOCK rounds but not from round ROUND_BLOCK on; or recorded
+    products with one scaled.
     """
-    kind = data.draw(st.sampled_from(["none", "nan", "inf", "zero", "column", "state", "product"]), label="tamper")
+    kind = data.draw(st.sampled_from(kinds), label="tamper")
     arrays = {"edge_w": trace.edge_w.copy(), "self_w": trace.self_w.copy(), "alpha": trace.alpha.copy(),
               "states": trace.states.copy()}
     sent = None
@@ -501,6 +507,8 @@ def tampered(trace: Trace, data) -> Trace:
     elif kind == "state":
         arrays["states"][index_into(arrays["states"], low=1)] += data.draw(
             st.sampled_from([1e-13, 1e-6, 0.5]), label="offset")
+    elif kind == "drift":
+        arrays["states"][1:] *= 1.0 + 6.2e-11 * np.arange(1, trace.n_rounds + 1)[:, None, None]
     elif kind == "product":
         sent = trace.sent.copy()
         sent[index_into(sent)] *= data.draw(st.sampled_from([1.0 + 1e-12, 1.0 + 1e-6, 1.5, -1.0]), label="factor")
@@ -523,8 +531,27 @@ def row_from_b64(text, key: str, size: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8")
 
 
+def line_at_a_time_read_trace(path) -> Trace:
+    """Reference for read_trace on a v3 or v2 file: traceio's header, then
+    line_at_a_time_rounds_b64 into arrays sized by a count of the lines.  A
+    file whose header has no format (a v1 file) goes to read_trace itself."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rounds = sum(1 for _ in fh) - 1
+        fh.seek(0)
+        head, fmt = _header(path, fh)
+        if fmt == 1:
+            return read_trace(path)
+        n, n_edges = head.graph.n, len(head.graph.sorted_edges)
+        trace = Trace(head.protocol, head.graph, head.x0, head.seed, head.spread, np.empty((rounds, n_edges)),
+                      np.empty((rounds, n)), np.empty((rounds, n)), np.zeros((rounds + 1, 4, n)),
+                      None if fmt == FORMAT else np.empty((rounds, n_edges, 2)))
+        trace.states[0] = head.states[0]
+        line_at_a_time_rounds_b64(path, fh, trace, ROUND_KEYS if fmt == FORMAT else sorted(ROUND_KEYS + ("sent",)))
+    return trace
+
+
 def line_at_a_time_rounds_b64(path, fh, trace: Trace, keys) -> None:
-    """Reference for traceio._read_rounds_b64: every field of every line
+    """The base64 round lines of a v3 or v2 file, every field of every line
     decoded and stored into its round's row on its own."""
     n_rows = len(STATE_KEYS[trace.protocol])
     rows = {"alpha": trace.alpha, "edge_w": trace.edge_w, "self_w": trace.self_w,
@@ -547,26 +574,29 @@ def line_at_a_time_rounds_b64(path, fh, trace: Trace, keys) -> None:
 
 
 def corrupt_line(lines: list[str], data) -> list[str]:
-    """A copy of a v3 or v2 file's lines with at most one line spoiled,
-    drawn through hypothesis' data.
+    """A copy of a trace file's lines with at most one line spoiled, drawn
+    through hypothesis' data.
 
     The kinds: none; a base64 field that is not base64 (a bad character, a
     non-ASCII one, a lost character, or not a string); a base64 field one
     byte or one value short or one value long; a missing key; a round's k
     wrong, a float, a string or a bool; a line that is not JSON; or a line
     that is JSON but not an object.  A header's base64 fields are the v3
-    x0 and state0.
+    x0 and state0; a v1 file has none, and a header-only file no k, so
+    there those kinds remove a key instead.
     """
     kind = data.draw(st.sampled_from(["none", "base64", "length", "missing", "k", "json", "object"]), label="corrupt")
     if kind == "none":
         return lines
+    if kind == "k" and len(lines) == 1:
+        kind = "missing"
     low = 1 if kind == "k" else 0
     at = data.draw(st.integers(low, len(lines) - 1), label="line")
     obj = json.loads(lines[at])
     if at:
-        b64_keys = sorted(key for key in obj if key != "k")
+        b64_keys = sorted(key for key in obj if isinstance(obj[key], str))
     else:
-        b64_keys = ["state0", "x0"] if obj["format"] == 3 else []
+        b64_keys = ["state0", "x0"] if obj.get("format") == 3 else []
     if kind in ("base64", "length") and not b64_keys:
         kind = "missing"
     if kind == "json":

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from pushsim import (
     ConfigError,
+    ExperimentConfig,
     check_invariants,
     compare_protocols,
     demo_digraph,
@@ -29,13 +32,17 @@ from pushsim import cli, graph as graphmod
 from pushsim.cli import main as cli_main
 from pushsim.harness import ENV_OUTPUT_ROOT, load_config
 from pushsim.protocol import SeedStreams, Trace, sample_initial_values
-from pushsim.traceio import TraceFormatError, read_trace
+from pushsim.traceio import TraceFormatError, read_trace, trace_lines
 
 from helpers import (
+    TAMPER_KINDS,
     block_edge_traces,
+    corrupt_line,
+    dense_weights,
     one_shot_check_invariants,
     one_shot_replay_consistency,
     protocol_traces,
+    reference_trace_lines,
     spoiled,
     tampered,
     v2_trace_lines,
@@ -325,6 +332,32 @@ def test_run_scenario_push_sum_skips_ergodicity_files(tmp_path: Path) -> None:
     assert summary["runs"][0]["beta_convergence_round"] is None
 
 
+def traced_peak(call) -> float:
+    """The tracemalloc peak of call(), in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_holds_one_seed_at_a_time(tmp_path: Path) -> None:
+    """On the benchmark's 24-node graph at 200 rounds, the tracemalloc peak
+    of run_scenario stays within 10% from 1 to 10 seeds: each seed writes
+    its files and drops its trace before the next one runs."""
+    graph = tmp_path / "g24.json"
+    graphmod.save_digraph(graphmod.random_strongly_connected(24, 0.3, 7), graph)
+
+    def scenario(seeds: int, out: str) -> ExperimentConfig:
+        return parse_config({"rounds": 200, "seeds": list(range(1, seeds + 1)), "graph": {"file": str(graph)},
+                             "output_dir": str(tmp_path / out)})
+
+    run_scenario(scenario(10, "warm"))  # fills the graph's cached index arrays and numpy's small-array cache
+    one, ten = (traced_peak(lambda: run_scenario(scenario(seeds, f"s{seeds}"))) for seeds in (1, 10))
+    assert ten <= 1.1 * one, (one, ten)
+
+
 # ---------------------------------------------------------------------------
 # invariant checking on tampered files
 
@@ -434,23 +467,38 @@ def test_header_only_trace(tmp_path: Path, capsys) -> None:
     assert "trace has no rounds to observe" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run's own overflow warnings
 def test_check_names_state_zero_when_its_sums_are_not_finite(tmp_path: Path, capsys) -> None:
-    """Initial values near the float limit make 2 x0 overflow: the run
-    writes its bundle and exits 0, and check fails conservation at state 0,
-    not "after round -1", with no numpy warning."""
-    config = tmp_path / "huge.json"
-    config.write_text(json.dumps(small_config(tmp_path, rounds=20, seeds=[1],
-                                              initials={"dist": "uniform", "low": 1e308, "high": 1.7e308})))
-    assert cli_main(["run", "--config", str(config)]) == 0
-    trace_path = tmp_path / "out" / "seed_1" / "trace.jsonl"
-    capsys.readouterr()
+    """A trace file whose header holds a state 0 with retained values near
+    the float limit, so that its sums overflow: check fails conservation at
+    state 0, not "after round -1", with no numpy warning."""
+    trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 20, 100.0, 1)
+    trace.states[0, 2] = 1.7e308
+    trace_path = tmp_path / "huge.jsonl"
+    pushsim.write_trace(trace, trace_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli_main(["check", str(trace_path)]) == 1
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == "FAIL  conservation: state 0: sums inf/10 are not finite"
     assert [line.split()[0] for line in printed] == ["FAIL", "PASS", "PASS", "FAIL", "PASS"]
+
+
+@pytest.mark.parametrize("initials", [{"dist": "uniform", "low": 1e308, "high": 1.7e308},
+                                      {"dist": "constant", "value": -9e307}], ids=["uniform", "constant"])
+def test_run_rejects_initials_whose_state_zero_sums_overflow(initials, tmp_path: Path, capsys) -> None:
+    """Initial values whose state-0 sums cannot stay finite on the graph
+    fail the config, naming initials, with exit 2, before any seed
+    directory is written and with no numpy warning."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(small_config(tmp_path, rounds=20, seeds=[1], initials=initials)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["run", "--config", str(config)]) == 2
+    assert "error: initials: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the same magnitudes a hundred times smaller give finite sums on the 5-node graph
+    smaller = {key: value / 100 if isinstance(value, float) else value for key, value in initials.items()}
+    assert parse_config(small_config(tmp_path, initials=smaller)).initials == smaller
 
 
 def test_corrupt_line_raises_format_error(tmp_path: Path) -> None:
@@ -463,6 +511,24 @@ def test_corrupt_line_raises_format_error(tmp_path: Path) -> None:
         read_trace(bad)
     with pytest.raises(TraceFormatError):
         check_invariants(bad)
+
+
+def test_check_of_a_file_holds_no_array_that_grows_with_rounds(tmp_path: Path) -> None:
+    """On the benchmark's 24-node graph (177 edges), the tracemalloc peak of
+    check_invariants(path) is at most 0.30 MiB on a 60-round trace and
+    under 1.5 MiB at 2,000 rounds, and grows at most 2x from 200 to 2,000
+    rounds: the file is read and checked a block at a time and never held
+    as a Trace."""
+    g = graphmod.random_strongly_connected(24, 0.3, 7)
+    assert len(g.sorted_edges) == 177
+    x0 = sample_initial_values(g.n, {"dist": "uniform", "low": 0.0, "high": 50.0}, SeedStreams(1))
+    peaks = {}
+    for rounds in (60, 200, 2000):
+        path = tmp_path / f"trace_{rounds}.jsonl"
+        pushsim.write_trace(run_protocol(g, x0, "decomposed", rounds, 100.0, 1), path)
+        peaks[rounds] = traced_peak(lambda: check_invariants(path))
+        assert check_invariants(path).ok
+    assert peaks[60] <= 0.30 and peaks[2000] < 1.5 and peaks[2000] <= 2 * peaks[200], peaks
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +843,53 @@ def test_blockwise_check_matches_one_shot_oracle(trace: Trace, data) -> None:
         report = check_invariants(trace)
         expected = one_shot_check_invariants(trace)
     assert [(item.name, item.status, item.detail) for item in report.items] == expected
+
+
+def report_or_error(call) -> list[tuple[str, str, str]] | str:
+    try:
+        report = call()
+    except TraceFormatError as exc:
+        return str(exc)
+    return report if isinstance(report, list) else [(item.name, item.status, item.detail) for item in report.items]
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=block_edge_traces(), fmt=st.sampled_from([1, 2, 3]), data=st.data())
+def test_streaming_check_matches_one_shot_oracle_on_files(tmp_path_factory, trace, fmt, data) -> None:
+    """check_invariants(path), which reads the file a block at a time and
+    never builds a Trace, on v3, v2 and v1 files of 0, 1, B-1, B, B+1 or
+    2B+1 rounds (B = ROUND_BLOCK) of either protocol, clean, tampered (v1
+    files also with weights off the edges) or with one line spoiled, gives
+    every check's status and detail as one_shot_check_invariants gives them
+    on read_trace's Trace, or read_trace's TraceFormatError text.  States
+    that drift by less than the tolerance over a block, but more over the
+    run, are a variant of their own: only a replay carried across blocks
+    from state 0 sees them."""
+    variant = data.draw(st.sampled_from(["clean", "tampered", "drift", "corrupt"]), label="variant")
+    if variant in ("tampered", "drift"):
+        trace = tampered(trace, data, ("drift",) if variant == "drift" else TAMPER_KINDS)
+    if fmt == 3:
+        lines = list(trace_lines(trace))
+    elif fmt == 2:
+        lines = v2_trace_lines(trace)
+    else:
+        p = dense_weights(trace)
+        off = np.setdiff1d(np.arange(trace.graph.n ** 2), trace.graph.weight_slots)
+        if variant == "tampered" and off.size:
+            for _ in range(data.draw(st.integers(0, 2), label="stray weights")):
+                p[data.draw(st.integers(0, trace.n_rounds - 1), label="stray round")].reshape(-1)[
+                    data.draw(st.sampled_from(off.tolist()), label="stray slot")] = data.draw(
+                    st.sampled_from([0.5, -1e-300, math.nan]), label="stray value")
+        lines = reference_trace_lines(trace, p)
+    if data.draw(st.integers(0, 5), label="header only") == 0:
+        lines = lines[:1]
+    if variant == "corrupt":
+        lines = corrupt_line(lines, data)
+    path = tmp_path_factory.mktemp("stream") / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with np.errstate(all="ignore"):
+        expected = report_or_error(lambda: one_shot_check_invariants(read_trace(path)))
+        assert report_or_error(lambda: check_invariants(path)) == expected
 
 
 def test_blockwise_replay_check_matches_oracle_on_v2_fixture(tmp_path: Path) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from pushsim import (
     write_estimates_csv,
     write_trace,
 )
-from pushsim import analysis, harness, protocol, traceio
+from pushsim import analysis, harness, protocol
 from pushsim.protocol import (
     PURPOSE_INIT_SUBSTATE,
     PURPOSE_INITIAL_VALUES,
@@ -51,7 +50,7 @@ from helpers import (
     corrupt_line,
     decomposed_round,
     dense_weights,
-    line_at_a_time_rounds_b64,
+    line_at_a_time_read_trace,
     loop_states,
     loop_write_table,
     one_shot_column_sums,
@@ -567,21 +566,22 @@ def test_conservation_under_any_column_stochastic_weights(n, prob, graph_seed, p
 @settings(max_examples=60, deadline=None)
 @given(trace=block_edge_traces(), data=st.data())
 def test_blockwise_round_loop_and_column_sums_match_one_shot_oracles(trace, data) -> None:
-    """_evolve and column_sums, a block of rounds at a time, give the bits of
-    one pass over the whole run, on round counts at the block edges, on
-    spoiled weights and states and with any rounds retaining nothing; so
-    does any slice of column_sums."""
+    """The round loop (_evolve, through replay) and column_sums, a block of
+    rounds at a time, give the bits of one pass over the whole run, on
+    round counts at the block edges, on spoiled weights and states and with
+    any rounds retaining nothing; so do the column sums of each block."""
     trace = tampered(trace, data)
     idle = data.draw(arrays(np.bool_, trace.n_rounds), label="rounds retaining nothing")
     for alpha in (trace.alpha, np.where(idle[:, None], 0.0, trace.alpha)):
         args = (trace.graph, trace.edge_w, trace.self_w, alpha, trace.states[0])
+        retaining = Trace(trace.protocol, trace.graph, trace.x0, trace.seed, trace.spread, trace.edge_w,
+                          trace.self_w, alpha, trace.states)
         with np.errstate(all="ignore"):
-            assert protocol._evolve(*args).tobytes() == one_shot_evolve(*args).tobytes()
+            assert replay(retaining).states.tobytes() == one_shot_evolve(*args).tobytes()
     sums = one_shot_column_sums(trace)
     assert column_sums(trace).tobytes() == sums.tobytes()
-    start = data.draw(st.integers(0, trace.n_rounds), label="start")
-    stop = data.draw(st.integers(start, trace.n_rounds), label="stop")
-    assert column_sums(trace, slice(start, stop)).tobytes() == sums[start:stop].tobytes()
+    for block in trace.blocks():
+        assert column_sums(block).tobytes() == sums[block.rounds].tobytes()
 
 
 def test_replay_reproduces_states_exactly() -> None:
@@ -788,8 +788,10 @@ def test_block_reader_matches_line_at_a_time_oracle(tmp_path_factory, trace, fmt
     path = tmp_path_factory.mktemp("blocks") / "trace.jsonl"
     path.write_text("".join(line + "\n" for line in corrupt_line(lines, data)))
     got = read_or_error(path)
-    with mock.patch.object(traceio, "_read_rounds_b64", line_at_a_time_rounds_b64):
-        expected = read_or_error(path)
+    try:
+        expected = line_at_a_time_read_trace(path)
+    except TraceFormatError as exc:
+        expected = str(exc)
     if isinstance(expected, str) or isinstance(got, str):
         assert got == expected
         return
@@ -865,9 +867,8 @@ def test_blockwise_passes_hold_no_temporary_that_grows_with_rounds(tmp_path) -> 
     """On the benchmark's 24-node graph, each pass's tracemalloc peak above the
     whole-run arrays it must hold grows by at most 2x from 200 to 2,000
     rounds: the report's arrays for forward_product, the returned sums for
-    column_sums, nothing for write_estimates_csv, and for check_invariants
-    the replay's states, an array of the trace's own states' shape (the
-    replay shares the trace's weights).  A temporary as long as the run
+    column_sums, and nothing for write_estimates_csv or check_invariants,
+    which replays one block at a time.  A temporary as long as the run
     would grow about tenfold."""
     g = random_strongly_connected(24, 0.3, 7)
     assert len(g.sorted_edges) == 177
@@ -892,7 +893,7 @@ def test_blockwise_passes_hold_no_temporary_that_grows_with_rounds(tmp_path) -> 
             ("forward_product", lambda: analysis.forward_product(trace), report_arrays),
             ("column_sums", lambda: column_sums(trace), lambda sums: sums.nbytes),
             ("write_estimates_csv", lambda: write_estimates_csv(trace, tmp_path / "est.csv"), lambda _: 0),
-            ("check_invariants", lambda: harness.check_invariants(trace), lambda _: trace.states.nbytes),
+            ("check_invariants", lambda: harness.check_invariants(trace), lambda _: 0),
         ):
             extra.setdefault(name, []).append(above_held(call, held))
     for name, (short, long) in extra.items():
