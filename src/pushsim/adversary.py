@@ -21,13 +21,14 @@ Two adversaries are modelled, both passive:
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Digraph
-from .protocol import ESTIMATE_GUARD, Trace, estimate_average
-from .traceio import write_table
+from .protocol import ESTIMATE_GUARD, ROUND_BLOCK, Trace, estimate_average
+from .traceio import open_blocks, write_table
 
 # Round from which exceedance statistics are counted in summaries: early
 # rounds are dominated by the decaying start-up residual rather than by the
@@ -49,67 +50,98 @@ class EavesdropperState:
     guarded ratio.  Rounds where the target's exchanged state could not be
     recovered (a needed weight was exactly zero) are listed in
     unrecoverable_rounds, and every quantity from such a round on is NaN.
+    protocol and true_initial, the target's initial value, come from the
+    trace, to score the books by; the observer does not see them.
     """
 
     target: int
     s1: np.ndarray
     s2: np.ndarray
     estimates: np.ndarray
+    protocol: str
+    true_initial: float
     unrecoverable_rounds: list[int] = field(default_factory=list)
 
 
-def eavesdrop(trace: Trace, target: int) -> EavesdropperState:
-    """Run the wire-tap observer against one node of a recorded trace.
+def eavesdrop(trace_or_path, target: int | None) -> EavesdropperState:
+    """Run the wire-tap observer against one node of a recorded trace, a Trace or a trace file.
 
     The observer seeds its books with the target's round-0 exchanged state
     (recovered by dividing an intercepted product by its known weight) and
     then adds, every round, the difference between the target's next
     exchanged state and the mass the books say flowed in: intercepted
     in-edge products plus an assumed self-weight of one minus the target's
-    known out-weights.  The estimate is the ratio of the two books.
+    known out-weights.  The estimate is the ratio of the two books.  A
+    target of None is the highest-numbered node.
+
+    A file is read with traceio.read_blocks, and the target is checked
+    against its header's graph before any round line is read; a Trace in
+    memory goes in as one block.  Between blocks only the books after the
+    last round, that round's inflow and the per-round results are kept, and
+    the bits do not depend on how the rounds are split.
     """
-    if not trace.n_rounds:
+    with _opened(trace_or_path) as (head, _, blocks):
+        g = head.graph
+        target = g.n if target is None else target
+        if target not in g.nodes:
+            raise ValueError(f"target {target} not a node of the digraph")
+        out_edges = list(g.out_edges[target])
+        # the products the observer intercepts: the target's out-edges, then its in-edges
+        edges = out_edges + [g.edge_position[(target, j)] for j in g.in_neighbors[target]]
+        books, unrecoverable, rounds, carried = [], [], 0, None
+        for block in blocks:
+            size = block.n_rounds
+            if not size:
+                continue
+            sent = block.products(edges)
+            # the target's exchanged state, from the out-edge with the largest weight magnitude
+            x_plus = np.full((size, 2), np.nan)
+            if out_edges:
+                weights = block.edge_w[:, out_edges]
+                best = np.argmax(np.abs(weights), axis=1)
+                rows = np.arange(size)
+                divisor = weights[rows, best]
+                known = divisor != 0.0
+                np.divide(sent[rows, best], divisor[:, None], out=x_plus, where=known[:, None])
+                unrecoverable += (np.flatnonzero(~known) + rounds).tolist()
+            else:
+                unrecoverable += range(rounds, rounds + size)
+
+            cols = block.weight_column(target)
+            assumed_self = 1.0 - (cols.sum(axis=1) - cols[:, target - 1])
+            inflow = assumed_self[:, None] * x_plus
+            for c in range(len(out_edges), len(edges)):  # one in-neighbor at a time, in sorted order
+                inflow += sent[:, c]
+            # s[k+1] = s[k] + x_plus[k+1] - inflow[k] runs as one running sum per block down s[start-1],
+            # x_plus[start], -inflow[start-1], x_plus[start+1], -inflow[start], ..., the first block's
+            # from x_plus[0], which is s[0]: an accumulate adds in order, so the bits are those of one
+            # running sum over the run.  a - b is a + (-b) bit for bit, and a NaN keeps its sign, as
+            # subtraction passes it on
+            np.negative(inflow, out=inflow, where=inflow == inflow)
+            terms = np.empty((2 * size + 1, 2))
+            terms[1::2], terms[4::2] = x_plus, inflow[:-1]
+            if rounds:
+                terms[0], terms[2] = books[-1][-1], carried
+                books.append(np.add.accumulate(terms)[2::2])
+            else:
+                terms[2] = x_plus[0]
+                books.append(np.add.accumulate(terms[2:])[::2])
+            carried, rounds = inflow[-1], rounds + size
+    if not rounds:
         raise ValueError("trace has no rounds to observe")
-    g = trace.graph
-    if target not in g.nodes:
-        raise ValueError(f"target {target} not a node of the digraph")
-    n_rounds = trace.n_rounds
-    t = target - 1
-    out_edges = list(g.out_edges[target])
-    in_edges = [g.edge_position[(target, j)] for j in g.in_neighbors[target]]
-    # the products the observer intercepts: the target's out-edges, then its in-edges
-    sent = trace.products(out_edges + in_edges)
-
-    # Recover the target's exchanged state at every observed round from the
-    # out-edge with the largest weight magnitude.
-    x_plus = np.full((n_rounds, 2), np.nan)
-    if out_edges:
-        weights = trace.edge_w[:, out_edges]
-        best = np.argmax(np.abs(weights), axis=1)
-        rows = np.arange(n_rounds)
-        divisor = weights[rows, best]
-        known = divisor != 0.0
-        np.divide(sent[rows, best], divisor[:, None], out=x_plus, where=known[:, None])
-        unrecoverable = np.flatnonzero(~known).tolist()
-    else:
-        unrecoverable = list(range(n_rounds))
-
-    cols = trace.weight_column(target)[:-1]
-    assumed_self = 1.0 - (cols.sum(axis=1) - cols[:, t])
-    inflow = assumed_self[:, None] * x_plus[:-1]
-    for c in range(len(out_edges), sent.shape[1]):  # one in-neighbor at a time, in sorted order
-        inflow += sent[:-1, c]
-    # s[k+1] = s[k] + x_plus[k+1] - inflow[k] as one running sum down x_plus[0], x_plus[1], -inflow[0],
-    # x_plus[2], ...; a - b is a + (-b) bit for bit, and a NaN keeps its sign, as subtraction passes it on
-    terms = np.empty((2 * n_rounds - 1, 2))
-    terms[0], terms[1::2], terms[2::2] = x_plus[0], x_plus[1:], inflow
-    np.negative(inflow, out=terms[2::2], where=inflow == inflow)
-    s = np.add.accumulate(terms)[::2]
-
+    s = np.concatenate(books)
     return EavesdropperState(
         target=target, s1=s[:, 0], s2=s[:, 1], estimates=estimate_average(s[:, 0], s[:, 1]),
-        unrecoverable_rounds=unrecoverable,
+        protocol=head.protocol, true_initial=float(head.x0[target - 1]), unrecoverable_rounds=unrecoverable,
     )
+
+
+def _opened(trace_or_path, count: bool = False):
+    """A context giving (header, rounds, blocks): a Trace is its own header
+    and its one block, and a path is opened with traceio.open_blocks."""
+    if isinstance(trace_or_path, Trace):
+        return nullcontext((trace_or_path, trace_or_path.n_rounds, [trace_or_path]))
+    return open_blocks(trace_or_path, count)
 
 
 @dataclass
@@ -168,22 +200,23 @@ def eavesdropper_diagnostics(trace: Trace, target: int, threshold: float = 500.0
     return EavesdropperDiagnostics(target, average, initial_offset, retained_mass, residual, predicted_error, exceed)
 
 
-def attack_report(trace: Trace, target: int, threshold: float = 500.0) -> dict:
-    """Eavesdropper outcome as a JSON-ready dict.
+def attack_report(trace_or_path, target: int | None, threshold: float = 500.0) -> dict:
+    """Eavesdropper outcome as a JSON-ready dict, for a Trace or a trace file.
 
-    Exceedance rounds are those with a defined estimate whose error against
-    the target's true initial value is above the threshold.
+    A target of None is the highest-numbered node.  Exceedance rounds are
+    those with a defined estimate whose error against the target's true
+    initial value is above the threshold.  A file is read as eavesdrop reads
+    it, and the report is made after its last line.
     """
-    obs = eavesdrop(trace, target)
-    truth = float(trace.x0[target - 1])
-    errors = np.abs(obs.estimates - truth)
+    obs = eavesdrop(trace_or_path, target)
+    errors = np.abs(obs.estimates - obs.true_initial)
     exceed = np.flatnonzero(errors > threshold).tolist()  # NaN compares false
     final_error = None if math.isnan(errors[-1]) else float(errors[-1])
     return {
-        "target": target,
-        "protocol": trace.protocol,
+        "target": obs.target,
+        "protocol": obs.protocol,
         "c": threshold,
-        "true_initial": truth,
+        "true_initial": obs.true_initial,
         "estimates": [None if math.isnan(v) else v for v in obs.estimates.tolist()],
         "exceedance_rounds": exceed,
         "post_transient_exceedance_rounds": [k for k in exceed if k >= POST_TRANSIENT_ROUND],
@@ -208,50 +241,94 @@ class CoalitionView:
     """Everything a coalition legitimately sees in a decomposed run.
 
     Per member a: substates[a] is a (rounds+1, 4) array with columns
-    (x_alpha_1, x_alpha_2, x_beta_1, x_beta_2); weight_columns[a] is a
-    (rounds, n) array holding a's outgoing weight column per round, with
-    retention[a] the matching retention weights; received[a][p] is a
-    (rounds, 2) array of the products p sent to a.
+    (x_alpha_1, x_alpha_2, x_beta_1, x_beta_2); weights[a] is a
+    (rounds, deg+1) array holding a's weights toward its out-neighbors, in
+    sorted order, then its self-weight, per round, with retention[a] the
+    matching retention weights; received[a][p] is a (rounds, 2) array of
+    the products p sent to a, a view into one (rounds, links, 2) array.
+    weight_columns[a] is a's dense (rounds, n) weight column, zero off its
+    out-edges and itself; weight_columns builds them from weights when read.
     """
 
     coalition: frozenset[int]
     graph: Digraph
     n_rounds: int
     substates: dict[int, np.ndarray]
-    weight_columns: dict[int, np.ndarray]
+    weights: dict[int, np.ndarray]
     retention: dict[int, np.ndarray]
     received: dict[int, dict[int, np.ndarray]]
 
+    @property
+    def weight_columns(self) -> dict[int, np.ndarray]:
+        cols = {}
+        for a, w in self.weights.items():
+            cols[a] = np.zeros((self.n_rounds, self.graph.n))
+            cols[a][:, [j - 1 for j in self.graph.out_neighbors[a]]] = w[:, :-1]
+            cols[a][:, a - 1] = w[:, -1]
+        return cols
 
-def build_coalition_view(trace: Trace, coalition) -> CoalitionView:
-    """Project a decomposed trace onto a coalition's information set.
 
-    The coalition must be a proper subset of the nodes; an empty coalition
-    yields an empty view.
+def _integer(value, name: str) -> int:
+    """An int or a numpy integer as an int; a bool, a float, a string or any
+    other value is rejected with a ValueError naming it, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def build_coalition_view(trace_or_path, coalition) -> CoalitionView:
+    """Project a decomposed trace, a Trace or a trace file, onto a coalition's information set.
+
+    The coalition must be a proper subset of the nodes, each member an int
+    (a bool, a float or a string is rejected, not coerced); an empty
+    coalition yields an empty view.  The protocol and the coalition are
+    checked against the header before any round is read.  A file's lines
+    are counted first (traceio.open_blocks), so that every array of the
+    view is allocated once at its full size.  The view is filled a block of
+    rounds at a time, a Trace in memory being one block: the received
+    products are derived ROUND_BLOCK rounds at a time into the view's one
+    array of them, and the members' arrays are allocated after the first
+    block's products, so that the products' temporaries never coexist with
+    them in a view of one block.  No temporary grows with the round count.
     """
-    if trace.protocol != "decomposed":
-        raise ValueError("coalition views are defined for decomposed traces")
-    g = trace.graph
-    members = frozenset(int(a) for a in coalition)
-    if not members <= set(g.nodes):
-        raise ValueError(f"coalition {sorted(members)} contains non-nodes")
-    if members == set(g.nodes):
-        raise ValueError("coalition of all nodes is rejected: no one is left to protect")
-    order = sorted(members)
-    links = [(a, p) for a in order for p in g.in_neighbors[a]]
-    sent = trace.products([g.edge_position[link] for link in links])
-    received: dict[int, dict[int, np.ndarray]] = {a: {} for a in order}
-    for c, (a, p) in enumerate(links):
-        received[a][p] = sent[:, c]
-    return CoalitionView(
-        coalition=members,
-        graph=g,
-        n_rounds=trace.n_rounds,
-        substates={a: trace.states[:, :, a - 1].copy() for a in order},
-        weight_columns={a: trace.weight_column(a) for a in order},
-        retention={a: trace.alpha[:, a - 1].copy() for a in order},
-        received=received,
-    )
+    with _opened(trace_or_path, count=True) as (head, rounds, blocks):
+        if head.protocol != "decomposed":
+            raise ValueError("coalition views are defined for decomposed traces")
+        g = head.graph
+        members = frozenset(_integer(a, "coalition member") for a in coalition)
+        if not members <= set(g.nodes):
+            raise ValueError(f"coalition {sorted(members)} contains non-nodes")
+        if members == set(g.nodes):
+            raise ValueError("coalition of all nodes is rejected: no one is left to protect")
+        order = sorted(members)
+        links = [(a, p) for a in order for p in g.in_neighbors[a]]
+        edges = np.array([g.edge_position[link] for link in links], dtype=np.intp)
+        sent = np.empty((rounds, len(links), 2))
+        received: dict[int, dict[int, np.ndarray]] = {a: {} for a in order}
+        for c, (a, p) in enumerate(links):
+            received[a][p] = sent[:, c]
+        view = None
+        done = 0
+        for block in blocks:
+            for first in range(0, block.n_rounds, ROUND_BLOCK):
+                part = slice(first, min(first + ROUND_BLOCK, block.n_rounds))
+                sent[done + part.start : done + part.stop] = block.products(edges, part)
+            if view is None:
+                view = CoalitionView(
+                    coalition=members, graph=g, n_rounds=rounds,
+                    substates={a: np.empty((rounds + 1, 4)) for a in order},
+                    weights={a: np.empty((rounds, len(g.out_edges[a]) + 1)) for a in order},
+                    retention={a: np.empty(rounds) for a in order}, received=received,
+                )
+            at = slice(done, done + block.n_rounds)
+            for a in order:
+                # a block's first state row is the last of the block before it, or state 0
+                view.substates[a][at.start : at.stop + 1] = block.states[:, :, a - 1]
+                view.weights[a][at, :-1] = block.edge_w.take(g.out_edges[a], axis=1)
+                view.weights[a][at, -1] = block.self_w[:, a - 1]
+                view.retention[a][at] = block.alpha[:, a - 1]
+            done = at.stop
+    return view
 
 
 def equivalent_trace(trace: Trace, i: int, m: int, e: float) -> Trace:
@@ -332,14 +409,13 @@ def coalition_reconstruct(view: CoalitionView, target: int, trace_length: int | 
     missing = sorted(inside - view.coalition)
     if missing:
         raise ValueError(f"coalition must contain all neighbors of {target}; missing {missing}")
-    last = view.n_rounds - 1 if trace_length is None else int(trace_length) - 1
+    last = view.n_rounds - 1 if trace_length is None else _integer(trace_length, "trace_length") - 1
     if not 0 <= last < view.n_rounds:
         raise ValueError(f"trace_length must be in 1..{view.n_rounds}")
 
-    ti = target - 1
     flows = np.zeros((last + 1, 2))
     for m in g.in_neighbors[target]:
-        weights_to_target = view.weight_columns[m][: last + 1, ti]
+        weights_to_target = view.weights[m][: last + 1, g.out_neighbors[m].index(target)]
         flows[:, 0] += weights_to_target * view.substates[m][: last + 1, 0]
         flows[:, 1] += weights_to_target * view.substates[m][: last + 1, 1]
     for n_out in g.out_neighbors[target]:

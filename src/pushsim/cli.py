@@ -56,16 +56,14 @@ def cmd_run(args) -> int:
 
 def cmd_attack(args) -> int:
     threshold = harness.positive_finite(args.c, "c")
-    trace = traceio.read_trace(args.trace)
-    target = args.target if args.target is not None else trace.graph.n
-    report = adversary.attack_report(trace, target, threshold)
+    report = adversary.attack_report(args.trace, args.target, threshold)
     if args.json_out:
         traceio.write_json(args.json_out, report)
     if args.csv_out:
         adversary.write_attack_csv(report, args.csv_out)
     final = report["final_error"]
     print(
-        f"target {target}: final error "
+        f"target {report['target']}: final error "
         + (f"{final:.3e}" if final is not None else "undefined")
         + f", {len(report['exceedance_rounds'])} exceedance round(s) above c={threshold}"
     )

@@ -285,8 +285,7 @@ def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, outdir:
         if cfg.rounds >= 2:
             ergodicity = analysis.forward_product(trace)
     start = _lap(stage_s, "analyse", start)
-    target = cfg.attack_target if cfg.attack_target is not None else g.n
-    attack = adversary.attack_report(trace, target, cfg.threshold)
+    attack = adversary.attack_report(trace, cfg.attack_target, cfg.threshold)
     start = _lap(stage_s, "attack", start)
 
     seed_dir = outdir / f"seed_{seed}"

@@ -22,11 +22,12 @@ one master seed, so any node's draws replay independently of the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import Digraph, check_protocol_usable
+from .graph import GRAPH_TABLE, Digraph, check_protocol_usable
 
 # Guard below which a ratio estimate is reported as undefined (NaN).
 ESTIMATE_GUARD = 1e-12
@@ -472,17 +473,20 @@ def transmissions(g: Digraph, edge_w: np.ndarray, states: np.ndarray, edges=None
     round k, states[k, :2, i-1], for edge (j, i) = g.sorted_edges[e]; states
     holds one more row than edge_w.  With edges, a sequence of edge indices,
     only those columns are computed, in that order.  The products go
-    straight into the returned array.  They are computed as the values give
-    them, inf * 0 and overflow included, without a warning.
+    straight into the returned array.  Columns are gathered with take,
+    whose result is C-ordered: fancy indexing's is not, and a multiply of it
+    into the strided output buffers its operands.  The products are
+    computed as the values give them, inf * 0 and overflow included,
+    without a warning.
     """
     senders = g.edge_senders
     if edges is not None:
         edges = np.asarray(edges, dtype=np.intp)
-        edge_w, senders = edge_w[:, edges], senders[edges]
+        edge_w, senders = edge_w.take(edges, axis=1), senders[edges]
     sent = np.empty(edge_w.shape + (2,))
     with np.errstate(invalid="ignore", over="ignore"):
         for l in range(2):
-            np.multiply(edge_w, states[:-1, l, senders], out=sent[..., l])
+            np.multiply(edge_w, states[:-1, l].take(senders, axis=1), out=sent[..., l])
     return sent
 
 
@@ -623,19 +627,30 @@ def conserved_sums(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 def column_sums(trace: Trace) -> np.ndarray:
     """Each sender's weights summed per round, shape (R, n), alpha excluded.
 
-    One bincount per block of rounds adds them in row-major slot order, so
-    each sum adds its terms in receiver order, bit for bit as summing a
-    dense weight matrix over its receiver axis does.
+    One bincount per ROUND_BLOCK rounds adds them in row-major slot order,
+    so each sum adds its terms in receiver order, bit for bit as summing a
+    dense weight matrix over its receiver axis does.  The bins come from
+    _block_bins, built once per graph.
     """
     g = trace.graph
-    bins = np.arange(ROUND_BLOCK)[:, None] * g.n + g.slot_senders
+    bins = _block_bins(g)
     sums = np.empty((trace.n_rounds, g.n))
-    for block in trace.blocks():
-        size = block.n_rounds
-        weights = np.concatenate([block.edge_w, block.self_w], axis=1)[:, g.slot_order]
-        sums[block.rounds] = np.bincount(bins[:size].ravel(), weights=weights.ravel(),
-                                         minlength=size * g.n).reshape(size, g.n)
+    for first in range(0, trace.n_rounds, ROUND_BLOCK):
+        rows = slice(first, first + ROUND_BLOCK)
+        weights = np.concatenate([trace.edge_w[rows], trace.self_w[rows]], axis=1).take(g.slot_order, axis=1)
+        size = len(weights)
+        sums[rows] = np.bincount(bins[:size].ravel(), weights=weights.ravel(),
+                                 minlength=size * g.n).reshape(size, g.n)
     return sums
+
+
+@lru_cache(maxsize=GRAPH_TABLE)
+def _block_bins(g: Digraph) -> np.ndarray:
+    """column_sums' bincount bins for ROUND_BLOCK rounds of g's weights in
+    slot_order, read-only: round r's slot goes to bin r * n + its sender."""
+    bins = np.arange(ROUND_BLOCK)[:, None] * g.n + g.slot_senders
+    bins.flags.writeable = False
+    return bins
 
 
 def sample_initial_values(n: int, dist: dict, streams: SeedStreams) -> np.ndarray:

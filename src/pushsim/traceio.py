@@ -47,6 +47,7 @@ import binascii
 import json
 import math
 from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -191,27 +192,22 @@ def read_trace(path) -> Trace:
     """Load and validate a trace file of format v3, v2 or v1.
 
     Raises TraceFormatError naming the first malformed line.  This is
-    read_blocks gathered into one Trace.  A first pass counts the lines, so
-    that each array is allocated once at its final size and every block is
-    copied straight into it: arrays grown as the blocks come would copy
-    what they hold at each growth, with old and new held at once, above
-    the trace's own size.  The header's graph is build_digraph's shared
-    instance of it.  A v3 file holds no products and the trace records
-    none; v2 and v1 files keep the products they record in
+    read_blocks gathered into one Trace, with arrays sized by open_blocks'
+    count of the lines, so that each is allocated once at its final size and
+    every block is copied straight into it: arrays grown as the blocks come
+    would copy what they hold at each growth, with old and new held at once,
+    above the trace's own size.  The header's graph is build_digraph's
+    shared instance of it.  A v3 file holds no products and the trace
+    records none; v2 and v1 files keep the products they record in
     Trace.recorded_sent.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rounds = sum(1 for _ in fh) - 1
-        fh.seek(0)
-        trace = None
-        for block in _blocks(path, fh):
-            if trace is None:
-                n, n_edges = block.graph.n, len(block.graph.sorted_edges)
-                recorded = None if block.recorded_sent is None else np.empty((rounds, n_edges, 2))
-                trace = Trace(block.protocol, block.graph, block.x0, block.seed, block.spread,
-                              np.empty((rounds, n_edges)), np.empty((rounds, n)), np.empty((rounds, n)),
-                              np.empty((rounds + 1, 4, n)), recorded)
-                trace.states[0] = block.states[0]
+    with open_blocks(path, count=True) as (head, rounds, blocks):
+        n, n_edges = head.graph.n, len(head.graph.sorted_edges)
+        recorded = None if head.recorded_sent is None else np.empty((rounds, n_edges, 2))
+        trace = Trace(head.protocol, head.graph, head.x0, head.seed, head.spread, np.empty((rounds, n_edges)),
+                      np.empty((rounds, n)), np.empty((rounds, n)), np.empty((rounds + 1, 4, n)), recorded)
+        trace.states[0] = head.states[0]
+        for block in blocks:
             at = block.rounds
             trace.edge_w[at], trace.self_w[at], trace.alpha[at] = block.edge_w, block.self_w, block.alpha
             trace.states[at.start + 1 : at.stop + 1] = block.states[1:]
@@ -231,8 +227,27 @@ def read_blocks(path) -> Iterator[RoundBlock]:
     bytes is held.  A block's arrays are views into buffers that the next
     block reuses: copy what must outlive it.
     """
+    with open_blocks(path) as (_, _, blocks):
+        yield from blocks
+
+
+@contextmanager
+def open_blocks(path, count: bool = False) -> Iterator[tuple[Trace, int | None, Iterator[RoundBlock]]]:
+    """Open a trace file as (header, rounds, blocks), and close it on exit.
+
+    On entry the first line is read and checked, before any round line, and
+    comes as a trace without rounds; blocks are the RoundBlocks of
+    read_blocks, read from the second line on as they are asked for.  rounds
+    is the number of lines after the header when count is set, which costs
+    one more pass over the file, and None when not.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        yield from _blocks(path, fh)
+        rounds = None
+        if count:
+            rounds = sum(1 for _ in fh) - 1
+            fh.seek(0)
+        head, fmt = _header(path, fh)
+        yield head, rounds, _blocks(path, fh, head, fmt)
 
 
 def _header(path, fh) -> tuple[Trace, int]:
@@ -274,8 +289,8 @@ def _header(path, fh) -> tuple[Trace, int]:
                  states, None if fmt == FORMAT else np.empty((0, n_edges, 2))), fmt
 
 
-def _blocks(path, fh) -> Iterator[RoundBlock]:
-    """read_blocks on an open file at its start.
+def _blocks(path, fh, head: Trace, fmt: int) -> Iterator[RoundBlock]:
+    """read_blocks on an open file whose header, head in format fmt, was read.
 
     The round lines fill one set of block buffers, row at of each for a
     line's round, with the states one row down: their first row carries the
@@ -283,7 +298,6 @@ def _blocks(path, fh) -> Iterator[RoundBlock]:
     ROUND_BLOCK lines, and after the last, the filled rows go out as a
     RoundBlock.
     """
-    head, fmt = _header(path, fh)
     if fmt == 1:
         buffers, store = _v1_rounds(path, head)
     else:

@@ -5,6 +5,7 @@ import base64
 import binascii
 import json
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -301,23 +302,39 @@ def stack_state(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([state[0], state[2]]), np.concatenate([state[1], state[3]])
 
 
-def views_allclose(a: CoalitionView, b: CoalitionView, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-    """Elementwise comparison of two coalition views."""
-    if a.coalition != b.coalition or a.n_rounds != b.n_rounds:
+def compare_views(a: CoalitionView, b: CoalitionView, rtol: float = 0.0, atol: float = 0.0) -> bool:
+    """Whether two coalition views hold the same members, rounds and links,
+    and every array of them, compact and dense weights included, within
+    rtol and atol; at zero tolerance, the default, bit for bit."""
+
+    def same(x: np.ndarray, y: np.ndarray) -> bool:
+        if x.shape != y.shape:
+            return False
+        if rtol == atol == 0.0:
+            return x.tobytes() == y.tobytes()
+        return np.allclose(x, y, rtol=rtol, atol=atol)
+
+    if a.coalition != b.coalition or a.n_rounds != b.n_rounds or a.graph != b.graph:
         return False
-    for member in a.coalition:
-        if not np.allclose(a.substates[member], b.substates[member], rtol=rtol, atol=atol):
-            return False
-        if not np.allclose(a.weight_columns[member], b.weight_columns[member], rtol=rtol, atol=atol):
-            return False
-        if not np.allclose(a.retention[member], b.retention[member], rtol=rtol, atol=atol):
-            return False
+    for member in sorted(a.coalition):
         if a.received[member].keys() != b.received[member].keys():
             return False
-        for p in a.received[member]:
-            if not np.allclose(a.received[member][p], b.received[member][p], rtol=rtol, atol=atol):
-                return False
+        pairs = [(getattr(a, name)[member], getattr(b, name)[member])
+                 for name in ("substates", "weights", "weight_columns", "retention")]
+        pairs += [(a.received[member][p], b.received[member][p]) for p in a.received[member]]
+        if not all(same(x, y) for x, y in pairs):
+            return False
     return True
+
+
+def traced_peak(call) -> float:
+    """The tracemalloc peak of call(), in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def loop_write_table(path, header, columns, comment: str | None = None) -> None:

@@ -1,6 +1,9 @@
 """Eavesdropper, diagnostics, coalition views, equivalence, reconstruction."""
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +21,9 @@ from pushsim import (
     random_strongly_connected,
     replay,
     run_protocol,
+    write_trace,
 )
+from pushsim.cli import main as cli_main
 from pushsim.protocol import (
     SeedStreams,
     Trace,
@@ -26,16 +31,22 @@ from pushsim.protocol import (
     sample_initial_values,
     transmissions,
 )
-from pushsim.traceio import trace_lines
+from pushsim.traceio import read_trace, trace_lines
 
 from helpers import (
+    block_edge_traces,
+    compare_views,
+    corrupt_line,
     decomposed_round,
     dense_weights,
     loop_attack_report,
     loop_eavesdrop,
     protocol_traces,
+    reference_trace_lines,
     spoiled,
-    views_allclose,
+    tampered,
+    traced_peak,
+    v2_trace_lines,
 )
 
 RING3 = build_digraph(3, [(2, 1), (3, 2), (1, 3)])
@@ -264,6 +275,18 @@ def test_coalition_view_empty_and_rejections() -> None:
         build_coalition_view(ps, {1})
 
 
+@pytest.mark.parametrize("coalition, member", [({1.5, 2}, "1.5"), ({"2", 4}, "'2'"), ({True, 4}, "True")],
+                         ids=["float", "string", "bool"])
+def test_coalition_members_are_not_coerced(coalition, member) -> None:
+    """A member that is a float, a string or a bool is named and rejected,
+    where int() had made {1.5, 2} the view of {1, 2}; a numpy integer is an
+    integer."""
+    trace = demo_trace("decomposed", 2, rounds=5)
+    with pytest.raises(ValueError, match=re.escape(f"coalition member: must be an integer, got {member}")):
+        build_coalition_view(trace, coalition)
+    assert compare_views(build_coalition_view(trace, {np.int64(2), 4}), build_coalition_view(trace, {2, 4}))
+
+
 def test_coalition_view_monotone() -> None:
     trace = demo_trace("decomposed", 8, rounds=30)
     small = build_coalition_view(trace, {2, 4})
@@ -344,7 +367,7 @@ def test_equivalent_trace_views_match(i, m, coalition) -> None:
         # the oracle: replay both traces from scratch and project the views
         view_a = build_coalition_view(replay(trace), coalition)
         view_b = build_coalition_view(replay(rewritten), coalition)
-        assert views_allclose(view_a, view_b, rtol=1e-12, atol=1e-12)
+        assert compare_views(view_a, view_b, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -366,7 +389,7 @@ def test_equivalent_trace_leaves_outside_view_unchanged(data, n, prob, graph_see
     trace = run_protocol(g, x0, "decomposed", 8, 100.0, seed)
     view_a = build_coalition_view(trace, coalition)
     view_b = build_coalition_view(equivalent_trace(trace, i, m, e), coalition)
-    assert views_allclose(view_a, view_b, rtol=0.0, atol=0.0)
+    assert compare_views(view_a, view_b, rtol=0.0, atol=0.0)
 
 
 def test_equivalent_trace_later_rounds_unchanged() -> None:
@@ -403,6 +426,17 @@ def test_coalition_reconstruct_trace_length() -> None:
     assert abs(estimate - trace.x0[4]) < 1e-4
 
 
+@pytest.mark.parametrize("length", [39.9, "12", True], ids=["float", "string", "bool"])
+def test_coalition_reconstruct_trace_length_is_not_coerced(length) -> None:
+    """trace_length 39.9 had been cut to 39, "12" taken as 12 and True as 1;
+    each is named and rejected, and a numpy integer is taken."""
+    trace = demo_trace("decomposed", 4, rounds=60)
+    view = build_coalition_view(trace, {1, 2, 4})
+    with pytest.raises(ValueError, match=re.escape(f"trace_length: must be an integer, got {length!r}")):
+        coalition_reconstruct(view, 5, trace_length=length)
+    assert coalition_reconstruct(view, 5, trace_length=np.int64(40)) == coalition_reconstruct(view, 5, trace_length=40)
+
+
 def test_coalition_reconstruct_all_equal_initials() -> None:
     g = demo_digraph()
     trace = run_protocol(g, np.full(5, 12.5), "decomposed", 500, 100.0, seed=6)
@@ -418,3 +452,110 @@ def test_coalition_reconstruct_rejections() -> None:
         coalition_reconstruct(build_coalition_view(trace, {1, 2}), 5)
     with pytest.raises(ValueError, match="member"):
         coalition_reconstruct(build_coalition_view(trace, {1, 2, 4}), 4)
+
+
+# ---------------------------------------------------------------------------
+# trace files, read a block at a time
+
+
+def file_lines(trace, fmt: int) -> list[str]:
+    """The lines of a format-fmt trace file (3, 2 or 1) of the trace."""
+    if fmt == 3:
+        return list(trace_lines(trace))
+    return v2_trace_lines(trace) if fmt == 2 else reference_trace_lines(trace, dense_weights(trace))
+
+
+def result_or_error(call):
+    """call()'s result, or the type and text of the ValueError it raised, a TraceFormatError included."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=block_edge_traces(), fmt=st.sampled_from([1, 2, 3]), data=st.data())
+def test_attack_and_view_of_a_file_match_those_of_its_trace(tmp_path_factory, trace, fmt, data) -> None:
+    """attack_report(path) and build_coalition_view(path), which read the
+    file a block at a time, give on v3, v2 and v1 files of 0, 1, B-1, B,
+    B+1 or 2B+1 rounds (B = ROUND_BLOCK), clean, tampered or with one line
+    spoiled, the report's JSON bytes and the view's bits that they give on
+    read_trace's Trace of the file, or read_trace's error text."""
+    variant = data.draw(st.sampled_from(["clean", "tampered", "corrupt"]), label="variant")
+    if variant == "tampered":
+        trace = tampered(trace, data)
+    lines = file_lines(trace, fmt)
+    if data.draw(st.integers(0, 5), label="header only") == 0:
+        lines = lines[:1]
+    if variant == "corrupt":
+        lines = corrupt_line(lines, data)
+    path = tmp_path_factory.mktemp("attack") / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    g = trace.graph
+    target = data.draw(st.sampled_from(g.nodes), label="target")
+    threshold = data.draw(st.sampled_from([1e-12, 0.5, 500.0]), label="threshold")
+    with np.errstate(all="ignore"):
+        whole = result_or_error(lambda: read_trace(path))
+        if isinstance(whole, str):
+            expected = whole
+        else:
+            expected = result_or_error(lambda: json.dumps(attack_report(whole, target, threshold)))
+        assert result_or_error(lambda: json.dumps(attack_report(path, target, threshold))) == expected
+        if trace.protocol == "decomposed":
+            coalition = data.draw(st.sets(st.sampled_from(g.nodes), max_size=g.n - 1), label="coalition")
+            view = result_or_error(lambda: build_coalition_view(path, coalition))
+            if isinstance(whole, str):
+                assert view == whole
+            else:
+                assert compare_views(view, build_coalition_view(whole, coalition))
+
+
+def test_cli_attack_checks_the_target_before_any_round_line(tmp_path, capsys) -> None:
+    """--target is checked against the header's graph before a round line
+    is read: on a file whose first round line is not JSON, target 0 is
+    named and target 5 meets the line.  Neither writes --json or --csv."""
+    path = tmp_path / "trace.jsonl"
+    write_trace(demo_trace("decomposed", 3, rounds=40), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + ["not json"] + lines[2:]) + "\n")
+    outputs = ["--json", str(tmp_path / "a.json"), "--csv", str(tmp_path / "a.csv")]
+    for target, needle in (("0", "target 0 not a node of the digraph"), ("5", "line 2 is not valid JSON")):
+        assert cli_main(["attack", str(path), "--target", target, *outputs]) == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err and captured.out == ""
+    assert not (tmp_path / "a.json").exists() and not (tmp_path / "a.csv").exists()
+
+
+def benchmark_graph_trace(tmp_path, rounds: int):
+    """The benchmark's 24-node graph (177 edges) and a decomposed trace file on it."""
+    g = random_strongly_connected(24, 0.3, 7)
+    assert len(g.sorted_edges) == 177
+    x0 = sample_initial_values(g.n, {"dist": "uniform", "low": 0.0, "high": 50.0}, SeedStreams(1))
+    path = tmp_path / f"trace_{rounds}.jsonl"
+    write_trace(run_protocol(g, x0, "decomposed", rounds, 100.0, 1), path)
+    return g, path
+
+
+def test_attack_of_a_file_holds_no_trace(tmp_path, capsys) -> None:
+    """On the benchmark's 24-node graph, an in-process `pushsim attack` with
+    --json and --csv peaks at most at 1.0 MiB (tracemalloc) on a 2,000-round
+    trace, a 6.7 MB file: it reads the file a block at a time and keeps the
+    books, not the trace, which had peaked at 5.98 MiB."""
+    _, path = benchmark_graph_trace(tmp_path, 2000)
+    args = ["attack", str(path), "--target", "24", "--json", str(tmp_path / "a.json"), "--csv", str(tmp_path / "a.csv")]
+    assert cli_main(args) == 0
+    peak = traced_peak(lambda: cli_main(args))
+    assert peak <= 1.0, peak
+
+
+def test_coalition_view_of_the_benchmark_trace_holds_compact_weights(tmp_path) -> None:
+    """The benchmark's coalition step, build_coalition_view(read_trace(path),
+    C) for C the 10 neighbours of node 24 on a 60-round trace, peaks at most
+    at 0.32 MiB (tracemalloc), where dense weight columns and a whole-trace
+    gather of the received products had peaked at 0.372 MiB."""
+    g, path = benchmark_graph_trace(tmp_path, 60)
+    coalition = set(g.in_neighbors[24]) | set(g.out_neighbors[24])
+    assert len(coalition) == 10
+    build_coalition_view(read_trace(path), coalition)
+    peak = traced_peak(lambda: build_coalition_view(read_trace(path), coalition))
+    assert peak <= 0.32, peak

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -45,6 +44,7 @@ from helpers import (
     reference_trace_lines,
     spoiled,
     tampered,
+    traced_peak,
     v2_trace_lines,
 )
 
@@ -330,16 +330,6 @@ def test_run_scenario_push_sum_skips_ergodicity_files(tmp_path: Path) -> None:
     assert not (seed_dir / "ergodicity.csv").exists()
     assert "ergodicity" not in summary["runs"][0]
     assert summary["runs"][0]["beta_convergence_round"] is None
-
-
-def traced_peak(call) -> float:
-    """The tracemalloc peak of call(), in MiB."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 def test_run_holds_one_seed_at_a_time(tmp_path: Path) -> None:
