@@ -72,7 +72,8 @@ def eavesdrop(trace_or_path, target: int | None) -> EavesdropperState:
     exchanged state and the mass the books say flowed in: intercepted
     in-edge products plus an assumed self-weight of one minus the target's
     known out-weights.  The estimate is the ratio of the two books.  A
-    target of None is the highest-numbered node.
+    target of None is the highest-numbered node; any other target must be an
+    int (a bool, a float or a string is rejected, not coerced).
 
     A file is read with traceio.read_blocks, and the target is checked
     against its header's graph before any round line is read; a Trace in
@@ -82,7 +83,7 @@ def eavesdrop(trace_or_path, target: int | None) -> EavesdropperState:
     """
     with _opened(trace_or_path) as (head, _, blocks):
         g = head.graph
-        target = g.n if target is None else target
+        target = g.n if target is None else _integer(target, "target")
         if target not in g.nodes:
             raise ValueError(f"target {target} not a node of the digraph")
         out_edges = list(g.out_edges[target])
@@ -178,7 +179,7 @@ def eavesdropper_diagnostics(trace: Trace, target: int, threshold: float = 500.0
     if trace.protocol != "decomposed":
         raise ValueError("diagnostics apply to decomposed traces only")
     g = trace.graph
-    if target not in g.nodes:
+    if _integer(target, "target") not in g.nodes:
         raise ValueError(f"target {target} not a node of the digraph")
     t = target - 1
     n_rounds = trace.n_rounds

@@ -21,9 +21,11 @@ one master seed, so any node's draws replay independently of the others.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import groupby
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,11 +59,24 @@ class SeedStreams:
 
     ``uniform_block`` returns the first ``count`` U(0,1) draws of many such
     streams at once, bit-identical to ``stream(...).random(count)`` per
-    stream.  It runs SeedSequence's uint32 mixing and PCG64 (XSL-RR output
-    over a 128-bit LCG, multiplied in uint64 halves) as numpy array
-    arithmetic over the batch, for a seed and purpose of any size.  It
-    raises ValueError when the seed, the purpose or a node or round index
-    is negative, or when a node or round index does not fit in 32 bits.
+    stream, and weight sampling (_fill_uniform) draws every sender's streams
+    of a run the same way.  Both go through ``_uniform_pass``, which runs
+    SeedSequence's uint32 mixing and PCG64 (XSL-RR output over a 128-bit
+    LCG, multiplied in uint64 halves) as numpy array arithmetic over a batch
+    of streams (rows), for a seed and purpose of any size.
+
+    A pass costs about 30 numpy calls per draw whatever its row count, so
+    one pass over every sender beats one per out-degree.  Its rows come in
+    order of draw count, most first, so that each PCG64 step advances only
+    the prefix of rows that still draw.  A pass holds at most ROW_LIMIT
+    rows, and its state, scratch and draws are buffers it allocates once
+    and every step works in, in place: an operation that returned a new
+    array would hold several temporaries a row.  So nothing that sampling
+    holds besides its output grows with the round count.
+
+    ``uniform_block`` raises ValueError when the seed, the purpose or a node
+    or round index is negative, or when a node or round index does not fit
+    in 32 bits.
     """
 
     def __init__(self, seed: int):
@@ -71,28 +86,83 @@ class SeedStreams:
         return np.random.default_rng((self.seed, purpose, node, k))
 
     def uniform_block(self, purpose: int, nodes, ks, count: int) -> np.ndarray:
-        """Draws of the streams (purpose, node, k), shape (*broadcast(nodes, ks).shape, count)."""
+        """Draws of the streams (purpose, node, k), shape (*broadcast(nodes, ks).shape, count).
+
+        The streams go through _uniform_pass ROW_LIMIT at a time, in the
+        order given, each pass drawing straight into its rows of the result,
+        which is then scaled into [0, 1) in one operation.
+        """
         nodes, ks = np.broadcast_arrays(np.asarray(nodes, np.int64), np.asarray(ks, np.int64))
-        shape = nodes.shape + (count,)
-        if nodes.size == 0:
-            return np.empty(shape)
+        out = np.empty((nodes.size, count))
+        if nodes.size:
+            self._check(purpose, nodes, ks)
+            words = [a.ravel().astype(np.uint32) for a in (nodes, ks)]
+            for first in range(0, nodes.size, ROW_LIMIT):
+                part = out[first : first + ROW_LIMIT]
+                self._uniform_pass(purpose, [w[first : first + ROW_LIMIT] for w in words], [len(part)] * count, part)
+            out *= 2.0**-53
+        return out.reshape(nodes.shape + (count,))
+
+    def _check(self, purpose: int, nodes: np.ndarray, ks: np.ndarray) -> None:
+        """Raise ValueError unless every stream (purpose, node, k) exists for these nodes and rounds."""
         lowest, highest = min(int(nodes.min()), int(ks.min())), max(int(nodes.max()), int(ks.max()))
         if min(self.seed, purpose, lowest) < 0 or highest > _MASK32:
             raise ValueError(
                 f"no stream for seed {self.seed}, purpose {purpose}, node {nodes.min()}..{nodes.max()}, "
                 f"round {ks.min()}..{ks.max()}: seed and purpose must be non-negative, node and round in 0..2**32-1"
             )
-        # Words shared by every row stay length-1 arrays and broadcast.
-        shared = [np.array([w], np.uint32) for w in _words(self.seed) + _words(purpose)]
-        rows = [nodes.ravel().astype(np.uint32), ks.ravel().astype(np.uint32)]
-        hi, lo, inc_hi, inc_lo = _pcg64_seeded(shared + rows)
-        out = np.empty((nodes.size, count))
-        for j in range(count):
-            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-            x, rot = hi ^ lo, hi >> 58
-            out[:, j] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
-        return out.reshape(shape)
 
+    def _uniform_pass(self, purpose: int, words: list[np.ndarray], active: list[int],
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """The U(0,1) draws of the streams (purpose, node, k), times 2**53.
+
+        words holds the rows' node and round words, two uint32 arrays; the
+        pass empties the list once it has seeded the rows, so that they can
+        be freed before the draws.  Each result is the 53-bit integer numpy
+        scales by 2**-53 into a draw, as a float64; a scaling by a power of
+        two is exact, so a caller that only takes ratios of draws can skip
+        it.  Draw j is taken for rows :active[j] only, a non-increasing
+        list, and goes to column j of out (rows, len(active)), by default
+        allocated once the seeding's temporaries are freed; entries past a
+        row's last draw are left as they were.  The pass then allocates a
+        (4, rows) scratch once, and every step works in it and the (4, rows)
+        PCG64 state, in place, on a prefix view, so a row costs their 64
+        bytes plus its row of out and nothing else grows with the row count.
+        """
+        entropy = [np.array([w], np.uint32) for w in _words(self.seed) + _words(purpose)] + words
+        words.clear()
+        state = _seed_sequence_state(entropy)
+        del entropy
+        size = state.shape[1]
+        scratch = np.empty((4, size), np.uint64)
+        _pcg64_seed(state, *scratch)
+        if out is None:
+            out = np.empty((size, len(active)))
+        prefix = None
+        for j, rows in enumerate(active):
+            if rows != prefix:
+                hi, lo, inc_hi, inc_lo = state[:, :rows]
+                t1, t2, t3, t4 = scratch[:, :rows]
+                prefix = rows
+            _pcg_step(hi, lo, inc_hi, inc_lo, t1, t2, t3, t4)
+            # XSL-RR: hi ^ lo rotated right by hi >> 58 (a shift by 64 gives 0
+            # in numpy), then its top 53 bits
+            np.bitwise_xor(hi, lo, out=t1)
+            np.right_shift(hi, _U64_58, out=t2)
+            np.right_shift(t1, t2, out=t3)
+            np.subtract(_U64_64, t2, out=t2)
+            t1 <<= t2
+            t1 |= t3
+            t1 >>= _U64_11
+            out[:rows, j] = t1
+        return out
+
+
+# Streams (rows) one _uniform_pass seeds and steps at once.  A pass holds
+# 64 + 8 * count bytes a row for count draws, so this caps what sampling
+# holds besides its output, whatever the round count: 0.26 MiB at 13 draws,
+# three passes for 200 rounds on a 24-node graph and one on a 5-node one.
+ROW_LIMIT = 1600
 
 # numpy's SeedSequence hash constants and PCG64's default 128-bit multiplier.
 _MASK32 = 0xFFFFFFFF
@@ -101,6 +171,21 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _PCG_LO_B0, _PCG_LO_B1 = _PCG_LO & _MASK32, _PCG_LO >> 32
+
+
+def _scalar(value, dtype=np.uint64) -> np.ndarray:
+    """value as a read-only 0-d array of dtype: numpy combines one with an
+    array in about half the time it takes to convert a Python int."""
+    scalar = np.array(value, dtype)
+    scalar.flags.writeable = False
+    return scalar
+
+
+# the constants of the in-place passes
+_U32_16, _U32_MIX_L, _U32_MIX_R = (_scalar(v, np.uint32) for v in (16, _MIX_L, _MIX_R))
+_U64_MASK32, _U64_PCG_HI, _U64_PCG_LO, _U64_PCG_LO_B0, _U64_PCG_LO_B1 = (
+    _scalar(v) for v in (_MASK32, _PCG_HI, _PCG_LO, _PCG_LO_B0, _PCG_LO_B1))
+_U64_1, _U64_11, _U64_32, _U64_58, _U64_63, _U64_64 = (_scalar(v) for v in (1, 11, 32, 58, 63, 64))
 
 
 def _words(value: int) -> list[int]:
@@ -112,17 +197,21 @@ def _words(value: int) -> list[int]:
     return words
 
 
+@lru_cache(maxsize=64)
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, multiplier) of each successive SeedSequence hash step, as uint32 columns."""
+    """(xor, multiplier) of each successive SeedSequence hash step, as read-only uint32 columns."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
     steps = np.array(consts, np.uint32)[:, None]
+    steps.flags.writeable = False
     return steps[:-1], steps[1:]
 
 
 # the 8 hash steps of generate_state(4, uint64)
 _OUT_XOR, _OUT_MULT = _hash_consts(_INIT_B, _MULT_B, 8)
+# the uint32 halves of a uint64 in memory, low and high
+_HALF = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
 def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
@@ -133,23 +222,25 @@ def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
     array.  It takes 4 initial hashmix calls and 12 cross ones, then 4 more
     for each word past the fourth, each call with the next hash constant.
     The 3 cross calls of one source word read the same value, so they run as
-    one (3, rows) expression.  Temporaries are updated in place, which keeps
-    the peak memory of a large batch down.
+    one (3, rows) expression.  Temporaries are updated in place, and the
+    state is allocated only for the output words, which go straight into
+    its uint32 halves: that keeps the peak memory of a large batch down to
+    about 80 bytes a row.
     """
     xor, mult = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
 
     def hashmix(value, first, count):
         value = value ^ xor[first:first + count]
         value *= mult[first:first + count]
-        value ^= value >> 16
+        value ^= value >> _U32_16
         return value
 
     def mix(x, y):
         """numpy's mix(x, y), overwriting both."""
-        x *= _MIX_L
-        y *= _MIX_R
+        x *= _U32_MIX_L
+        y *= _U32_MIX_R
         x -= y
-        x ^= x >> 16
+        x ^= x >> _U32_16
         return x
 
     pool = np.empty((4, max(word.size for word in entropy)), np.uint32)
@@ -164,50 +255,71 @@ def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
 
     # generate_state word t hashes pool[t % 4]; uint64 i is word 2i | word 2i+1 << 32
     def output_words(first):
-        value = pool[first::2][[0, 1, 0, 1]] ^ _OUT_XOR[first::2]
+        value = pool[first::2][[0, 1, 0, 1]]
+        value ^= _OUT_XOR[first::2]
         value *= _OUT_MULT[first::2]
-        value ^= value >> 16
+        value ^= value >> _U32_16
         return value
 
-    state = output_words(1).astype(np.uint64)
-    state <<= 32
-    state |= output_words(0)
+    state = np.empty((4, pool.shape[1]), np.uint64)
+    halves = state.view(np.uint32).reshape(4, -1, 2)
+    for first in range(2):
+        halves[..., _HALF[first]] = output_words(first)
     return state
 
 
-def _pcg64_seeded(entropy: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """PCG64 (state hi, state lo, inc hi, inc lo) seeded from the entropy words.
+def _pcg64_seed(state: np.ndarray, t1, t2, t3, t4) -> None:
+    """pcg64_set_seed in place: state holds SeedSequence's (s hi, s lo, seq hi,
+    seq lo) and becomes PCG64's (state hi, state lo, inc hi, inc lo).
 
-    A function of its own so that SeedSequence's temporaries are freed
-    before the draws.
+    inc = seq << 1 | 1, and the state is 0, stepped, plus s, stepped; a step
+    from 0 gives inc, and a sum wrapped below an addend carries one.
     """
-    s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(entropy)
-    # pcg64_set_seed: inc = seq << 1 | 1; state = 0, step, += initstate, step
-    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-    lo = inc_lo + s_lo
-    hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
+    hi, lo, inc_hi, inc_lo = state
+    np.right_shift(inc_lo, _U64_63, out=t1)
+    inc_hi <<= _U64_1
+    inc_hi |= t1
+    inc_lo <<= _U64_1
+    inc_lo |= _U64_1
+    lo += inc_lo
+    np.less(lo, inc_lo, out=t1)
+    hi += inc_hi
+    hi += t1
+    _pcg_step(hi, lo, inc_hi, inc_lo, t1, t2, t3, t4)
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on uint64 halves."""
-    a0, a1 = lo & _MASK32, lo >> 32
-    p01, p10 = a0 * _PCG_LO_B1, a1 * _PCG_LO_B0
-    mid = a0 * _PCG_LO_B0
-    mid >>= 32
-    mid += p01 & _MASK32
-    mid += p10 & _MASK32
-    carry = a1 * _PCG_LO_B1
-    carry += p01 >> 32
-    carry += p10 >> 32
-    carry += mid >> 32
-    lo2 = lo * _PCG_LO
-    lo2 += inc_lo
-    carry += hi * _PCG_LO
-    carry += lo * _PCG_HI
-    carry += inc_hi
-    carry += lo2 < inc_lo
-    return carry, lo2
+def _pcg_step(hi, lo, inc_hi, inc_lo, t1, t2, t3, t4) -> None:
+    """One PCG64 LCG step in place, state * multiplier + inc mod 2**128, on uint64 halves.
+
+    hi becomes hi * M_lo + lo * M_hi + inc_hi, plus the high word of
+    lo * M_lo, plus the carry of the low word lo * M_lo + inc_lo.  The high
+    word comes from 32-bit halves, u = lo and v = M_lo, as in Hacker's
+    Delight's mulhi, where no partial sum overflows 64 bits; t1..t4 are
+    scratch of the same length.
+    """
+    np.bitwise_and(lo, _U64_MASK32, out=t1)  # u0
+    np.multiply(t1, _U64_PCG_LO_B0, out=t2)
+    t2 >>= _U64_32  # u0 v0 >> 32
+    np.right_shift(lo, _U64_32, out=t3)  # u1
+    np.multiply(t3, _U64_PCG_LO_B0, out=t4)
+    t4 += t2  # t = u1 v0 + (u0 v0 >> 32)
+    np.bitwise_and(t4, _U64_MASK32, out=t2)
+    t4 >>= _U64_32
+    t1 *= _U64_PCG_LO_B1
+    t1 += t2  # u0 v1 + (t & mask)
+    t1 >>= _U64_32
+    t3 *= _U64_PCG_LO_B1
+    hi *= _U64_PCG_LO
+    hi += t3
+    hi += t4
+    hi += t1
+    np.multiply(lo, _U64_PCG_HI, out=t1)
+    hi += t1
+    hi += inc_hi
+    lo *= _U64_PCG_LO
+    lo += inc_lo
+    np.less(lo, inc_lo, out=t1)
+    hi += t1
 
 
 # ---------------------------------------------------------------------------
@@ -385,33 +497,118 @@ def _round_batch(g: Digraph, k) -> tuple[bool, np.ndarray, tuple[np.ndarray, ...
     return single, ks, tuple(np.zeros((ks.size, m)) for m in (len(g.sorted_edges), g.n, g.n))
 
 
-def _fill_uniform(g: Digraph, streams: SeedStreams, ks: np.ndarray, pos: np.ndarray,
+def _fill_uniform(g: Digraph, streams: SeedStreams, ks: np.ndarray,
                   edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray | None = None) -> None:
-    """Write normalized U(0,1) weights of rounds ks into rows pos of edge_w, self_w (and alpha).
+    """Write normalized U(0,1) weights of rounds ks into edge_w, self_w (and alpha), a row per round.
 
     Sender i's stream (PURPOSE_WEIGHTS, i, k) gives one draw per sorted
     receiver, one for itself and, when alpha is given, one retention draw.
-    Senders are grouped by draw count so that each group's draws form one
-    contiguous (rounds, senders, count) block: summing its last axis then
-    groups the terms exactly as the 1-D sum of one sender's draws does, which
-    a zero-padded block would not once count reaches 8.  A row holding an
-    exact 0.0 is redrawn from its scalar stream by _positive_uniform.
+    Every sender's stream of every round is a row of one order: senders by
+    draw count, most first (_draw_classes), and each count class a
+    (rounds, senders) grid of rows, round-major.  That order is drawn
+    ROW_LIMIT rows at a time (_fill_pass), each time by one
+    SeedStreams._uniform_pass, so that no temporary grows with the round
+    count; a pass may end inside a class and inside a round.
+    """
+    if not ks.size:
+        return
+    streams._check(PURPOSE_WEIGHTS, np.asarray(g.nodes), ks)
+    total = g.n * ks.size
+    for first in range(0, total, ROW_LIMIT):
+        _fill_pass(g, streams, ks, first, min(first + ROW_LIMIT, total), edge_w, self_w, alpha)
+
+
+def _fill_pass(g: Digraph, streams: SeedStreams, ks: np.ndarray, first: int, stop: int,
+               edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray | None) -> None:
+    """Rows first..stop - 1 of _fill_uniform's order, drawn, normalized and scattered.
+
+    The pass's rows split into (rounds, senders) rectangles (_pieces), and
+    each is one (rounds, senders, count) view of the draws whose last axis
+    is contiguous: summing it then groups the terms exactly as the 1-D sum
+    of one sender's draws does, which a zero-padded row would not once
+    count reaches 8.  A row holding an exact 0.0 is redrawn from its scalar
+    stream by _positive_uniform.  The sums go to one array, and the draws
+    are divided by it a column at a time, for the rows that took that
+    draw: dividing a strided (rows, count) view by a broadcast (rows, 1)
+    one would run through numpy's buffers, about 200 KB.  The pass's
+    buffers are freed on return.
     """
     extra = 1 if alpha is None else 2
-    groups: dict[int, list[int]] = {}
-    for i in g.nodes:
-        groups.setdefault(len(g.out_neighbors[i]) + extra, []).append(i)
-    for count, senders in groups.items():
-        block = streams.uniform_block(PURPOSE_WEIGHTS, senders, ks[:, None], count)
-        for r, m in zip(*np.nonzero((block == 0.0).any(axis=-1))):
-            block[r, m] = _positive_uniform(streams.stream(PURPOSE_WEIGHTS, senders[m], int(ks[r])), count)
-        block /= block.sum(axis=-1, keepdims=True)
-        nodes = np.array(senders) - 1
-        edges = np.array([g.out_edges[i] for i in senders], dtype=np.intp)
-        edge_w[pos[:, None, None], edges] = block[..., : count - extra]
-        self_w[pos[:, None], nodes] = block[..., count - extra]
+    size, pieces = stop - first, list(_pieces(_draw_classes(g), ks.size, first, stop))
+    words = [np.empty(size, np.uint32), np.empty(size, np.uint32)]
+    ends: dict[int, int] = {}
+    for c, at, r0, r1, s0, s1 in pieces:
+        grid = (r1 - r0, s1 - s0)
+        words[0][at : at + grid[0] * grid[1]].reshape(grid)[...] = c.nodes[s0:s1]
+        words[1][at : at + grid[0] * grid[1]].reshape(grid)[...] = ks[r0:r1, None]
+        ends[c.degree + extra] = at + grid[0] * grid[1]
+    # draw j is taken by the rows of the classes with more than j draws, a prefix
+    active: list[int] = []
+    for count in sorted(ends):
+        active += [ends[count]] * (count - len(active))
+    draws = streams._uniform_pass(PURPOSE_WEIGHTS, words, active)
+    sums = np.empty(size)
+    for c, at, r0, r1, s0, s1 in pieces:
+        count = c.degree + extra
+        rows = draws[at : at + (r1 - r0) * (s1 - s0), :count]
+        if not rows.all():
+            for m in np.flatnonzero(~rows.all(axis=1)):
+                r, s = divmod(int(m), s1 - s0)
+                rng = streams.stream(PURPOSE_WEIGHTS, int(c.nodes[s0 + s]), int(ks[r0 + r]))
+                rows[m] = _positive_uniform(rng, count)
+        rows.sum(axis=1, out=sums[at : at + len(rows)])
+    for j, height in enumerate(active):
+        np.divide(draws[:height, j], sums[:height], out=draws[:height, j])
+    for c, at, r0, r1, s0, s1 in pieces:
+        block = draws[at : at + (r1 - r0) * (s1 - s0), : c.degree + extra].reshape(r1 - r0, s1 - s0, -1)
+        edge_w[r0:r1, c.edges[s0:s1]] = block[..., : c.degree]
+        self_w[r0:r1, c.cols[s0:s1]] = block[..., c.degree]
         if alpha is not None:
-            alpha[pos[:, None], nodes] = block[..., -1]
+            alpha[r0:r1, c.cols[s0:s1]] = block[..., -1]
+
+
+class _DrawClass(NamedTuple):
+    """The senders of one out-degree, in node order; read-only arrays."""
+
+    degree: int
+    first: int  # senders of larger out-degree, which come before these
+    nodes: np.ndarray  # uint32 node words
+    cols: np.ndarray  # node - 1: the senders' self_w and alpha columns
+    edges: np.ndarray  # (senders, degree) edge_w columns, in sorted receiver order
+
+
+@lru_cache(maxsize=GRAPH_TABLE)
+def _draw_classes(g: Digraph) -> tuple[_DrawClass, ...]:
+    """g's senders grouped by out-degree, largest first."""
+    order = sorted(g.nodes, key=lambda i: -len(g.out_edges[i]))
+    classes, first = [], 0
+    for degree, group in groupby(order, key=lambda i: len(g.out_edges[i])):
+        group = list(group)
+        arrays = (np.array(group, np.uint32), np.array(group, np.intp) - 1,
+                  np.array([g.out_edges[i] for i in group], np.intp).reshape(len(group), degree))
+        for a in arrays:
+            a.flags.writeable = False
+        classes.append(_DrawClass(degree, first, *arrays))
+        first += len(group)
+    return tuple(classes)
+
+
+def _pieces(classes: tuple[_DrawClass, ...], rounds: int, first: int, stop: int):
+    """Rows first..stop - 1 of _fill_uniform's order as rectangles (class,
+    at, r0, r1, s0, s1): the pass's rows at.. hold rounds r0..r1 - 1 of the
+    class's senders s0..s1 - 1, round-major.  A class gives at most a
+    partial round, whole rounds and a partial round."""
+    for c in classes:
+        width, base = len(c.nodes), c.first * rounds
+        a, b = max(first, base) - base, min(stop, base + width * rounds) - base
+        while a < b:
+            r0, s0 = divmod(a, width)
+            if s0 or b - a < width:
+                r1, s1 = r0 + 1, min(width, s0 + b - a)
+            else:
+                r1, s1 = b // width, width
+            yield c, base + a - first, r0, r1, s0, s1
+            a += (r1 - r0) * (s1 - s0)
 
 
 def sample_push_sum_weights(g: Digraph, k: int | Iterable[int], streams: SeedStreams):
@@ -424,7 +621,7 @@ def sample_push_sum_weights(g: Digraph, k: int | Iterable[int], streams: SeedStr
     rounds axis for a sequence.
     """
     single, ks, weights = _round_batch(g, k)
-    _fill_uniform(g, streams, ks, np.arange(ks.size), *weights[:2])
+    _fill_uniform(g, streams, ks, *weights[:2])
     return tuple(w[0] for w in weights) if single else weights
 
 
@@ -443,6 +640,10 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
     (n,) for an int k, with a leading rounds axis for a sequence.
     """
     single, ks, (edge_w, self_w, alpha) = _round_batch(g, k)
+    later = ks != 0
+    if later.any():  # every round from the first nonzero one to the last; round-0 rows among them are redone below
+        span = slice(int(later.argmax()), ks.size - int(later[::-1].argmax()))
+        _fill_uniform(g, streams, ks[span], edge_w[span], self_w[span], alpha[span])
     for r in np.flatnonzero(ks == 0):
         for i in g.nodes:
             count = len(g.out_edges[i]) + 2
@@ -457,8 +658,6 @@ def sample_round_weights(g: Digraph, k: int | Iterable[int], spread: float, stre
             draws /= draws.sum()
             edge_w[r, list(g.out_edges[i])] = draws[:-2]
             self_w[r, i - 1], alpha[r, i - 1] = draws[-2:]
-    later = np.flatnonzero(ks != 0)
-    _fill_uniform(g, streams, ks[later], later, edge_w, self_w, alpha)
     return (edge_w[0], self_w[0], alpha[0]) if single else (edge_w, self_w, alpha)
 
 

@@ -119,6 +119,25 @@ def test_eavesdrop_rejections() -> None:
         eavesdrop(trace, 9)
 
 
+@pytest.mark.parametrize("target, shown", [(True, "True"), (5.0, "5.0"), ("5", "'5'")], ids=["bool", "float", "string"])
+def test_attack_target_is_not_coerced(target, shown, tmp_path) -> None:
+    """A bool, float or string target is named and rejected, where True had
+    attacked node 1 and 5.0 had run the whole ledger before an IndexError;
+    a numpy integer is an integer."""
+    trace = demo_trace("decomposed", 2, rounds=5)
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    needle = re.escape(f"target: must be an integer, got {shown}")
+    for source in (trace, path):
+        with pytest.raises(ValueError, match=needle):
+            eavesdrop(source, target)
+        with pytest.raises(ValueError, match=needle):
+            attack_report(source, target)
+    with pytest.raises(ValueError, match=needle):
+        eavesdropper_diagnostics(trace, target)
+    assert attack_report(trace, np.int64(5)) == attack_report(trace, 5)
+
+
 def test_attack_report_shape() -> None:
     trace = demo_trace("decomposed", 3, rounds=60)
     report = attack_report(trace, 5, 500.0)
