@@ -92,25 +92,54 @@ class ForwardProduct:
 
     add multiplies in the matrices of a block's rounds from round 1 up to
     last (every round when last is None); report gives the ErgodicityReport
-    of the rounds added.  Between blocks only the running product, epsilon
-    and each round's delta are kept.
+    of the rounds added.  Between blocks only the running product, epsilon,
+    each round's delta, the row maxima and minima of the product's top n
+    rows, and the round-matrix and spare 2n x 2n buffers are kept.
 
-    In add, each round refills one 2n x 2n buffer and runs the full matrix
-    product into a spare buffer that it then swaps in.  Column sums, row
-    maxima and row minima go into a (3, rounds, 2n) buffer, and _spread
-    turns the block's into delta, so the first failing round raises its
-    ValueError from add; epsilon is the minimum of per-block minima.  The
-    final product goes through ergodicity_coefficient.
+    In add, each round fills the round matrix [[P, I], [diag(alpha), 0]]
+    with one scatter of its [edge_w | self_w | alpha] row, the row the
+    block joins for epsilon, and np.dot runs the full matrix product into
+    the spare buffer, which it then swaps in.  For C-ordered float64
+    matrices np.dot makes the same cblas_dgemm call as np.matmul, so the
+    product keeps its bits.  Column sums, row maxima and row minima go into
+    a (3, rounds + 1, 2n) buffer whose row 0 holds the top rows' extremes
+    before the block, and _spread turns the block's into delta, so the
+    first failing round raises its ValueError from add; epsilon is the
+    minimum of per-block minima.  The final product goes through
+    ergodicity_coefficient.
+
+    Row maxima and minima cost about half a round at 2n = 48, so a round
+    takes only its top n rows' from the product where it can.  Bottom row i
+    of round k's product is alpha_k[i] times top row i of round k-1's: the
+    dgemm adds to that one rounded product only terms 0.0 times an entry of
+    the product before, and those entries are finite wherever round k's
+    delta counts, since every column of that product summed to one.
+    Rounding is monotone, so where alpha_k[i] is finite and positive the
+    row's maximum and minimum are alpha_k[i] times the previous top row's,
+    taken from row 0 for a block's first round.  They are the product's
+    bits when its entries are not negative, as with the uniform weights of
+    every round after 0; with negative entries only the sign of a zero
+    extreme can differ, which moves delta only when every row of the
+    product is constant.  A round with any alpha that is zero, negative,
+    NaN or infinite, which would swap the extremes or meet 0 * inf, takes
+    all 2n rows' from the product.  Column sums always take every row.
     """
 
     def __init__(self, graph: Digraph, last: int | None = None):
         n = graph.n
         self.n, self.last = n, last
         rows, cols = np.divmod(graph.weight_slots[: len(graph.sorted_edges)], n)
-        self.edge_slots = rows * 2 * n + cols
+        diag = np.arange(n)
+        # where each entry of a round's [edge_w | self_w | alpha] row goes in the flat round matrix
+        self.slots = np.concatenate([rows * 2 * n + cols, diag * (2 * n + 1), (n + diag) * 2 * n + diag])
+        self.m = np.zeros((2 * n, 2 * n))
+        self.m[:n, n:] = np.eye(n)
+        self.spare = np.empty((2 * n, 2 * n))
         # smallest positive entry of any round matrix; the identity block holds ones
         self.epsilon = 1.0
         self.product = np.eye(2 * n)
+        # row maxima and minima of the product's top n rows: the identity's before round 1
+        self.top_extremes = np.stack([np.ones(n), np.zeros(n)])
         self.deltas: list[np.ndarray] = []
 
     def add(self, block: RoundBlock) -> None:
@@ -118,28 +147,36 @@ class ForwardProduct:
         stop = block.n_rounds if self.last is None else min(block.n_rounds, self.last + 1 - block.start)
         if first >= stop:
             return
-        n, edge_slots, product = self.n, self.edge_slots, self.product
-        edge_w, self_w, alpha = block.edge_w[first:stop], block.self_w[first:stop], block.alpha[first:stop]
-        w = np.concatenate([edge_w, self_w, alpha], axis=1)
-        self.epsilon = min(self.epsilon, float(np.min(w, where=w > 0.0, initial=np.inf)))
-        # one buffer [[P, I], [diag(alpha), 0]]; each round refills P and alpha
-        m = np.zeros((2 * n, 2 * n))
-        m[:n, n:] = np.eye(n)
+        n, slots, m, product, spare = self.n, self.slots, self.m, self.product, self.spare
+        alpha = block.alpha[first:stop]
+        w = np.concatenate([block.edge_w[first:stop], block.self_w[first:stop], alpha], axis=1)
+        self.epsilon = min(self.epsilon, float(np.minimum.reduce(w, None, where=w > 0.0, initial=np.inf)))
+        derived = ((alpha > 0.0) & (alpha < np.inf)).all(axis=1)
         flat = m.reshape(-1)
-        self_diag, alpha_diag = flat[: 2 * n * n : 2 * n + 1], flat[2 * n * n :: 2 * n + 1]
-        spare = np.empty_like(product)
-        col_sums, row_max, row_min = np.empty((3, stop - first, 2 * n))
+        # column sums, row maxima and row minima of each round, after a row 0 of the top rows' extremes before it
+        stats = np.empty((3, stop - first + 1, 2 * n))
+        stats[1:, 0, :n] = self.top_extremes
+        col_sums, row_max, row_min = stats[:, 1:]
+        top_max, top_min = row_max[:, :n], row_min[:, :n]
+        # the ufuncs' reduce, which ndarray.sum, max and min call through a Python wrapper
+        dot, add_up, maximum, minimum = np.dot, np.add.reduce, np.maximum.reduce, np.minimum.reduce
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite product fails the column check
-            for i in range(stop - first):
-                flat[edge_slots] = edge_w[i]
-                self_diag[:] = self_w[i]
-                alpha_diag[:] = alpha[i]
-                np.matmul(m, product, out=spare)
+            for i, whole in enumerate((~derived).tolist()):
+                flat[slots] = w[i]
+                dot(m, product, spare)
                 product, spare = spare, product
-                product.sum(axis=0, out=col_sums[i])
-                product.max(axis=1, out=row_max[i])
-                product.min(axis=1, out=row_min[i])
-            self.product = product
+                add_up(product, 0, out=col_sums[i])
+                if whole:
+                    maximum(product, 1, out=row_max[i])
+                    minimum(product, 1, out=row_min[i])
+                else:
+                    top = product[:n]
+                    maximum(top, 1, out=top_max[i])
+                    minimum(top, 1, out=top_min[i])
+            # the bottom rows of the other rounds: alpha times the top rows of the round before
+            np.multiply(alpha, stats[1:, :-1, :n], out=stats[1:, 1:, n:], where=derived[:, None])
+            self.top_extremes = stats[1:, -1, :n].copy()
+            self.product, self.spare = product, spare
             self.deltas.append(_spread(col_sums, row_max, row_min))
 
     def report(self) -> ErgodicityReport:

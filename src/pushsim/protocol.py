@@ -696,30 +696,44 @@ def _evolve(trace: Trace) -> None:
     x_l(k+1) = p_k @ x_l(k) + b_l(k), with p_k one reused dense matrix, and
     b_l(k+1) = alpha(k) * x_l(k) where alpha(k) is nonzero; elsewhere b keeps
     its +0.0, so a push_sum run (alpha all zero) never takes that step.  The
-    edge and self weights are joined into one row per round, and the
-    nonzero-alpha mask built, for a block at a time.  Non-finite states
-    propagate as the arithmetic gives them (inf * 0 in the dense product is
-    NaN), without a warning.
+    edge and self weights are joined into one row per round, the
+    nonzero-alpha mask built and the state rows taken as views, for a block
+    at a time.
+
+    On small graphs a round pays more for numpy's call overhead than for
+    its arithmetic, so each round makes as few calls as the same
+    floating-point operations allow.  p_k @ x_l goes through np.dot, which
+    for a C-ordered float64 matrix and vector makes the same cblas_dgemv
+    call as np.matmul (the same kernel, so the same sums in the same order)
+    without the ufunc dispatch.  Both b_l rows go into both x_l rows in one
+    (2, n) add, each entry still one addition.  Non-finite states propagate
+    as the arithmetic gives them (inf * 0 in the dense product is NaN),
+    without a warning.
+
+    Those are the bits of one add per row, with one exception: where two
+    NaNs whose bits differ meet in the add, which one comes out depends on
+    where numpy's loop splits the (2, n) rows.  The arithmetic makes one NaN
+    only, so that takes a NaN from outside, such as a trace file's: a run
+    from a config keeps its bits.
     """
     g = trace.graph
     p_k = np.zeros((g.n, g.n))
     flat, slots = p_k.reshape(-1), g.weight_slots
+    dot = np.dot
     with np.errstate(invalid="ignore", over="ignore"):
         for block in trace.blocks():
-            x1, x2, b1, b2 = block.states.transpose(1, 0, 2)
-            exchanged, retained = block.states[:, :2], block.states[:, 2:]
-            weights = np.concatenate([block.edge_w, block.self_w], axis=1)
+            states = block.states
+            x1, x2 = list(states[:, 0]), list(states[:, 1])
+            exchanged, retained = list(states[:, :2]), list(states[:, 2:])
+            weights = list(np.concatenate([block.edge_w, block.self_w], axis=1))
             alpha = block.alpha
             keep = alpha != 0.0
-            retains = keep.any(axis=1)
+            retains = keep.any(axis=1).tolist()
             for k in range(block.n_rounds):
                 flat[slots] = weights[k]
-                new, old = x1[k + 1], x1[k]
-                np.matmul(p_k, old, out=new)
-                new += b1[k]
-                new, old = x2[k + 1], x2[k]
-                np.matmul(p_k, old, out=new)
-                new += b2[k]
+                dot(p_k, x1[k], x1[k + 1])
+                dot(p_k, x2[k], x2[k + 1])
+                exchanged[k + 1] += retained[k]
                 if retains[k]:
                     np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[k])
 

@@ -25,7 +25,7 @@ from pushsim import (
 from pushsim.adversary import POST_TRANSIENT_ROUND
 from pushsim.analysis import ErgodicityReport, _spread
 from pushsim.graph import digraph_to_dict
-from pushsim.protocol import ROUND_BLOCK, conserved_sums, estimate_series, sample_initial_values
+from pushsim.protocol import ROUND_BLOCK, RoundBlock, conserved_sums, estimate_series, sample_initial_values
 from pushsim.traceio import FORMAT, ROUND_KEYS, STATE_KEYS, TraceFormatError, _header, _parse_line, read_trace
 
 
@@ -531,6 +531,22 @@ def tampered(trace: Trace, data, kinds=TAMPER_KINDS) -> Trace:
         sent[index_into(sent)] *= data.draw(st.sampled_from([1.0 + 1e-12, 1.0 + 1e-6, 1.5, -1.0]), label="factor")
     return Trace(trace.protocol, trace.graph, trace.x0.copy(), trace.seed, trace.spread, arrays["edge_w"],
                  arrays["self_w"], arrays["alpha"], arrays["states"], sent)
+
+
+def split_blocks(trace: Trace, cuts):
+    """The trace's rounds as RoundBlocks that start at round 0 and at each
+    round in cuts (a set of rounds in 1..R-1), whatever their sizes.
+
+    Each block holds copies of its rounds, and they turn NaN once the next
+    block is asked for, as traceio.read_blocks reuses its buffers.
+    """
+    bounds = [0, *sorted(cuts), trace.n_rounds]
+    for first, stop in zip(bounds, bounds[1:]):
+        arrays = [a.copy() for a in (trace.edge_w[first:stop], trace.self_w[first:stop],
+                                     trace.alpha[first:stop], trace.states[first : stop + 1])]
+        yield RoundBlock(trace.protocol, trace.graph, trace.x0, trace.seed, trace.spread, *arrays, start=first)
+        for a in arrays:
+            a.fill(np.nan)
 
 
 # ---------------------------------------------------------------------------

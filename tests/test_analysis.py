@@ -15,6 +15,7 @@ from pushsim import (
     run_metrics,
     run_protocol,
 )
+from pushsim.analysis import ErgodicityReport, ForwardProduct
 from pushsim.protocol import (
     ROUND_BLOCK,
     SeedStreams,
@@ -33,6 +34,7 @@ from helpers import (
     loop_mse,
     one_shot_forward_product,
     protocol_traces,
+    split_blocks,
     spoiled,
     tampered,
     stack_state,
@@ -221,6 +223,91 @@ def test_blockwise_forward_product_matches_one_shot_oracle(trace, data) -> None:
     for name in ("rounds", "delta", "bound", "product", "limit_column"):
         assert getattr(report, name).tobytes() == getattr(expected, name).tobytes(), name
     assert repr(report.epsilon) == repr(expected.epsilon)
+
+
+ALPHA_EDITS = (0.0, -0.0, -0.5, -3.0, -10.0, np.nan, np.inf)
+
+
+def set_alpha(trace, k: int, i: int, value: float) -> None:
+    """Set node i+1's round-k alpha to value; a finite value's change goes
+    in equal shares to the sender's edge and self weights, so that its
+    column still sums to one."""
+    if np.isfinite(value):
+        edges = list(trace.graph.out_edges[i + 1])
+        share = (trace.alpha[k, i] - value) / (len(edges) + 1)
+        trace.edge_w[k, edges] += share
+        trace.self_w[k, i] += share
+    trace.alpha[k, i] = value
+
+
+def fed_in_blocks(trace, last: int, cuts) -> ErgodicityReport:
+    """forward_product's report over rounds 1..last, fed the trace's rounds in split_blocks(trace, cuts)."""
+    product = ForwardProduct(trace.graph, last)
+    for block in split_blocks(trace, cuts):
+        product.add(block)
+    return product.report()
+
+
+def assert_like_dense_loop(trace, last: int, cuts) -> ErgodicityReport | None:
+    """ForwardProduct fed in blocks gives dense_forward_product's delta,
+    product and epsilon bit for bit, or raises its ValueError; returns the
+    report, or None where both raised."""
+    try:
+        with np.errstate(all="ignore"):
+            delta, product, epsilon = dense_forward_product(trace, last)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            fed_in_blocks(trace, last, cuts)
+        assert str(raised.value) == str(exc)
+        return None
+    report = fed_in_blocks(trace, last, cuts)
+    assert report.delta.tobytes() == delta.tobytes()
+    assert report.product.tobytes() == product.tobytes()
+    assert repr(report.epsilon) == repr(epsilon)
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace=protocol_traces(protocols=("decomposed",), min_rounds=2), data=st.data())
+def test_forward_product_fed_in_random_splits_matches_dense_loop(trace, data) -> None:
+    """ForwardProduct gives the dense loop's bits, or raises its message,
+    whatever sizes the blocks come in and wherever last falls, inside a
+    block or on its edge; the blocks' arrays turn NaN once added, and the
+    traces hold a NaN, an infinity, a zero or a broken column sum, and
+    rounds with an alpha that is zero, negative, NaN or infinite."""
+    trace = tampered(trace, data)
+    for _ in range(data.draw(st.integers(0, 3), label="alpha edits")):
+        set_alpha(trace, data.draw(st.integers(1, trace.n_rounds - 1), label="round"),
+                  data.draw(st.integers(0, trace.graph.n - 1), label="node"),
+                  data.draw(st.sampled_from(ALPHA_EDITS), label="alpha"))
+    last = data.draw(st.integers(1, trace.n_rounds - 1), label="last")
+    cuts = data.draw(st.sets(st.integers(1, trace.n_rounds - 1)), label="cuts")
+    assert_like_dense_loop(trace, last, cuts)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [0.0, -0.0, -3.0, np.nan, np.inf])
+@pytest.mark.parametrize("round_", [1, 15, 16, 17, 39])
+def test_forward_product_round_whose_alpha_is_not_positive_and_finite(value, round_) -> None:
+    """A round with one alpha that is zero, negative, NaN or infinite takes
+    its bottom rows' extremes from the product and gives the dense loop's
+    delta bits, or raises its message at that round; on the first round, on
+    and around a block edge and on the last round.  A negative alpha swaps
+    the bottom row's extremes, and here it sets that round's delta, so a
+    bottom row scaled from the top row before would show."""
+    g = random_strongly_connected(24, 0.3, 7)
+    trace = run_protocol(g, np.linspace(-20.0, 30.0, 24), "decomposed", 40, seed=5)
+    before = dense_forward_product(trace, round_ - 1)[1] if round_ > 1 else np.eye(48)
+    i = int(np.argmax(before[:24].max(axis=1) - before[:24].min(axis=1)))  # the widest top row before the round
+    set_alpha(trace, round_, i, value)
+    for cuts in ({16, 32}, {round_, min(round_ + 1, 39)}, set(range(1, 40, 3))):
+        report = assert_like_dense_loop(trace, 39, cuts)
+        assert (report is None) == (not np.isfinite(value))
+    if value < 0.0:
+        _, product, _ = dense_forward_product(trace, round_)
+        spreads = product.max(axis=1) - product.min(axis=1)
+        assert int(np.argmax(spreads)) == 24 + i
+        assert report.delta[round_ - 1] == spreads[24 + i]
 
 
 @settings(max_examples=40, deadline=None)
