@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Digraph
-from .protocol import ESTIMATE_GUARD, ROUND_BLOCK, Trace, estimate_average
+from .protocol import ESTIMATE_GUARD, ROUND_BLOCK, RoundBlock, Trace, estimate_average
 from .traceio import open_blocks, write_table
 
 # Round from which exceedance statistics are counted in summaries: early
@@ -36,6 +36,11 @@ from .traceio import open_blocks, write_table
 POST_TRANSIENT_ROUND = 50
 
 DIVISOR_GUARD = 1e-12
+
+# Temporary values eavesdrop makes per piece of a Trace in memory: pieces
+# many blocks long keep its numpy calls few, and a 200-round run on the demo
+# or the benchmark's 24-node graph is one piece.
+EAVESDROP_VALUES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +81,13 @@ def eavesdrop(trace_or_path, target: int | None) -> EavesdropperState:
     int (a bool, a float or a string is rejected, not coerced).
 
     A file is read with traceio.read_blocks, and the target is checked
-    against its header's graph before any round line is read; a Trace in
-    memory goes in as one block.  Between blocks only the books after the
-    last round, that round's inflow and the per-round results are kept, and
-    the bits do not depend on how the rounds are split.
+    against its header's graph before any round line is read.  A Trace in
+    memory goes in as pieces of as many rounds as keep a piece's temporary
+    values, about n + 2 per intercepted edge a round, within EAVESDROP_VALUES,
+    so that a long run holds no temporary of its length.  Between blocks
+    only the books after the last round, that round's inflow and the
+    per-round results are kept, and the bits do not depend on how the rounds
+    are split.
     """
     with _opened(trace_or_path) as (head, _, blocks):
         g = head.graph
@@ -89,44 +97,27 @@ def eavesdrop(trace_or_path, target: int | None) -> EavesdropperState:
         out_edges = list(g.out_edges[target])
         # the products the observer intercepts: the target's out-edges, then its in-edges
         edges = out_edges + [g.edge_position[(target, j)] for j in g.in_neighbors[target]]
+        if isinstance(trace_or_path, Trace):
+            blocks = head.blocks(max(1, EAVESDROP_VALUES // (g.n + 2 * len(edges))))
         books, unrecoverable, rounds, carried = [], [], 0, None
         for block in blocks:
             size = block.n_rounds
             if not size:
                 continue
-            sent = block.products(edges)
-            # the target's exchanged state, from the out-edge with the largest weight magnitude
-            x_plus = np.full((size, 2), np.nan)
-            if out_edges:
-                weights = block.edge_w[:, out_edges]
-                best = np.argmax(np.abs(weights), axis=1)
-                rows = np.arange(size)
-                divisor = weights[rows, best]
-                known = divisor != 0.0
-                np.divide(sent[rows, best], divisor[:, None], out=x_plus, where=known[:, None])
-                unrecoverable += (np.flatnonzero(~known) + rounds).tolist()
-            else:
-                unrecoverable += range(rounds, rounds + size)
-
-            cols = block.weight_column(target)
-            assumed_self = 1.0 - (cols.sum(axis=1) - cols[:, target - 1])
-            inflow = assumed_self[:, None] * x_plus
-            for c in range(len(out_edges), len(edges)):  # one in-neighbor at a time, in sorted order
-                inflow += sent[:, c]
+            x_plus, inflow, lost = _flows(block, target, out_edges, edges)
+            unrecoverable += (lost + rounds).tolist()
             # s[k+1] = s[k] + x_plus[k+1] - inflow[k] runs as one running sum per block down s[start-1],
             # x_plus[start], -inflow[start-1], x_plus[start+1], -inflow[start], ..., the first block's
             # from x_plus[0], which is s[0]: an accumulate adds in order, so the bits are those of one
-            # running sum over the run.  a - b is a + (-b) bit for bit, and a NaN keeps its sign, as
-            # subtraction passes it on
-            np.negative(inflow, out=inflow, where=inflow == inflow)
+            # running sum over the run
             terms = np.empty((2 * size + 1, 2))
             terms[1::2], terms[4::2] = x_plus, inflow[:-1]
             if rounds:
                 terms[0], terms[2] = books[-1][-1], carried
-                books.append(np.add.accumulate(terms)[2::2])
+                books.append(np.add.accumulate(terms)[2::2].copy())
             else:
                 terms[2] = x_plus[0]
-                books.append(np.add.accumulate(terms[2:])[::2])
+                books.append(np.add.accumulate(terms[2:])[::2].copy())
             carried, rounds = inflow[-1], rounds + size
     if not rounds:
         raise ValueError("trace has no rounds to observe")
@@ -135,6 +126,35 @@ def eavesdrop(trace_or_path, target: int | None) -> EavesdropperState:
         target=target, s1=s[:, 0], s2=s[:, 1], estimates=estimate_average(s[:, 0], s[:, 1]),
         protocol=head.protocol, true_initial=float(head.x0[target - 1]), unrecoverable_rounds=unrecoverable,
     )
+
+
+def _flows(block: RoundBlock, target: int, out_edges: list[int], edges: list[int]):
+    """One block's recovered exchanged states of the target, shape (rounds, 2),
+    the negated inflow its books assume, the same shape, and the rounds where
+    no state was recovered.  Its temporaries, which grow with the block, die
+    when it returns, so none outlives its block into the next."""
+    size = block.n_rounds
+    sent = block.products(edges)
+    # the target's exchanged state, from the out-edge with the largest weight magnitude
+    x_plus = np.full((size, 2), np.nan)
+    if out_edges:
+        weights = block.edge_w[:, out_edges]
+        best = np.argmax(np.abs(weights), axis=1)
+        rows = np.arange(size)
+        divisor = weights[rows, best]
+        known = divisor != 0.0
+        np.divide(sent[rows, best], divisor[:, None], out=x_plus, where=known[:, None])
+        lost = np.flatnonzero(~known)
+    else:
+        lost = np.arange(size)
+    cols = block.weight_column(target)
+    assumed_self = 1.0 - (cols.sum(axis=1) - cols[:, target - 1])
+    inflow = assumed_self[:, None] * x_plus
+    for c in range(len(out_edges), len(edges)):  # one in-neighbor at a time, in sorted order
+        inflow += sent[:, c]
+    # a - b is a + (-b) bit for bit, and a NaN keeps its sign, as subtraction passes it on
+    np.negative(inflow, out=inflow, where=inflow == inflow)
+    return x_plus, inflow, lost
 
 
 def _opened(trace_or_path, count: bool = False):

@@ -19,6 +19,8 @@ from .graph import Digraph
 from .protocol import RoundBlock, Trace, estimate_series
 
 COLUMN_SUM_TOL = 1e-9
+# Squared errors run_metrics holds at once.
+MSE_VALUES = 1 << 12
 
 
 def _spread(col_sums: np.ndarray, row_max: np.ndarray, row_min: np.ndarray) -> np.ndarray:
@@ -69,7 +71,8 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     Multiplication puts each new round's matrix on the left, so the product
     after round k maps the state at round 1 to the state at round k+1.  The
     round-0 matrix never enters the product or the epsilon statistic.  The
-    rounds go through a ForwardProduct one block of the trace at a time.
+    rounds go through a ForwardProduct one block of the trace at a time, and
+    no block after the one that holds round k is made.
 
     Args:
         trace: a decomposed-protocol trace with at least 2 rounds.
@@ -84,6 +87,8 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
     product = ForwardProduct(trace.graph, last)
     for block in trace.blocks():
         product.add(block)
+        if block.start + block.n_rounds > last:
+            break
     return product.report()
 
 
@@ -207,16 +212,30 @@ class RunMetrics:
 
 
 def run_metrics(trace: Trace) -> RunMetrics:
-    """Estimate-error curves for a trace, measured against mean(x0)."""
+    """Estimate-error curves for a trace, measured against mean(x0).
+
+    abs_error is made in place from one difference with the estimates, and
+    mse sums its squares a piece of rows, at most MSE_VALUES values, at a
+    time and divides by n once, so besides the three (rounds+1, n) results
+    only one piece of squares is ever held.  The bits are those of
+    np.mean((est - target) ** 2, axis=1): |d| ** 2 is d ** 2, np.mean is that
+    sum divided by n, and a row's sum is the same call on the row whatever
+    rows come with it.
+    """
     target = float(np.mean(trace.x0))
     est = estimate_series(trace)
-    err = np.abs(est - target)
+    err = np.subtract(est, target)
+    np.abs(err, out=err)
     defined = ~np.isnan(est)
     counts = defined.sum(axis=1)
-    squared = (est - target) ** 2
-    mse = np.mean(squared, axis=1)
-    for k in np.flatnonzero(counts < est.shape[1]):  # rows with an undefined estimate
-        mse[k] = np.mean(squared[k, defined[k]]) if counts[k] else np.nan
+    n = est.shape[1]
+    rows = max(1, MSE_VALUES // n)
+    mse = np.empty(len(err))
+    for first in range(0, len(err), rows):
+        np.add.reduce(np.square(err[first : first + rows]), axis=1, out=mse[first : first + rows])
+    mse /= n
+    for k in np.flatnonzero(counts < n):  # rows with an undefined estimate
+        mse[k] = np.mean(np.square(err[k, defined[k]])) if counts[k] else np.nan
     return RunMetrics(target=target, estimates=est, abs_error=err, mse=mse, defined_counts=counts)
 
 

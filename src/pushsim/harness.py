@@ -263,14 +263,25 @@ def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, outdir:
                   stage_s: dict[str, float]) -> dict:
     """Run one seed, write its files under seed_<seed>/ and return its summary entry.
 
-    Nothing of the run outlives the call but the entry, so a scenario holds
-    one seed's trace and results at a time.
+    The stages go in order: simulate (run_protocol); analyse (run_metrics,
+    the beta convergence round and, for decomposed runs of 2+ rounds,
+    forward_product); attack (attack_report); then write attack.json and
+    attack.csv, the ergodicity files, and trace.jsonl and estimates.csv
+    last.  seed_<seed>/ is made only once the analysis and the attack have
+    succeeded.  Each stage's result is cut down, as soon as it exists, to
+    what the entry and the files need: the metrics to the convergence round,
+    the final max error and the per-round mse; the ergodicity report to its
+    rounds, delta, bound and epsilon; the attack report to its summary
+    fields, once its files are written.  So between stages only the trace
+    and per-round scalars are held, and each stage's temporaries stack on
+    nothing bigger.  Nothing of the run outlives the call but the entry.
     """
     start = time.perf_counter()
     x0 = protocol.sample_initial_values(g.n, cfg.initials, protocol.SeedStreams(seed))
     trace = protocol.run_protocol(g, x0, cfg.protocol, cfg.rounds, cfg.spread, seed)
     start = _lap(stage_s, "simulate", start)
     metrics = analysis.run_metrics(trace)
+    target, mse = metrics.target, metrics.mse
     convergence = analysis.convergence_round(metrics.abs_error)
     entry = {
         "seed": seed,
@@ -278,20 +289,23 @@ def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, outdir:
         "beta_convergence_round": None,
         "final_max_error": float(np.nanmax(metrics.abs_error[-1])),
     }
+    del metrics
     ergodicity = None
     if cfg.protocol == "decomposed":
-        entry["beta_convergence_round"] = analysis.convergence_round(
-            np.abs(protocol.retained_ratio_series(trace) - metrics.target))
+        beta_error = protocol.retained_ratio_series(trace)
+        beta_error -= target
+        entry["beta_convergence_round"] = analysis.convergence_round(np.abs(beta_error, out=beta_error))
+        del beta_error
         if cfg.rounds >= 2:
-            ergodicity = analysis.forward_product(trace)
+            report = analysis.forward_product(trace)
+            ergodicity = report.rounds, report.delta, report.bound, report.epsilon
+            del report
     start = _lap(stage_s, "analyse", start)
     attack = adversary.attack_report(trace, cfg.attack_target, cfg.threshold)
     start = _lap(stage_s, "attack", start)
 
     seed_dir = outdir / f"seed_{seed}"
     seed_dir.mkdir(exist_ok=True)
-    traceio.write_trace(trace, seed_dir / "trace.jsonl", {"config_hash": chash})
-    traceio.write_estimates_csv(trace, seed_dir / "estimates.csv", f"config_hash={chash}")
     traceio.write_json(seed_dir / "attack.json", {**attack, "config_hash": chash})
     adversary.write_attack_csv(attack, seed_dir / "attack.csv", f"config_hash={chash}")
     entry["attack"] = {
@@ -300,16 +314,20 @@ def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, outdir:
         "post_transient_exceedance_count": len(attack["post_transient_exceedance_rounds"]),
         "final_error": attack["final_error"],
     }
+    del attack
     if ergodicity is not None:
-        columns = (ergodicity.rounds, ergodicity.delta, ergodicity.bound, metrics.mse[ergodicity.rounds])
+        rounds, delta, bound, epsilon = ergodicity
         traceio.write_table(
-            seed_dir / "ergodicity.csv", ("k", "delta", "bound", "mse"), columns, f"config_hash={chash}"
+            seed_dir / "ergodicity.csv", ("k", "delta", "bound", "mse"), (rounds, delta, bound, mse[rounds]),
+            f"config_hash={chash}",
         )
-        entry["ergodicity"] = {"epsilon": ergodicity.epsilon, "final_delta": float(ergodicity.delta[-1])}
+        entry["ergodicity"] = {"epsilon": epsilon, "final_delta": float(delta[-1])}
         traceio.write_json(
             seed_dir / "ergodicity.json",
             {**entry["ergodicity"], "convergence_round": convergence, "config_hash": chash},
         )
+    traceio.write_trace(trace, seed_dir / "trace.jsonl", {"config_hash": chash})
+    traceio.write_estimates_csv(trace, seed_dir / "estimates.csv", f"config_hash={chash}")
     _lap(stage_s, "write", start)
     return entry
 
@@ -317,9 +335,11 @@ def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, outdir:
 def run_scenario(cfg: ExperimentConfig, verbose: bool = False) -> dict:
     """Run every seed of a scenario and write the output bundle.
 
-    Seeds run one after another, and each writes its own files as soon as
-    it finishes and then drops its trace, so the peak memory does not grow
-    with the seed count; summary.json gathers the per-seed entries.  The
+    Seeds run one after another through _run_one_seed, which writes the
+    seed's files as soon as its analysis and attack are done and then drops
+    its trace, so the peak memory does not grow with the seed count: at any
+    time one seed's trace, its per-round scalars and one stage's
+    temporaries are held.  summary.json gathers the per-seed entries.  The
     summary's metadata block records the wall time of each stage, summed
     over seeds.
     """

@@ -396,11 +396,11 @@ class Trace:
         col[:, i - 1] = self.self_w[:, i - 1]
         return col
 
-    def blocks(self) -> Iterator[RoundBlock]:
-        """The trace's rounds as RoundBlock views into its arrays, in order."""
+    def blocks(self, size: int = ROUND_BLOCK) -> Iterator[RoundBlock]:
+        """The trace's rounds as RoundBlock views into its arrays, in order, size rounds a block."""
         stray = self.stray_weight
-        for first in range(0, max(self.n_rounds, 1), ROUND_BLOCK):
-            stop = min(first + ROUND_BLOCK, self.n_rounds)
+        for first in range(0, max(self.n_rounds, 1), size):
+            stop = min(first + size, self.n_rounds)
             yield RoundBlock(self.protocol, self.graph, self.x0, self.seed, self.spread, self.edge_w[first:stop],
                              self.self_w[first:stop], self.alpha[first:stop], self.states[first : stop + 1],
                              None if self.recorded_sent is None else self.recorded_sent[first:stop],
@@ -417,11 +417,11 @@ class RoundBlock(Trace):
     those rounds, with the round counted in the whole trace.  protocol,
     graph, x0, seed and spread are the whole trace's.
 
-    Every block of a trace holds ROUND_BLOCK rounds but the last, and a
-    trace without rounds is one block without rounds, which holds state 0.
-    Trace.blocks yields views into a trace in memory, and
-    traceio.read_blocks the blocks of a file as it reads them; those are
-    views into buffers that the next block reuses.
+    Every block of a trace holds ROUND_BLOCK rounds, or the size given to
+    Trace.blocks, but the last, and a trace without rounds is one block
+    without rounds, which holds state 0.  Trace.blocks yields views into a
+    trace in memory, and traceio.read_blocks the blocks of a file as it
+    reads them; those are views into buffers that the next block reuses.
     """
 
     start: int = 0

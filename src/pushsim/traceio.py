@@ -48,6 +48,7 @@ import json
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -441,34 +442,32 @@ def write_table(path, header, columns, comment: str | None = None) -> None:
     the repr of its value: the shortest repr of a float, and an integer
     whole, so a seed above 2**64 must stay a Python int and not pass through
     a float array.  A NaN is an empty cell.  No cell needs quoting.  Rows are
-    formatted 256 at a time, so the cell strings of a whole table are never
-    in memory at once.
+    formatted TABLE_CHUNK at a time, so the cell strings of a whole table
+    are never in memory at once.
     """
-    chunks = ([col[start : start + TABLE_CHUNK] for col in columns] for start in range(0, len(columns[0]), TABLE_CHUNK))
-    _write_chunks(path, header, chunks, comment)
+    with _table(path, header, comment) as fh:
+        for start in range(0, len(columns[0]), TABLE_CHUNK):
+            cells = [_cells(col[start : start + TABLE_CHUNK]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _write_chunks(path, header, chunks, comment: str | None) -> None:
-    """write_table's file, from an iterable of chunks, each a list of equal-length column pieces.
-
-    Within a chunk an array column computes one repr per distinct bit
-    pattern and reuses it for every cell that repeats it, which writes the
-    same bytes as one repr per cell.
-    """
+@contextmanager
+def _table(path, header, comment: str | None):
+    """A bundle CSV file opened for writing, its comment and header lines written."""
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for chunk in chunks:
-            cells = [_cells(col) for col in chunk]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        yield fh
 
 
 def _cells(chunk) -> list[str]:
     """The cell texts of one chunk of a column, "" for a NaN.
 
-    An array chunk is told apart by bit pattern, not by value, so -0.0 and
-    0.0 keep their own texts and NaNs of any sign or payload all print "".
+    An array chunk computes one repr per distinct bit pattern and reuses it
+    for every cell that repeats it, which gives the texts of one repr per
+    cell: it is told apart by bit pattern, not by value, so -0.0 and 0.0
+    keep their own texts and NaNs of any sign or payload all print "".
     """
     if not isinstance(chunk, np.ndarray):
         return ["" if v != v else repr(v) for v in chunk]  # v != v: NaN
@@ -481,18 +480,19 @@ def write_estimates_csv(trace: Trace, path, comment: str | None = None) -> None:
     """Per-round per-node estimates: columns k, node, estimate, abs_error.
 
     abs_error is against the true average of x0; undefined estimates leave
-    both cells empty.  The four columns are built and formatted for a block
-    of whole rounds at a time, at least ROUND_BLOCK rounds and at least
-    TABLE_CHUNK rows, so no column of the whole table is ever held and a
-    small graph's rows are not formatted in many small chunks.
+    both cells empty.  Rows go out a chunk of whole rounds at a time, the
+    fewest rounds that fill TABLE_CHUNK rows, so no column of the whole
+    table is ever held.  The k and node cells repeat texts made once, k's
+    once per round and the nodes' once per file, and a chunk's estimates and
+    errors take theirs from one _cells call over both.
     """
     n, truth = trace.graph.n, np.mean(trace.x0)
-    span = max(ROUND_BLOCK, -(-TABLE_CHUNK // n))
-    nodes = np.tile(np.arange(1, n + 1), span)
-
-    def chunks():
+    span = -(-TABLE_CHUNK // n)
+    nodes = [str(j) for j in range(1, n + 1)]
+    with _table(path, ("k", "node", "estimate", "abs_error"), comment) as fh:
         for first in range(0, trace.n_rounds + 1, span):
             est = estimate_series(trace, slice(first, first + span)).ravel()
-            yield np.arange(first, first + est.size // n).repeat(n), nodes[: est.size], est, np.abs(est - truth)
-
-    _write_chunks(path, ("k", "node", "estimate", "abs_error"), chunks(), comment)
+            rows = len(est)
+            cells = _cells(np.concatenate([est, np.abs(est - truth)]))
+            ks = chain.from_iterable(repeat(str(k), n) for k in range(first, first + rows // n))
+            fh.write("\n".join(map(",".join, zip(ks, cycle(nodes), cells[:rows], cells[rows:]))) + "\n")

@@ -120,6 +120,20 @@ def loop_mse(estimates: np.ndarray, target: float) -> np.ndarray:
     return mse
 
 
+def whole_array_metrics(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for run_metrics: (abs_error, mse, defined_counts) by the
+    whole-array formula, every difference squared at once."""
+    target = float(np.mean(trace.x0))
+    est = estimate_series(trace)
+    defined = ~np.isnan(est)
+    counts = defined.sum(axis=1)
+    squared = (est - target) ** 2
+    mse = np.mean(squared, axis=1)
+    for k in np.flatnonzero(counts < est.shape[1]):
+        mse[k] = np.mean(squared[k, defined[k]]) if counts[k] else np.nan
+    return np.abs(est - target), mse, counts
+
+
 def loop_convergence_round(errors: np.ndarray, tol: float) -> int | None:
     """Reference for convergence_round: the first row whose worst defined error is below tol."""
     for k, row in enumerate(errors):

@@ -39,6 +39,7 @@ from helpers import (
     tampered,
     stack_state,
     weight_matrix,
+    whole_array_metrics,
 )
 
 
@@ -156,6 +157,25 @@ def test_forward_product_matches_dense_loop_bit_for_bit(n, prob, graph_seed, see
     assert report.delta.tobytes() == delta.tobytes()
     assert report.product.tobytes() == product.tobytes()
     assert report.epsilon == epsilon
+
+
+def test_forward_product_takes_no_block_past_round_k() -> None:
+    """forward_product(trace, k) takes the trace's blocks up to the one that
+    holds round k, and makes none after it."""
+    trace = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 200, seed=4)
+    blocks, taken = trace.blocks, []
+
+    def recording():
+        for block in blocks():
+            taken.append(block.start)
+            yield block
+
+    trace.blocks = recording
+    for k in (1, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1, 199):
+        taken.clear()
+        report = forward_product(trace, k)
+        assert taken == list(range(0, k + 1, ROUND_BLOCK)), k
+        assert report.delta.size == k
 
 
 def test_forward_product_epsilon_skips_zero_and_negative_weights() -> None:
@@ -351,6 +371,21 @@ def test_convergence_round() -> None:
     assert convergence_round(errors, tol=1e-13) is None
     all_nan = np.full((3, 2), np.nan)
     assert convergence_round(all_nan, tol=1.0) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=protocol_traces(), spoil=st.booleans(), data=st.data())
+def test_run_metrics_matches_whole_array_formula(trace, spoil, data) -> None:
+    """run_metrics, which squares its errors a block of rounds at a time,
+    gives the bits of squaring every difference at once, on rows with
+    undefined estimates too."""
+    if spoil:
+        trace = spoiled(trace, data.draw(st.sampled_from(trace.graph.nodes), label="target"), data)
+    metrics = run_metrics(trace)
+    abs_error, mse, counts = whole_array_metrics(trace)
+    assert metrics.abs_error.tobytes() == abs_error.tobytes()
+    assert metrics.mse.tobytes() == mse.tobytes()
+    assert metrics.defined_counts.tobytes() == counts.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -348,6 +348,27 @@ def test_run_holds_one_seed_at_a_time(tmp_path: Path) -> None:
     assert ten <= 1.1 * one, (one, ten)
 
 
+def test_run_peaks_at_the_simulation(tmp_path: Path) -> None:
+    """A one-seed, 200-round run_scenario on the benchmark's 24-node graph
+    peaks within 5% of its own run_protocol call (tracemalloc): between
+    stages it holds the trace and per-round scalars only, so no later stage
+    stacks its temporaries on a whole-run result."""
+    graph = tmp_path / "g24.json"
+    graphmod.save_digraph(graphmod.random_strongly_connected(24, 0.3, 7), graph)
+
+    def scenario(out: str) -> ExperimentConfig:
+        return parse_config({"rounds": 200, "seeds": [1], "graph": {"file": str(graph)},
+                             "output_dir": str(tmp_path / out)})
+
+    cfg = scenario("run")
+    g = cfg.resolve_graph()
+    x0 = sample_initial_values(g.n, cfg.initials, SeedStreams(1))
+    run_scenario(scenario("warm"))  # fills the graph's cached index arrays and numpy's small-array cache
+    simulate = traced_peak(lambda: run_protocol(g, x0, cfg.protocol, cfg.rounds, cfg.spread, 1))
+    whole = traced_peak(lambda: run_scenario(cfg))
+    assert whole <= 1.05 * simulate, (simulate, whole)
+
+
 # ---------------------------------------------------------------------------
 # invariant checking on tampered files
 

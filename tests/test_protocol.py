@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from pushsim import (
     PROTOCOLS,
+    Digraph,
     SeedStreams,
     Trace,
     TraceFormatError,
@@ -1065,7 +1066,7 @@ def test_estimates_csv(tmp_path) -> None:
 
 def estimates_span(n: int) -> int:
     """Rounds in one of write_estimates_csv's chunks on n nodes."""
-    return max(ROUND_BLOCK, -(-TABLE_CHUNK // n))
+    return -(-TABLE_CHUNK // n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1080,6 +1081,45 @@ def test_blockwise_estimates_csv_matches_whole_table_oracle(tmp_path_factory, tr
     write_estimates_csv(trace, where / "blocks.csv", comment)
     one_shot_estimates_csv(trace, where / "oracle.csv", comment)
     assert (where / "blocks.csv").read_bytes() == (where / "oracle.csv").read_bytes()
+
+
+# x1 and x2 values whose ratios give every kind of estimate cell: empty
+# (NaN, or x2 under the guard), +-0.0, +-inf, repeats and plain floats
+ESTIMATE_NUMERATORS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 0.1, 1e-300, 3.0)
+ESTIMATE_DENOMINATORS = (0.0, -0.0, 1e-13, math.nan, math.inf, 1.0, -1.0, 3.0, 0.7)
+
+
+@st.composite
+def estimate_tables(draw) -> Trace:
+    """Traces for write_estimates_csv alone, on n from 1 to above TABLE_CHUNK
+    nodes with a graph of no edges: round counts at the edges of its chunks,
+    and states whose ratios give NaN, +-0.0, +-inf and repeated values."""
+    n = draw(st.one_of(st.integers(1, 30), st.sampled_from((TABLE_CHUNK - 1, TABLE_CHUNK, TABLE_CHUNK + 1, 300))),
+             label="n")
+    span = estimates_span(n)
+    rows = draw(st.sampled_from(sorted({1, span - 1, span, span + 1, 2 * span, 2 * span + 1} - {0})), label="rows")
+    nums = np.array(ESTIMATE_NUMERATORS + tuple(draw(st.lists(TRACE_FLOATS, max_size=3), label="more x1")))
+    dens = np.array(ESTIMATE_DENOMINATORS)
+    states = np.zeros((rows, 4, n))
+    states[:, 0] = nums[draw(arrays(np.intp, (rows, n), elements=st.integers(0, len(nums) - 1)), label="x1")]
+    states[:, 1] = dens[draw(arrays(np.intp, (rows, n), elements=st.integers(0, len(dens) - 1)), label="x2")]
+    x0 = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)), label="x0")
+    rounds = rows - 1
+    return Trace("push_sum", Digraph(n, frozenset()), x0, 0, None, np.empty((rounds, 0)), np.empty((rounds, n)),
+                 np.zeros((rounds, n)), states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=estimate_tables(), comment=st.one_of(st.none(), st.just("config_hash=abc")))
+def test_estimates_csv_matches_per_cell_writer(tmp_path_factory, trace, comment) -> None:
+    """write_estimates_csv writes exactly the bytes of a writer that makes
+    one repr per cell of the whole table, NaN as an empty cell, whatever the
+    node count, the round count and the values."""
+    where = tmp_path_factory.mktemp("estimates")
+    with np.errstate(all="ignore"):
+        write_estimates_csv(trace, where / "chunks.csv", comment)
+        one_shot_estimates_csv(trace, where / "oracle.csv", comment)
+    assert (where / "chunks.csv").read_bytes() == (where / "oracle.csv").read_bytes()
 
 
 @st.composite
