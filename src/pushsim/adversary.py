@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Digraph
+from .graph import Digraph, integer
 from .protocol import ESTIMATE_GUARD, ROUND_BLOCK, RoundBlock, Trace, estimate_average
 from .traceio import open_blocks, write_table
 
@@ -91,7 +91,7 @@ def eavesdrop(trace_or_path, target: int | None) -> EavesdropperState:
     """
     with _opened(trace_or_path) as (head, _, blocks):
         g = head.graph
-        target = g.n if target is None else _integer(target, "target")
+        target = g.n if target is None else integer(target, "target")
         if target not in g.nodes:
             raise ValueError(f"target {target} not a node of the digraph")
         out_edges = list(g.out_edges[target])
@@ -199,7 +199,7 @@ def eavesdropper_diagnostics(trace: Trace, target: int, threshold: float = 500.0
     if trace.protocol != "decomposed":
         raise ValueError("diagnostics apply to decomposed traces only")
     g = trace.graph
-    if _integer(target, "target") not in g.nodes:
+    if integer(target, "target") not in g.nodes:
         raise ValueError(f"target {target} not a node of the digraph")
     t = target - 1
     n_rounds = trace.n_rounds
@@ -289,14 +289,6 @@ class CoalitionView:
         return cols
 
 
-def _integer(value, name: str) -> int:
-    """An int or a numpy integer as an int; a bool, a float, a string or any
-    other value is rejected with a ValueError naming it, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name}: must be an integer, got {value!r}")
-    return int(value)
-
-
 def build_coalition_view(trace_or_path, coalition) -> CoalitionView:
     """Project a decomposed trace, a Trace or a trace file, onto a coalition's information set.
 
@@ -316,7 +308,7 @@ def build_coalition_view(trace_or_path, coalition) -> CoalitionView:
         if head.protocol != "decomposed":
             raise ValueError("coalition views are defined for decomposed traces")
         g = head.graph
-        members = frozenset(_integer(a, "coalition member") for a in coalition)
+        members = frozenset(integer(a, "coalition member") for a in coalition)
         if not members <= set(g.nodes):
             raise ValueError(f"coalition {sorted(members)} contains non-nodes")
         if members == set(g.nodes):
@@ -430,7 +422,7 @@ def coalition_reconstruct(view: CoalitionView, target: int, trace_length: int | 
     missing = sorted(inside - view.coalition)
     if missing:
         raise ValueError(f"coalition must contain all neighbors of {target}; missing {missing}")
-    last = view.n_rounds - 1 if trace_length is None else _integer(trace_length, "trace_length") - 1
+    last = view.n_rounds - 1 if trace_length is None else integer(trace_length, "trace_length") - 1
     if not 0 <= last < view.n_rounds:
         raise ValueError(f"trace_length must be in 1..{view.n_rounds}")
 

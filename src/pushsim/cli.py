@@ -10,6 +10,7 @@ import functools
 import sys
 
 from . import adversary, graph as graphmod, harness, traceio
+from .graph import positive_finite
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -55,7 +56,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    threshold = harness.positive_finite(args.c, "c")
+    threshold = positive_finite(args.c, "c")
     report = adversary.attack_report(args.trace, args.target, threshold)
     if args.json_out:
         traceio.write_json(args.json_out, report)
@@ -88,8 +89,6 @@ def cmd_compare(args) -> int:
 def cmd_gen_graph(args) -> int:
     if args.demo:
         g = graphmod.demo_digraph()
-    elif args.seed < 0:
-        raise harness.ConfigError(f"--seed: must be non-negative, got {args.seed}")
     else:
         g = graphmod.random_strongly_connected(args.n, args.extra_edge_prob, args.seed)
     graphmod.save_digraph(g, args.out)

@@ -7,6 +7,7 @@ used throughout the package: column i of a weight matrix belongs to sender i.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -92,6 +93,58 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# The JSON value checks every reader shares: configs, graph and trace files, attack arguments.  Each
+# returns the value as its type or raises a ValueError "<field>: must be ..., got <value>", and none
+# coerces: a string or a bool is no number, and a float, integral or not, is no integer.
+
+INTEGER_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def integer(value, field: str, minimum: int | None = None) -> int:
+    """An int or a numpy integer, at least minimum (0, 1 or None for no bound), as an int."""
+    if (type(value) is int or isinstance(value, np.integer)) and (minimum is None or value >= minimum):
+        return int(value)
+    raise ValueError(f"{field}: must be {INTEGER_KINDS[minimum]}, got {value!r}")
+
+
+def number(value, field: str) -> float:
+    """An int, a float or a numpy integer or float, as a float."""
+    if type(value) in (int, float) or isinstance(value, (np.integer, np.floating)):
+        try:
+            return float(value)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValueError(f"{field}: {exc}") from exc
+    raise ValueError(f"{field}: must be a number, got {value!r}")
+
+
+def finite(value, field: str) -> float:
+    """A number that is neither NaN nor infinite, as a float."""
+    value = number(value, field)
+    if not math.isfinite(value):
+        raise ValueError(f"{field}: must be finite, got {value}")
+    return value
+
+
+def positive_finite(value, field: str) -> float:
+    """A finite number above zero, as a float."""
+    value = finite(value, field)
+    if value <= 0:
+        raise ValueError(f"{field}: must be positive, got {value}")
+    return value
+
+
+def numbers(values, field: str) -> np.ndarray:
+    """A list of numbers as float64; a bad entry i is named "<field>[i]"."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field}: must be a list of numbers, got {values!r}")
+    try:
+        return np.array([number(value, field) for value in values], dtype=np.float64)
+    except ValueError:  # name the entry: its index is only formatted once one failed
+        for i, value in enumerate(values):
+            number(value, f"{field}[{i}]")
+        raise
+
+
 def build_digraph(n: int, edges) -> Digraph:
     """Validate and build a Digraph.
 
@@ -106,13 +159,14 @@ def build_digraph(n: int, edges) -> Digraph:
     of one graph share one Digraph and compute its cached properties once
     per process.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n: need an integer number of nodes >= 1, got {n!r}")
+    n = integer(n, "n", 1)
     edge_set = set()
     for t, pair in enumerate(edges):
         j, i = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (None, None)
-        if type(j) is not int or type(i) is not int:
-            raise ValueError(f"edges[{t}]: must be a pair of integers (receiver, sender), got {pair!r}")
+        try:
+            j, i = integer(j, "receiver"), integer(i, "sender")
+        except ValueError:
+            raise ValueError(f"edges[{t}]: must be a pair of integers (receiver, sender), got {pair!r}") from None
         if not (1 <= j <= n) or not (1 <= i <= n):
             raise ValueError(f"edges[{t}]: edge ({j}, {i}) has endpoint outside 1..{n}")
         if j == i:
@@ -161,12 +215,14 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Digr
     remaining ordered pair independently with probability extra_edge_prob.
     Candidate pairs are visited in sorted (receiver, sender) order with one
     uniform draw each, so the result is a pure function of (n, prob, seed).
+    A value out of range raises a ValueError that begins with its argument's
+    name.
     """
     if n <= 2:
-        raise ValueError(f"need n > 2, got n={n}")
+        raise ValueError(f"n: need n > 2, got {n}")
     if not 0.0 <= extra_edge_prob <= 1.0:
-        raise ValueError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
-    rng = _graph_rng(seed)
+        raise ValueError(f"extra_edge_prob: must be in [0, 1], got {extra_edge_prob}")
+    rng = _graph_rng(integer(seed, "seed", 0))
     perm = [int(v) + 1 for v in rng.permutation(n)]
     ring = {(perm[(t + 1) % n], perm[t]) for t in range(n)}
     edges = set(ring)

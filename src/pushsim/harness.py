@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, analysis, graph as graphmod, protocol, traceio
+from .graph import finite, integer, number, positive_finite
 
 ENV_OUTPUT_ROOT = "PUSHSIM_OUTPUT_ROOT"
 
@@ -70,17 +71,20 @@ class ExperimentConfig:
             try:
                 return graphmod.load_digraph(spec["file"])
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"graph.file: cannot load {spec['file']!r}: {exc}") from exc
-        gen = spec["generator"]
+                raise ValueError(f"graph.file: cannot load {spec['file']!r}: {exc}") from exc
         try:
-            return graphmod.random_strongly_connected(
-                int(gen["n"]), float(gen.get("extra_edge_prob", 0.3)), int(gen.get("seed", 0))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"graph.generator: {exc}") from exc
+            return graphmod.random_strongly_connected(**spec["generator"])
+        except ValueError as exc:  # a value out of range, named by the generator
+            raise ValueError(f"graph.generator.{exc}") from exc
 
     def materialized(self) -> dict:
-        """Canonical config echo; output location is ambient, not content."""
+        """Canonical config echo, which config_hash hashes; output location is ambient, not content.
+
+        It holds parse_config's validated values with every default filled in:
+        initials' low and high (or value), M and c as floats, and graph.generator's
+        n, extra_edge_prob (a float) and seed.  So 1, 1.0 and a default left out
+        hash the same.  L is accepted, echoed and hashed, but unused.
+        """
         return {
             "protocol": self.protocol,
             "rounds": self.rounds,
@@ -105,102 +109,88 @@ class ExperimentConfig:
         return path
 
 
-def _integer(value, name: str) -> int:
-    """An integer config field.
-
-    Booleans, floats with a fractional part and values int() cannot take are
-    rejected; an integral float such as 3.0 is taken as 3.
-    """
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _finite(value, name: str) -> float:
-    """A finite float config field; booleans, null, NaN and infinities are rejected."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{name}: must be finite, got {number}")
-    return number
-
-
-def positive_finite(value, name: str) -> float:
-    """A finite float config field above zero."""
-    number = _finite(value, name)
-    if number <= 0:
-        raise ConfigError(f"{name}: must be positive, got {number}")
-    return number
-
-
 def _check_keys(spec, allowed: tuple[str, ...], name: str) -> None:
     """Reject a config object that is not a dict or holds a key outside allowed."""
     if not isinstance(spec, dict):
-        raise ConfigError(f"{name}: expected an object with keys among {', '.join(allowed)}")
+        raise ValueError(f"{name}: expected an object with keys among {', '.join(allowed)}")
     unknown = sorted(str(key) for key in set(spec) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) {', '.join(f'{name}.{key}' for key in unknown)}")
+        raise ValueError(f"unknown key(s) {', '.join(f'{name}.{key}' for key in unknown)}")
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a raw config dict, applying defaults for missing keys."""
+    """Validate a raw config dict, applying defaults for missing keys.
+
+    Every number is checked by graph's shared JSON value checks and never
+    coerced.  Each check raises a ValueError that names the field, and so
+    does every other check of the config and its graph; they come out here
+    as one ConfigError.
+    """
+    try:
+        return _parse_config(data)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = sorted(set(data) - set(DEFAULTS) - {"n"})
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     merged = {**DEFAULTS, **data}
 
     tag = merged["protocol"]
     if tag not in protocol.PROTOCOLS:
-        raise ConfigError(f"protocol: unknown tag {tag!r}; registered: {', '.join(protocol.PROTOCOLS)}")
-    rounds = _integer(merged["rounds"], "rounds")
+        raise ValueError(f"protocol: unknown tag {tag!r}; registered: {', '.join(protocol.PROTOCOLS)}")
+    rounds = integer(merged["rounds"], "rounds")
     if rounds < 1:
-        raise ConfigError(f"rounds: must be positive, got {rounds}")
+        raise ValueError(f"rounds: must be positive, got {rounds}")
     seeds = merged["seeds"]
     if not isinstance(seeds, (list, tuple)) or not seeds:
-        raise ConfigError("seeds: must be a non-empty list of integers")
-    seeds = [_integer(s, "seeds") for s in seeds]
+        raise ValueError("seeds: must be a non-empty list of integers")
+    seeds = [integer(s, "seeds") for s in seeds]
     if min(seeds) < 0:
-        raise ConfigError(f"seeds: must be non-negative, got {min(seeds)}")
+        raise ValueError(f"seeds: must be non-negative, got {min(seeds)}")
     if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds: duplicates in {seeds}; each seed writes its own seed_<s>/")
+        raise ValueError(f"seeds: duplicates in {seeds}; each seed writes its own seed_<s>/")
     spread = positive_finite(merged["M"], "M")
     if not math.isfinite(2.0 * spread):
-        raise ConfigError(f"M: 2*M must be finite, got M={spread}")
+        raise ValueError(f"M: 2*M must be finite, got M={spread}")
     threshold = positive_finite(merged["c"], "c")
     initials = merged["initials"]
     if not isinstance(initials, dict) or initials.get("dist") not in ("uniform", "constant"):
-        raise ConfigError("initials: need {'dist': 'uniform'|'constant', ...}")
+        raise ValueError("initials: need {'dist': 'uniform'|'constant', ...}")
     if initials["dist"] == "uniform":
         _check_keys(initials, ("dist", "low", "high"), "initials")
-        low = _finite(initials.get("low", 0.0), "initials.low")
-        high = _finite(initials.get("high", 50.0), "initials.high")
+        low = finite(initials.get("low", 0.0), "initials.low")
+        high = finite(initials.get("high", 50.0), "initials.high")
         if low > high:
-            raise ConfigError(f"initials: low {low} is above high {high}")
+            raise ValueError(f"initials: low {low} is above high {high}")
         if not math.isfinite(high - low):
-            raise ConfigError(f"initials: high - low must be finite, got {low} to {high}")
-        magnitude = max(abs(low), abs(high))
+            raise ValueError(f"initials: high - low must be finite, got {low} to {high}")
+        initials, magnitude = {"dist": "uniform", "low": low, "high": high}, max(abs(low), abs(high))
     else:
         _check_keys(initials, ("dist", "value"), "initials")
-        magnitude = abs(_finite(initials.get("value", 0.0), "initials.value"))
+        initials = {"dist": "constant", "value": finite(initials.get("value", 0.0), "initials.value")}
+        magnitude = abs(initials["value"])
     gspec = merged["graph"]
     _check_keys(gspec, ("demo", "file", "generator"), "graph")
     if len(gspec) != 1:
-        raise ConfigError(f"graph: need exactly one of demo, file, generator, got {len(gspec)}")
+        raise ValueError(f"graph: need exactly one of demo, file, generator, got {len(gspec)}")
     if "demo" in gspec and gspec["demo"] is not True:
-        raise ConfigError(f"graph.demo: must be true, got {gspec['demo']!r}")
+        raise ValueError(f"graph.demo: must be true, got {gspec['demo']!r}")
     if "file" in gspec and not (isinstance(gspec["file"], str) and gspec["file"]):
-        raise ConfigError(f"graph.file: must be a non-empty path string, got {gspec['file']!r}")
+        raise ValueError(f"graph.file: must be a non-empty path string, got {gspec['file']!r}")
     if "generator" in gspec:
         _check_keys(gspec["generator"], ("n", "extra_edge_prob", "seed"), "graph.generator")
+        gen = {"extra_edge_prob": 0.3, "seed": 0, **gspec["generator"]}
+        gspec = {"generator": {"n": integer(gen.get("n"), "graph.generator.n"),
+                               "extra_edge_prob": number(gen["extra_edge_prob"], "graph.generator.extra_edge_prob"),
+                               "seed": integer(gen["seed"], "graph.generator.seed")}}
+    output_dir = merged["output_dir"]
+    if not (isinstance(output_dir, str) and output_dir):
+        raise ValueError(f"output_dir: must be a non-empty path string, got {output_dir!r}")
 
     cfg = ExperimentConfig(
         protocol=tag,
@@ -210,24 +200,24 @@ def parse_config(data: dict) -> ExperimentConfig:
         threshold=threshold,
         initials=initials,
         graph_spec=gspec,
-        attack_target=None if merged["attack_target"] is None else _integer(merged["attack_target"], "attack_target"),
-        extra_rounds_hint=None if merged["L"] is None else _integer(merged["L"], "L"),
-        output_dir=str(merged["output_dir"]),
+        attack_target=None if merged["attack_target"] is None else integer(merged["attack_target"], "attack_target"),
+        extra_rounds_hint=None if merged["L"] is None else integer(merged["L"], "L"),
+        output_dir=output_dir,
     )
     g = cfg.resolve_graph()
     try:
         graphmod.check_protocol_usable(g)
     except ValueError as exc:
-        raise ConfigError(f"graph: {exc}") from exc
+        raise ValueError(f"graph: {exc}") from exc
     # every state-0 entry is within 2 |x0| + M, and each sum adds two rows of n
     if not math.isfinite(2.0 * g.n * (magnitude + spread)):
-        raise ConfigError(f"initials: values up to {magnitude:g} in magnitude with M={spread:g} on {g.n} nodes "
-                          f"give state-0 sums up to 2*n*(|x0| + M), which are not finite")
+        raise ValueError(f"initials: values up to {magnitude:g} in magnitude with M={spread:g} on {g.n} nodes "
+                         f"give state-0 sums up to 2*n*(|x0| + M), which are not finite")
     declared_n = data.get("n")
-    if declared_n is not None and _integer(declared_n, "n") != g.n:
-        raise ConfigError(f"n: declared {declared_n}, but the graph has {g.n} nodes")
+    if declared_n is not None and integer(declared_n, "n") != g.n:
+        raise ValueError(f"n: declared {declared_n}, but the graph has {g.n} nodes")
     if cfg.attack_target is not None and not 1 <= cfg.attack_target <= g.n:
-        raise ConfigError(f"attack_target: {cfg.attack_target} outside 1..{g.n}")
+        raise ValueError(f"attack_target: {cfg.attack_target} outside 1..{g.n}")
     return cfg
 
 
@@ -241,9 +231,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    if overrides:
+    if overrides and isinstance(data, dict):  # parse_config rejects any other data
         data.update({k: v for k, v in overrides.items() if v is not None})
     return parse_config(data)
 

@@ -52,7 +52,7 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
-from .graph import digraph_from_dict, digraph_to_dict
+from .graph import digraph_from_dict, digraph_to_dict, integer, number, numbers
 from .protocol import ROUND_BLOCK, RoundBlock, Trace, estimate_series
 
 FORMAT = 3
@@ -76,44 +76,12 @@ class TraceFormatError(ValueError):
     """A trace file failed validation; the message names the bad line."""
 
 
-def _number(value, field: str) -> float:
-    """A JSON number as a float; a bool, a string or any other value is
-    rejected, not coerced."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{field}: must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError(f"{field}: {exc}") from exc
-
-
-def _integer(value, field: str) -> int:
-    """A JSON integer; a bool, a float or a string is rejected, not coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{field}: must be an integer, got {value!r}")
-    return value
-
-
-def _numbers(values, field: str) -> np.ndarray:
-    """A JSON list of numbers as float64; a bool, a string or any other
-    entry is rejected, not coerced."""
-    if not isinstance(values, list):
-        raise ValueError(f"{field}: must be a list of numbers, got {values!r}")
-    for i, value in enumerate(values):
-        if type(value) not in (int, float):
-            raise ValueError(f"{field}[{i}]: must be a number, got {value!r}")
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError(f"{field}: {exc}") from exc
-
-
 def _state_rows(data: dict, protocol: str, n: int, field: str) -> np.ndarray:
     """The state rows a file stores for the protocol under field, shape (2 or 4, n)."""
     keys = STATE_KEYS["push_sum" if protocol == "push_sum" else "decomposed"]
     rows = []
     for key in keys:
-        vec = _numbers(data[key], f"{field}.{key}")
+        vec = numbers(data[key], f"{field}.{key}")
         if vec.shape != (n,):
             raise ValueError(f"state vector {key} has length {vec.shape}, expected {n}")
         rows.append(vec)
@@ -178,15 +146,6 @@ def _parse_line(path, line_no: int, text: str) -> dict:
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{path}: line {line_no} is not an object")
     return obj
-
-
-def _header_int(head: dict, key: str) -> int:
-    """A header field that must be a JSON integer >= 0 (not a bool, a float
-    or a string), so that a read and rewrite keeps the file's value."""
-    value = head[key]
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{key}: must be a non-negative integer, got {value!r}")
-    return value
 
 
 def read_trace(path) -> Trace:
@@ -266,19 +225,19 @@ def _header(path, fh) -> tuple[Trace, int]:
             raise ValueError(f"protocol: must be a string, got {protocol!r}")
         if protocol not in STATE_KEYS:
             raise ValueError(f"unknown protocol {protocol!r}")
-        n = _header_int(head, "n")
+        n = integer(head["n"], "n", 0)
         graph = digraph_from_dict(head["graph"])
         n_rows = len(STATE_KEYS[protocol])
         if fmt == FORMAT:
             x0 = np.frombuffer(_b64_bytes(head["x0"], "x0", n), "<f8").copy()
             state0 = np.frombuffer(_b64_bytes(head["state0"], "state0", n_rows * n), "<f8").reshape(n_rows, n)
         else:
-            x0 = _numbers(head["x0"], "x0")
+            x0 = numbers(head["x0"], "x0")
             state0 = _state_rows(head["state0"], protocol, n, "state0")
-        seed = _header_int(head, "seed")
-        spread = head["M"]
-        if spread is not None and type(spread) not in (int, float):
-            raise ValueError(f"M: must be null or a number, got {spread!r}")
+        seed = integer(head["seed"], "seed", 0)
+        spread = head["M"]  # null or a number, kept as the file writes it, so that a rewrite keeps its text
+        if spread is not None:
+            number(spread, "M")
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"{path}: line 1 header invalid: {exc}") from exc
     if graph.n != n or x0.shape != (n,):
@@ -383,11 +342,11 @@ def _v1_rounds(path, head: Trace):
         obj = _parse_line(path, line_no, text)
         r = line_no - 2
         try:
-            k = _integer(obj["k"], "k")
-            p = _numbers(obj["p"], "p")
+            k = integer(obj["k"], "k")
+            p = numbers(obj["p"], "p")
             if p.size != n * n:
                 raise ValueError(f"p: holds {p.size} entries, expected {n * n}")
-            alpha_r = _numbers(obj["alpha"], "alpha")
+            alpha_r = numbers(obj["alpha"], "alpha")
             state = _state_rows(obj["state"], head.protocol, n, "state")
             sent_list = obj["transmitted"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -406,8 +365,8 @@ def _v1_rounds(path, head: Trace):
         try:
             for t, item in enumerate(sent_list):
                 field = f"transmitted[{t}]"
-                i, j, l = (_integer(item[key], f"{field}.{key}") for key in ("from", "to", "l"))
-                value = _number(item["value"], f"{field}.value")
+                i, j, l = (integer(item[key], f"{field}.{key}") for key in ("from", "to", "l"))
+                value = number(item["value"], f"{field}.value")
                 e = g.edge_position.get((j, i))
                 if e is None or l not in (1, 2):
                     raise ValueError(f"transmission ({i}->{j}, l={l}) does not fit the graph")

@@ -107,14 +107,14 @@ def test_parse_config_rejections() -> None:
         ({"M": float("inf")}, "M: must be finite"),
         ({"c": float("nan")}, "c: must be finite"),
         ({"c": float("-inf")}, "c: must be finite"),
-        ({"rounds": True}, "rounds: expected an integer"),
+        ({"rounds": True}, "rounds: must be an integer, got True"),
         ({"seeds": [3, 1, 3]}, "seeds: duplicates"),
         ({"initials": {"dist": "uniform", "low": 5.0, "high": 1.0}}, "initials: low 5.0 is above high 1.0"),
         ({"initials": {"dist": "uniform", "high": None}}, "initials.high"),
         ({"attack_target": [1]}, "attack_target"),
-        ({"rounds": 2.5}, "rounds: expected an integer, got 2.5"),
-        ({"seeds": [1.9, 2]}, "seeds: expected an integer, got 1.9"),
-        ({"attack_target": 2.5}, "attack_target: expected an integer, got 2.5"),
+        ({"rounds": 2.5}, "rounds: must be an integer, got 2.5"),
+        ({"seeds": [1.9, 2]}, "seeds: must be an integer, got 1.9"),
+        ({"attack_target": 2.5}, "attack_target: must be an integer, got 2.5"),
         ({"graph": {"demo": False}}, "graph.demo: must be true, got False"),
         ({"graph": {"demo": True, "file": "x.json"}}, "graph: need exactly one of demo, file, generator, got 2"),
         ({"initials": {"dist": "uniform", "hihg": 10}}, r"unknown key\(s\) initials\.hihg"),
@@ -128,6 +128,19 @@ def test_parse_config_rejections() -> None:
         ({"graph": {"file": 0}}, "graph.file: must be a non-empty path string, got 0"),
         ({"graph": {"file": ["g.json"]}}, r"graph.file: must be a non-empty path string, got \['g.json'\]"),
         ({"graph": {"file": ""}}, "graph.file: must be a non-empty path string, got ''"),
+        ({"output_dir": None}, "output_dir: must be a non-empty path string, got None"),
+        ({"output_dir": 5}, "output_dir: must be a non-empty path string, got 5"),
+        ({"graph": {"generator": {"n": 6.7}}}, "graph.generator.n: must be an integer, got 6.7"),
+        ({"graph": {"generator": {"n": 6, "seed": 1.5}}}, "graph.generator.seed: must be an integer, got 1.5"),
+        ({"graph": {"generator": {"n": 6, "extra_edge_prob": True}}},
+         "graph.generator.extra_edge_prob: must be a number, got True"),
+        ({"rounds": "12"}, "rounds: must be an integer, got '12'"),
+        ({"rounds": 3.0}, "rounds: must be an integer, got 3.0"),
+        ({"seeds": ["1"]}, "seeds: must be an integer, got '1'"),
+        ({"initials": {"dist": "uniform", "low": "1"}}, "initials.low: must be a number, got '1'"),
+        ({"attack_target": "5"}, "attack_target: must be an integer, got '5'"),
+        ({"n": "5"}, "n: must be an integer, got '5'"),
+        ({"L": "3"}, "L: must be an integer, got '3'"),
     ],
     ids=[
         "M-null", "c-null", "M-nan", "M-inf", "c-nan", "c-neg-inf", "rounds-bool",
@@ -135,12 +148,45 @@ def test_parse_config_rejections() -> None:
         "rounds-fractional", "seeds-fractional", "attack_target-fractional", "graph-demo-false",
         "graph-two-sources", "initials-typo", "initials-constant-low", "generator-typo",
         "generator-list", "seeds-negative", "M-double-overflows", "initials-range-overflows",
-        "graph-file-true", "graph-file-zero", "graph-file-list", "graph-file-empty",
+        "graph-file-true", "graph-file-zero", "graph-file-list", "graph-file-empty", "output_dir-null",
+        "output_dir-number", "generator-n-fractional", "generator-seed-fractional", "generator-prob-bool",
+        "rounds-string", "rounds-integral-float", "seeds-string", "initials-low-string", "attack_target-string",
+        "n-string", "L-string",
     ],
 )
 def test_parse_config_rejects_value(data, needle) -> None:
     with pytest.raises(ConfigError, match=needle):
         parse_config(data)
+
+
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        [{"initials": {"dist": "uniform", "low": 1, "high": 50}},
+         {"initials": {"dist": "uniform", "low": 1.0, "high": 50.0}},
+         {"initials": {"dist": "uniform", "low": 1}}],
+        [{"initials": {"dist": "constant"}}, {"initials": {"dist": "constant", "value": 0.0}},
+         {"initials": {"dist": "constant", "value": 0}}],
+        [{"graph": {"generator": {"n": 6}}}, {"graph": {"generator": {"n": 6, "extra_edge_prob": 0.3, "seed": 0}}}],
+        [{"graph": {"generator": {"n": 6, "extra_edge_prob": 1}}},
+         {"graph": {"generator": {"n": 6, "extra_edge_prob": 1.0}}}],
+        [{}, {"M": 100, "c": 500, "initials": {"dist": "uniform", "low": 0, "high": 50}}],
+    ],
+    ids=["uniform", "constant", "generator-defaults", "generator-prob", "top-level"],
+)
+def test_config_hash_is_over_the_canonical_config(spellings) -> None:
+    """Spellings of one run, a number as int or float or a default written
+    out or left out, echo one materialized config and hash the same."""
+    configs = [parse_config(data) for data in spellings]
+    assert len({json.dumps(cfg.materialized(), sort_keys=True) for cfg in configs}) == 1
+    assert len({cfg.config_hash() for cfg in configs}) == 1
+
+
+def test_materialized_fills_every_default() -> None:
+    echo = parse_config({"graph": {"generator": {"n": 6}}, "initials": {"dist": "uniform", "high": 10}}).materialized()
+    assert echo["initials"] == {"dist": "uniform", "low": 0.0, "high": 10.0}
+    assert echo["graph"] == {"generator": {"n": 6, "extra_edge_prob": 0.3, "seed": 0}}
+    assert all(type(v) is float for v in (echo["M"], echo["c"], echo["initials"]["low"], echo["initials"]["high"]))
 
 
 def test_cli_null_spread_exits_two(tmp_path: Path, capsys) -> None:
@@ -178,6 +224,24 @@ def test_cli_bad_value_exits_two(args, config, needle, tmp_path: Path, capsys) -
         argv += ["--config", str(cfg)]
     assert cli_main(argv) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "generator, needle",
+    [
+        ({"n": 6.7}, "graph.generator.n: must be an integer, got 6.7"),
+        ({"n": 6, "seed": 1.5}, "graph.generator.seed: must be an integer, got 1.5"),
+        ({"n": 6, "extra_edge_prob": True}, "graph.generator.extra_edge_prob: must be a number, got True"),
+        ({"n": 6, "seed": -1}, "graph.generator.seed: must be a non-negative integer, got -1"),
+    ],
+    ids=["n-fractional", "seed-fractional", "prob-bool", "seed-negative"],
+)
+def test_cli_generator_value_exits_two(generator, needle, tmp_path: Path, capsys) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"generator": generator}, "rounds": 5}))
+    assert cli_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "x")]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_graph_file_descriptor_exits_two(tmp_path: Path) -> None:
@@ -598,7 +662,7 @@ def test_cli_gen_graph(tmp_path: Path) -> None:
 def test_cli_gen_graph_negative_seed_exits_two(tmp_path: Path, capsys) -> None:
     out = tmp_path / "g.json"
     assert cli_main(["gen-graph", "--n", "6", "--seed", "-1", "--out", str(out)]) == 2
-    assert "--seed: must be non-negative, got -1" in capsys.readouterr().err
+    assert "seed: must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -733,9 +797,9 @@ def test_v2_fixture_checks_and_matches_run_protocol(tmp_path: Path, capsys) -> N
         (1, lambda r: r.update(seed=-1), "line 1 header invalid: seed: must be a non-negative integer, got -1"),
         (1, lambda r: r.update(n=5.9), "line 1 header invalid: n: must be a non-negative integer, got 5.9"),
         (1, lambda r: r.update(n="5"), "line 1 header invalid: n: must be a non-negative integer, got '5'"),
-        (1, lambda r: r.update(M="abc"), "line 1 header invalid: M: must be null or a number, got 'abc'"),
-        (1, lambda r: r.update(M=True), "line 1 header invalid: M: must be null or a number, got True"),
-        (1, lambda r: r.update(M=[100.0]), "line 1 header invalid: M: must be null or a number, got [100.0]"),
+        (1, lambda r: r.update(M="abc"), "line 1 header invalid: M: must be a number, got 'abc'"),
+        (1, lambda r: r.update(M=True), "line 1 header invalid: M: must be a number, got True"),
+        (1, lambda r: r.update(M=[100.0]), "line 1 header invalid: M: must be a number, got [100.0]"),
     ],
     ids=["bad_base64", "truncated", "missing_key", "k_order", "format_4", "x0_truncated", "state0_text",
          "seed_float", "seed_bool", "seed_string", "seed_negative", "n_float", "n_string", "M_string", "M_bool",
@@ -765,7 +829,7 @@ def stringify(values: list) -> list:
         (lambda h: h["state0"].update(x_beta_2=stringify(h["state0"]["x_beta_2"])),
          "state0.x_beta_2[0]: must be a number, got '2"),
         (lambda h: h["state0"]["x_alpha_1"].__setitem__(4, None), "state0.x_alpha_1[4]: must be a number, got None"),
-        (lambda h: h.update(M="abc"), "M: must be null or a number, got 'abc'"),
+        (lambda h: h.update(M="abc"), "M: must be a number, got 'abc'"),
     ],
     ids=["x0_strings", "x0_bool", "x0_string", "state0_strings", "state0_null", "M_string"],
 )
@@ -917,7 +981,7 @@ def test_blockwise_replay_check_matches_oracle_on_v2_fixture(tmp_path: Path) -> 
 
 
 EDGE_NEEDLE = "edges[0]: must be a pair of integers (receiver, sender), got "
-N_NEEDLE = "n: need an integer number of nodes >= 1, got "
+N_NEEDLE = "n: must be a positive integer, got "
 
 
 @pytest.mark.parametrize(
@@ -1000,3 +1064,94 @@ def test_cli_compare(tmp_path: Path) -> None:
     )
     assert code == 0
     assert (out / "compare.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# every reader on mutated input
+
+FUZZ_CONFIG = {
+    "protocol": "decomposed", "rounds": 5, "seeds": [1], "M": 100.0, "c": 500.0,
+    "initials": {"dist": "uniform", "low": 0.0, "high": 50.0},
+    "graph": {"generator": {"n": 4, "extra_edge_prob": 0.5, "seed": 0}},
+    "attack_target": 2, "L": 3, "n": 4, "output_dir": "out",
+}
+# values a mutated field takes: wrong JSON types, integral floats, out-of-range and empty values
+FUZZ_POOL = [None, True, False, 0, -1, 3, 2.5, 3.0, 1e308, "", "3", "x", [], [1], [1, 2], {}, {"n": 3}]
+
+
+# the pushsim commands that read each input, its path appended
+FUZZ_COMMANDS = {
+    "config": [["run", "--config"]],
+    "graph": [["run", "--rounds", "3", "--seeds", "1", "--output-dir", "graph_out", "--graph"]],
+    **{name: [["check"], ["attack"]] for name in ("v3", "v1", "v2")},
+}
+FUZZ_TEXTS: dict[str, str] = {}
+
+
+def fuzz_text(tmp_path_factory, name: str) -> str:
+    """The unmutated text of input name, made once per session."""
+    if not FUZZ_TEXTS:
+        made = tmp_path_factory.mktemp("fuzz_made")
+        run_scenario(parse_config({"rounds": 20, "seeds": [1], "output_dir": str(made / "out")}))
+        FUZZ_TEXTS.update(config=json.dumps(FUZZ_CONFIG), graph=json.dumps(graphmod.digraph_to_dict(demo_digraph())),
+                          v3=(made / "out" / "seed_1" / "trace.jsonl").read_text(), v1=V1_FIXTURE.read_text(),
+                          v2=V2_FIXTURE.read_text())
+    return FUZZ_TEXTS[name]
+
+
+def drawn_path(obj, data) -> tuple:
+    """A path to an entry of a JSON object, drawn one level at a time
+    through hypothesis' data, so shallow fields come up as often as deep ones."""
+    path, node = (), obj
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))), label="key")
+        path, node = path + (key,), node[key]
+        if not isinstance(node, (dict, list)) or not node or data.draw(st.booleans(), label="stop"):
+            return path
+
+
+def mutated(text: str, data) -> bytes:
+    """text with one mutation drawn through hypothesis' data: a field of one
+    JSON line replaced by a FUZZ_POOL value or deleted, one byte flipped, or
+    the file truncated."""
+    raw = text.encode("utf-8")
+    kind = data.draw(st.sampled_from(["replace", "replace", "delete", "flip", "truncate"]), label="mutation")
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="xor")]) + raw[at + 1 :]
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    lines = text.splitlines()
+    line_no = data.draw(st.integers(0, len(lines) - 1), label="line")
+    obj = json.loads(lines[line_no])
+    path = drawn_path(obj, data)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(FUZZ_POOL), label="value")
+    lines[line_no] = json.dumps(obj)
+    return "\n".join(lines).encode("utf-8") + b"\n"
+
+
+@pytest.mark.parametrize("name", list(FUZZ_COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_0_1_or_2(tmp_path_factory, name, data) -> None:
+    """run, check and attack on a mutated config, graph file or trace file of
+    any format return or exit 0, 1 or 2, and never raise."""
+    where = tmp_path_factory.mktemp("fuzz")
+    path = where / "input.json"
+    path.write_bytes(mutated(fuzz_text(tmp_path_factory, name), data))
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.chdir(where)
+        mp.setenv(ENV_OUTPUT_ROOT, str(where))
+        for command in FUZZ_COMMANDS[name]:
+            try:
+                code = cli_main(command + [str(path)])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            assert code in (0, 1, 2), (command, code)
