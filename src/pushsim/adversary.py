@@ -21,7 +21,6 @@ Two adversaries are modelled, both passive:
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,16 +79,16 @@ def eavesdrop(trace_or_path, target: int | None) -> EavesdropperState:
     target of None is the highest-numbered node; any other target must be an
     int (a bool, a float or a string is rejected, not coerced).
 
-    A file is read with traceio.read_blocks, and the target is checked
-    against its header's graph before any round line is read.  A Trace in
-    memory goes in as pieces of as many rounds as keep a piece's temporary
-    values, about n + 2 per intercepted edge a round, within EAVESDROP_VALUES,
-    so that a long run holds no temporary of its length.  Between blocks
+    A Trace or a file is opened with traceio.open_blocks, and the target is
+    checked against the header's graph before any round line is read.  A
+    Trace in memory goes in as pieces of as many rounds as keep a piece's
+    temporary values, about n + 2 per intercepted edge a round, within
+    EAVESDROP_VALUES, so that a long run holds no temporary of its length.  Between blocks
     only the books after the last round, that round's inflow and the
     per-round results are kept, and the bits do not depend on how the rounds
     are split.
     """
-    with _opened(trace_or_path) as (head, _, blocks):
+    with open_blocks(trace_or_path) as (head, _, blocks):
         g = head.graph
         target = g.n if target is None else integer(target, "target")
         if target not in g.nodes:
@@ -155,14 +154,6 @@ def _flows(block: RoundBlock, target: int, out_edges: list[int], edges: list[int
     # a - b is a + (-b) bit for bit, and a NaN keeps its sign, as subtraction passes it on
     np.negative(inflow, out=inflow, where=inflow == inflow)
     return x_plus, inflow, lost
-
-
-def _opened(trace_or_path, count: bool = False):
-    """A context giving (header, rounds, blocks): a Trace is its own header
-    and its one block, and a path is opened with traceio.open_blocks."""
-    if isinstance(trace_or_path, Trace):
-        return nullcontext((trace_or_path, trace_or_path.n_rounds, [trace_or_path]))
-    return open_blocks(trace_or_path, count)
 
 
 @dataclass
@@ -267,8 +258,6 @@ class CoalitionView:
     sorted order, then its self-weight, per round, with retention[a] the
     matching retention weights; received[a][p] is a (rounds, 2) array of
     the products p sent to a, a view into one (rounds, links, 2) array.
-    weight_columns[a] is a's dense (rounds, n) weight column, zero off its
-    out-edges and itself; weight_columns builds them from weights when read.
     """
 
     coalition: frozenset[int]
@@ -278,15 +267,6 @@ class CoalitionView:
     weights: dict[int, np.ndarray]
     retention: dict[int, np.ndarray]
     received: dict[int, dict[int, np.ndarray]]
-
-    @property
-    def weight_columns(self) -> dict[int, np.ndarray]:
-        cols = {}
-        for a, w in self.weights.items():
-            cols[a] = np.zeros((self.n_rounds, self.graph.n))
-            cols[a][:, [j - 1 for j in self.graph.out_neighbors[a]]] = w[:, :-1]
-            cols[a][:, a - 1] = w[:, -1]
-        return cols
 
 
 def build_coalition_view(trace_or_path, coalition) -> CoalitionView:
@@ -304,7 +284,7 @@ def build_coalition_view(trace_or_path, coalition) -> CoalitionView:
     block's products, so that the products' temporaries never coexist with
     them in a view of one block.  No temporary grows with the round count.
     """
-    with _opened(trace_or_path, count=True) as (head, rounds, blocks):
+    with open_blocks(trace_or_path, count=True) as (head, rounds, blocks):
         if head.protocol != "decomposed":
             raise ValueError("coalition views are defined for decomposed traces")
         g = head.graph

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Digraph
+from .graph import Digraph, integer
 from .protocol import RoundBlock, Trace, estimate_series
 
 COLUMN_SUM_TOL = 1e-9
@@ -76,12 +76,13 @@ def forward_product(trace: Trace, k: int | None = None) -> ErgodicityReport:
 
     Args:
         trace: a decomposed-protocol trace with at least 2 rounds.
-        k: last round to include; defaults to the last recorded round.
+        k: last round to include, an int or a numpy integer (graph.integer),
+            never coerced; defaults to the last recorded round.
     """
     if trace.protocol != "decomposed":
         raise ValueError("forward products are defined for decomposed traces")
     final = trace.n_rounds - 1
-    last = final if k is None else int(k)
+    last = final if k is None else integer(k, "k")
     if last < 1 or last > final:
         raise ValueError(f"k must be in 1..{final}, got {last}")
     product = ForwardProduct(trace.graph, last)

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -213,8 +214,9 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Digr
 
     Builds a directed ring over a random permutation of 1..n, then adds each
     remaining ordered pair independently with probability extra_edge_prob.
-    Candidate pairs are visited in sorted (receiver, sender) order with one
-    uniform draw each, so the result is a pure function of (n, prob, seed).
+    Candidate pairs take one uniform draw each, in sorted (receiver, sender)
+    order, all from one rng.random call, so the result is a pure function of
+    (n, prob, seed).
     A value out of range raises a ValueError that begins with its argument's
     name.
     """
@@ -225,14 +227,9 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Digr
     rng = _graph_rng(integer(seed, "seed", 0))
     perm = [int(v) + 1 for v in rng.permutation(n)]
     ring = {(perm[(t + 1) % n], perm[t]) for t in range(n)}
-    edges = set(ring)
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            if j == i or (j, i) in ring:
-                continue
-            if rng.random() < extra_edge_prob:
-                edges.add((j, i))
-    return _shared_digraph(n, frozenset(edges))
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if j != i and (j, i) not in ring]
+    drawn = rng.random(len(pairs)) < extra_edge_prob
+    return _shared_digraph(n, frozenset(ring.union(compress(pairs, drawn.tolist()))))
 
 
 def _graph_rng(seed: int):

@@ -247,11 +247,17 @@ def _lap(stage_s: dict[str, float], stage: str, start: float) -> float:
     return now
 
 
+def _simulate(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, tag: str) -> protocol.Trace:
+    """One seed's run of protocol tag: its initial values, then run_protocol."""
+    x0 = protocol.sample_initial_values(g.n, cfg.initials, protocol.SeedStreams(seed))
+    return protocol.run_protocol(g, x0, tag, cfg.rounds, cfg.spread, seed)
+
+
 def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, outdir: Path, chash: str,
                   stage_s: dict[str, float]) -> dict:
     """Run one seed, write its files under seed_<seed>/ and return its summary entry.
 
-    The stages go in order: simulate (run_protocol); analyse (run_metrics,
+    The stages go in order: simulate (_simulate); analyse (run_metrics,
     the beta convergence round and, for decomposed runs of 2+ rounds,
     forward_product); attack (attack_report); then write attack.json and
     attack.csv, the ergodicity files, and trace.jsonl and estimates.csv
@@ -265,8 +271,7 @@ def _run_one_seed(cfg: ExperimentConfig, g: graphmod.Digraph, seed: int, outdir:
     nothing bigger.  Nothing of the run outlives the call but the entry.
     """
     start = time.perf_counter()
-    x0 = protocol.sample_initial_values(g.n, cfg.initials, protocol.SeedStreams(seed))
-    trace = protocol.run_protocol(g, x0, cfg.protocol, cfg.rounds, cfg.spread, seed)
+    trace = _simulate(cfg, g, seed, cfg.protocol)
     start = _lap(stage_s, "simulate", start)
     metrics = analysis.run_metrics(trace)
     target, mse = metrics.target, metrics.mse
@@ -387,20 +392,16 @@ def check_invariants(trace_or_path) -> InvariantReport:
     consistency of states and transmitted products, and the contraction
     bound for decomposed traces.
 
-    Both inputs go one way: as RoundBlocks, from Trace.blocks or from
-    traceio.read_blocks, so a file is read in one pass and never held as a
-    Trace.  Every check runs on each block as it comes, and between blocks
-    keeps only what its result needs: state 0's sums, the last replayed
-    state and the forward product with its per-round delta.  The report is
-    made after the last block, so a malformed line anywhere in a file
-    raises TraceFormatError and no report is returned.
+    Both inputs go one way: as RoundBlocks from traceio.read_blocks, so a
+    file is read in one pass and never held as a Trace.  Every check runs on
+    each block as it comes, and between blocks keeps only what its result
+    needs: state 0's sums, the last replayed state and the forward product
+    with its per-round delta.  The report is made after the last block, so
+    a malformed line anywhere in a file raises TraceFormatError and no
+    report is returned.
     """
-    if isinstance(trace_or_path, protocol.Trace):
-        blocks = trace_or_path.blocks()
-    else:
-        blocks = traceio.read_blocks(trace_or_path)
     checks = (_Conservation(), _ColumnStochasticity(), _ZeroPattern(), _ReplayConsistency(), _ErgodicityBound())
-    for block in blocks:
+    for block in traceio.read_blocks(trace_or_path):
         for check in checks:
             check.add(block)
     return InvariantReport([check.result() for check in checks])
@@ -600,18 +601,15 @@ def compare_protocols(cfg: ExperimentConfig, protocols: list[str] | None = None)
     outdir = cfg.resolved_output_dir()
     outdir.mkdir(parents=True, exist_ok=True)
 
-    x0_by_seed: dict[int, np.ndarray] = {
-        seed: protocol.sample_initial_values(g.n, cfg.initials, protocol.SeedStreams(seed))
-        for seed in cfg.seeds
-    }
+    x0 = {}  # a seed's initial values, the same under every protocol
+
+    def mse_curve(tag: str, seed: int) -> np.ndarray:
+        trace = _simulate(cfg, g, seed, tag)
+        x0[str(seed)] = trace.x0.tolist()
+        return analysis.run_metrics(trace).mse
+
     # one column per protocol, the seeds' MSE curves one after another
-    mse = [
-        np.concatenate([
-            analysis.run_metrics(protocol.run_protocol(g, x0_by_seed[seed], tag, cfg.rounds, cfg.spread, seed)).mse
-            for seed in cfg.seeds
-        ])
-        for tag in tags
-    ]
+    mse = [np.concatenate([mse_curve(tag, seed) for seed in cfg.seeds]) for tag in tags]
     steps = range(cfg.rounds + 1)
     traceio.write_table(
         outdir / "compare.csv",
@@ -625,7 +623,7 @@ def compare_protocols(cfg: ExperimentConfig, protocols: list[str] | None = None)
         "config_hash": chash,
         "protocols": list(tags),
         "seeds": list(cfg.seeds),
-        "x0": {str(seed): x0_by_seed[seed].tolist() for seed in cfg.seeds},
+        "x0": x0,
         "csv": "compare.csv",
     }
     traceio.write_json(outdir / "compare.json", payload)

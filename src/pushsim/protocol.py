@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graph import GRAPH_TABLE, Digraph, check_protocol_usable
+from .graph import GRAPH_TABLE, Digraph, check_protocol_usable, number
 
 # Guard below which a ratio estimate is reported as undefined (NaN).
 ESTIMATE_GUARD = 1e-12
@@ -871,12 +871,13 @@ def sample_initial_values(n: int, dist: dict, streams: SeedStreams) -> np.ndarra
 
     Supported specs: {"dist": "uniform", "low": a, "high": b} with one
     per-node draw (purpose PURPOSE_INITIAL_VALUES), and
-    {"dist": "constant", "value": v}.
+    {"dist": "constant", "value": v}.  a, b and v are checked with
+    graph.number, named initials.<key>, and never coerced.
     """
     kind = dist.get("dist", "uniform")
     if kind == "uniform":
-        low, high = float(dist.get("low", 0.0)), float(dist.get("high", 50.0))
+        low, high = number(dist.get("low", 0.0), "initials.low"), number(dist.get("high", 50.0), "initials.high")
         return _uniform_per_node(streams, PURPOSE_INITIAL_VALUES, n, low, high)
     if kind == "constant":
-        return np.full(n, float(dist.get("value", 0.0)))
+        return np.full(n, number(dist.get("value", 0.0), "initials.value"))
     raise ValueError(f"unknown initial-value distribution {kind!r}")

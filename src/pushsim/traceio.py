@@ -47,7 +47,7 @@ import binascii
 import json
 import math
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain, cycle, repeat
 
 import numpy as np
@@ -177,30 +177,40 @@ def read_trace(path) -> Trace:
     return trace
 
 
-def read_blocks(path) -> Iterator[RoundBlock]:
-    """The rounds of a trace file of format v3, v2 or v1, as RoundBlocks, in one pass.
+def read_blocks(source) -> Iterator[RoundBlock]:
+    """The rounds of a Trace, or of a trace file of format v3, v2 or v1, as RoundBlocks, in one pass.
 
-    Each line is parsed and checked as it is read, with read_trace's checks
-    in read_trace's order, so a malformed line raises the same
-    TraceFormatError when the reader reaches it, after the blocks before it
-    were yielded.  No line count is made, and at most one block of raw
-    bytes is held.  A block's arrays are views into buffers that the next
-    block reuses: copy what must outlive it.
+    A Trace yields Trace.blocks.  A file's lines are parsed and checked as
+    they are read, with read_trace's checks in read_trace's order, so a
+    malformed line raises the same TraceFormatError when the reader reaches
+    it, after the blocks before it were yielded.  No line count is made, and
+    at most one block of raw bytes is held.  The arrays of a file's block are
+    views into buffers that the next block reuses: copy what must outlive it.
     """
-    with open_blocks(path) as (_, _, blocks):
+    if isinstance(source, Trace):
+        yield from source.blocks()
+        return
+    with open_blocks(source) as (_, _, blocks):
         yield from blocks
 
 
-@contextmanager
-def open_blocks(path, count: bool = False) -> Iterator[tuple[Trace, int | None, Iterator[RoundBlock]]]:
-    """Open a trace file as (header, rounds, blocks), and close it on exit.
+def open_blocks(source, count: bool = False):
+    """Open a Trace or a trace file as a context giving (header, rounds, blocks); a file closes on exit.
 
-    On entry the first line is read and checked, before any round line, and
-    comes as a trace without rounds; blocks are the RoundBlocks of
+    A Trace is its own header, its round count and its one block.  A file's
+    first line is read and checked on entry, before any round line, and
+    comes as a trace without rounds; its blocks are the RoundBlocks of
     read_blocks, read from the second line on as they are asked for.  rounds
     is the number of lines after the header when count is set, which costs
     one more pass over the file, and None when not.
     """
+    if isinstance(source, Trace):
+        return nullcontext((source, source.n_rounds, [source]))
+    return _open_file(source, count)
+
+
+@contextmanager
+def _open_file(path, count: bool) -> Iterator[tuple[Trace, int | None, Iterator[RoundBlock]]]:
     with open(path, "r", encoding="utf-8") as fh:
         rounds = None
         if count:

@@ -37,6 +37,23 @@ def weight_matrix(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray) -> np.ndar
     return p
 
 
+def loop_random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> frozenset:
+    """Reference for random_strongly_connected's edges: a ring over a permutation,
+    then one rng.random() call per candidate pair in sorted (receiver, sender)
+    order, from the generator's own seed domain."""
+    rng = np.random.default_rng((0x67726170, seed))
+    perm = [int(v) + 1 for v in rng.permutation(n)]
+    ring = {(perm[(t + 1) % n], perm[t]) for t in range(n)}
+    edges = set(ring)
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            if j == i or (j, i) in ring:
+                continue
+            if rng.random() < extra_edge_prob:
+                edges.add((j, i))
+    return frozenset(edges)
+
+
 def decomposed_round(p_k: np.ndarray, alpha_k: np.ndarray, state: np.ndarray) -> np.ndarray:
     """One synchronous round on a dense weight matrix, the reference for the round loop.
 
@@ -334,7 +351,7 @@ def compare_views(a: CoalitionView, b: CoalitionView, rtol: float = 0.0, atol: f
         if a.received[member].keys() != b.received[member].keys():
             return False
         pairs = [(getattr(a, name)[member], getattr(b, name)[member])
-                 for name in ("substates", "weights", "weight_columns", "retention")]
+                 for name in ("substates", "weights", "retention")]
         pairs += [(a.received[member][p], b.received[member][p]) for p in a.received[member]]
         if not all(same(x, y) for x, y in pairs):
             return False

@@ -273,8 +273,9 @@ def test_coalition_view_contents() -> None:
         assert view.substates[2][k, 3] == trace.states[k, 3, 1]
     edge_21 = RING3.sorted_edges.index((2, 1))
     dense = dense_weights(trace)
+    rows = [j - 1 for j in RING3.out_neighbors[2]] + [1]  # node 2's receivers, then itself
     for k in range(trace.n_rounds):
-        assert np.array_equal(view.weight_columns[2][k], dense[k, :, 1])
+        assert np.array_equal(view.weights[2][k], dense[k, rows, 1])
         assert view.retention[2][k] == trace.alpha[k, 1]
         # node 2's only in-neighbor on the ring is node 1
         assert tuple(view.received[2][1][k]) == tuple(trace.sent[k, edge_21])
@@ -312,7 +313,7 @@ def test_coalition_view_monotone() -> None:
     big = build_coalition_view(trace, {1, 2, 4})
     for member in small.coalition:
         assert np.array_equal(small.substates[member], big.substates[member])
-        assert np.array_equal(small.weight_columns[member], big.weight_columns[member])
+        assert np.array_equal(small.weights[member], big.weights[member])
         for p in small.received[member]:
             assert np.array_equal(small.received[member][p], big.received[member][p])
 
@@ -495,11 +496,13 @@ def result_or_error(call):
 @settings(max_examples=150, deadline=None)
 @given(trace=block_edge_traces(), fmt=st.sampled_from([1, 2, 3]), data=st.data())
 def test_attack_and_view_of_a_file_match_those_of_its_trace(tmp_path_factory, trace, fmt, data) -> None:
-    """attack_report(path) and build_coalition_view(path), which read the
-    file a block at a time, give on v3, v2 and v1 files of 0, 1, B-1, B,
-    B+1 or 2B+1 rounds (B = ROUND_BLOCK), clean, tampered or with one line
-    spoiled, the report's JSON bytes and the view's bits that they give on
-    read_trace's Trace of the file, or read_trace's error text."""
+    """attack_report(path), build_coalition_view(path) and
+    check_invariants(path), which read the file a block at a time, give on
+    v3, v2 and v1 files of 0, 1, B-1, B, B+1 or 2B+1 rounds (B =
+    ROUND_BLOCK), clean, tampered or with one line spoiled, the report's
+    JSON bytes, the view's bits and the invariant report that they give on
+    read_trace's Trace of the file, or read_trace's error text: a Trace and
+    a file go through the one opener, traceio.open_blocks or read_blocks."""
     variant = data.draw(st.sampled_from(["clean", "tampered", "corrupt"]), label="variant")
     if variant == "tampered":
         trace = tampered(trace, data)
@@ -520,6 +523,8 @@ def test_attack_and_view_of_a_file_match_those_of_its_trace(tmp_path_factory, tr
         else:
             expected = result_or_error(lambda: json.dumps(attack_report(whole, target, threshold)))
         assert result_or_error(lambda: json.dumps(attack_report(path, target, threshold))) == expected
+        checked = result_or_error(lambda: check_invariants(path))
+        assert checked == (whole if isinstance(whole, str) else check_invariants(whole))
         if trace.protocol == "decomposed":
             coalition = data.draw(st.sets(st.sampled_from(g.nodes), max_size=g.n - 1), label="coalition")
             view = result_or_error(lambda: build_coalition_view(path, coalition))

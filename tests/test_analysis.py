@@ -1,6 +1,8 @@
 """Augmented matrix form, ergodicity coefficient, forward products, metrics."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +139,17 @@ def test_forward_product_rejections() -> None:
         forward_product(dec, k=0)
     with pytest.raises(ValueError, match="k"):
         forward_product(dec, k=10)
+
+
+@pytest.mark.parametrize("k", [2.7, "3", True, 3.0], ids=["float", "string", "bool", "integral_float"])
+def test_forward_product_k_is_not_coerced(k) -> None:
+    """k must be an int or a numpy integer: int() had read 2.7 as round 2 and
+    "3" as round 3, and now each is named and rejected."""
+    dec = run_protocol(demo_digraph(), np.arange(5.0), "decomposed", 10, seed=1)
+    with pytest.raises(ValueError, match=re.escape(f"k: must be an integer, got {k!r}")):
+        forward_product(dec, k)
+    by_int, by_numpy = forward_product(dec, 3), forward_product(dec, np.int64(3))
+    assert by_int.delta.tobytes() == by_numpy.delta.tobytes() and list(by_numpy.rounds) == [1, 2, 3]
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pushsim import (
     Digraph,
@@ -20,6 +21,8 @@ from pushsim import (
     write_trace,
 )
 from pushsim.graph import DEMO_EDGES, GRAPH_TABLE, _shared_digraph, digraph_from_dict, digraph_to_dict
+
+from helpers import loop_random_strongly_connected
 
 
 def bfs_strongly_connected(n: int, edges) -> bool:
@@ -138,6 +141,16 @@ def test_random_generator_strongly_connected_and_deterministic() -> None:
         assert g1.edges == g2.edges
         assert is_strongly_connected(g1)
         assert bfs_strongly_connected(n, g1.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 60), prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
+@example(n=3, prob=0.0, seed=0)
+@example(n=60, prob=1.0, seed=2**64)
+def test_random_generator_matches_per_pair_loop(n, prob, seed) -> None:
+    """One rng.random call over every candidate pair draws the same stream, and
+    adds the same edges, as one call per pair."""
+    assert random_strongly_connected(n, prob, seed).edges == loop_random_strongly_connected(n, prob, seed)
 
 
 def test_random_generator_extremes() -> None:

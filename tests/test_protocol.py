@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -1171,3 +1172,21 @@ def test_sample_initial_values() -> None:
     assert np.array_equal(c, [7.5, 7.5, 7.5])
     with pytest.raises(ValueError, match="distribution"):
         sample_initial_values(3, {"dist": "exotic"}, streams)
+    # an int and a numpy number are numbers: the same draws as the floats
+    d = sample_initial_values(5, {"dist": "uniform", "low": np.int64(0), "high": np.float32(50)}, SeedStreams(5))
+    assert d.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("dist, bad", [
+    ({"dist": "uniform", "low": "1"}, "initials.low: must be a number, got '1'"),
+    ({"dist": "uniform", "low": True}, "initials.low: must be a number, got True"),
+    ({"dist": "uniform", "high": "2"}, "initials.high: must be a number, got '2'"),
+    ({"dist": "uniform", "high": None}, "initials.high: must be a number, got None"),
+    ({"dist": "constant", "value": True}, "initials.value: must be a number, got True"),
+    ({"dist": "constant", "value": "7.5"}, "initials.value: must be a number, got '7.5'"),
+], ids=["low_string", "low_bool", "high_string", "high_null", "value_bool", "value_string"])
+def test_sample_initial_values_rejects_non_numbers(dist, bad) -> None:
+    """A string, a bool or null in initials is named and rejected, where
+    float() had drawn {"low": "1"} from [1, 50] and made {"value": True} ones."""
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        sample_initial_values(5, dist, SeedStreams(1))
