@@ -341,7 +341,7 @@ def equivalent_trace(trace: Trace, i: int, m: int, e: float) -> Trace:
     """
     if trace.protocol != "decomposed":
         raise ValueError("equivalent traces are defined for decomposed traces")
-    g = trace.graph
+    g, i, m = trace.graph, integer(i, "i"), integer(m, "m")
     if i == m or i not in g.nodes or m not in g.nodes:
         raise ValueError(f"need two distinct nodes, got i={i}, m={m}")
     to_i = m in g.in_neighbors[i]
@@ -393,7 +393,7 @@ def coalition_reconstruct(view: CoalitionView, target: int, trace_length: int | 
     to round 0 gives twice the initial value.  Returns NaN if the anchor
     ratio is undefined.
     """
-    g = view.graph
+    g, target = view.graph, integer(target, "target")
     if target in view.coalition:
         raise ValueError(f"target {target} is a coalition member")
     if target not in g.nodes:

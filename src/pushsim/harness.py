@@ -489,6 +489,10 @@ class _ReplayConsistency(_Check):
     before it reached, state 0 for the first, and never from a recorded
     state: the whole run is replayed from state 0 and the weights alone.
     The replay's products are derived from the block's own edge weights.
+
+    A block that records no products and whose states, the first included,
+    are finite and the replay's bit for bit passes as is: its products are
+    the replay's, none NaN, as a NaN product is a term of a replay dot.
     """
 
     name, passed = "replay_consistency", "states and products match a fresh replay"
@@ -502,11 +506,15 @@ class _ReplayConsistency(_Check):
         self.carried = replayed[-1].copy()
         g, labels = block.graph, traceio.STATE_KEYS[block.protocol]
         rows = len(labels)
+        states = block.states[:, :rows]
+        if (block.recorded_sent is None and np.isfinite(states).all()
+                and (states.view(np.uint64) == replayed[:, :rows].view(np.uint64)).all()):
+            return None
         # _close overwrites the replayed values it is given, so the products
         # are derived first; one coordinate at a time halves its temporary
         recorded, redone = block.products(), protocol.transmissions(g, block.edge_w, replayed)
         sent_off = ~(_close(recorded[..., 0], redone[..., 0]) & _close(recorded[..., 1], redone[..., 1]))
-        state_off = ~_close(block.states[1:, :rows], replayed[1:, :rows]).all(axis=2)
+        state_off = ~_close(states[1:], replayed[1:, :rows]).all(axis=2)
         r = _first(state_off.any(axis=1) | sent_off.any(axis=1))
         if r is None:
             return None

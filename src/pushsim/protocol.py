@@ -695,10 +695,13 @@ def _evolve(trace: Trace) -> None:
 
     x_l(k+1) = p_k @ x_l(k) + b_l(k), with p_k one reused dense matrix, and
     b_l(k+1) = alpha(k) * x_l(k) where alpha(k) is nonzero; elsewhere b keeps
-    its +0.0, so a push_sum run (alpha all zero) never takes that step.  The
-    edge and self weights are joined into one row per round, the
-    nonzero-alpha mask built and the state rows taken as views, for a block
-    at a time.
+    its +0.0.  The edge and self weights are joined into one row per round,
+    the nonzero-alpha mask built and the state rows taken as views, for a
+    block at a time.  A block whose alpha is all zero and whose b starts at
+    +0.0 bit for bit (every push_sum block) skips the mask and adding b,
+    which would only turn a -0.0 into +0.0, and ends with one += 0.0 over
+    its x rows: a zero's sign changes a dot at most in the sign of a zero
+    sum, which that add clears (see README on skipped arithmetic).
 
     On small graphs a round pays more for numpy's call overhead than for
     its arithmetic, so each round makes as few calls as the same
@@ -724,18 +727,23 @@ def _evolve(trace: Trace) -> None:
         for block in trace.blocks():
             states = block.states
             x1, x2 = list(states[:, 0]), list(states[:, 1])
-            exchanged, retained = list(states[:, :2]), list(states[:, 2:])
             weights = list(np.concatenate([block.edge_w, block.self_w], axis=1))
             alpha = block.alpha
-            keep = alpha != 0.0
-            retains = keep.any(axis=1).tolist()
+            empty = not (np.count_nonzero(alpha) or np.count_nonzero(states[0, 2:].view(np.uint64)))
+            if not empty:
+                exchanged, retained = list(states[:, :2]), list(states[:, 2:])
+                keep = alpha != 0.0
+                retains = keep.any(axis=1).tolist()
             for k in range(block.n_rounds):
                 flat[slots] = weights[k]
                 dot(p_k, x1[k], x1[k + 1])
                 dot(p_k, x2[k], x2[k + 1])
-                exchanged[k + 1] += retained[k]
-                if retains[k]:
-                    np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[k])
+                if not empty:
+                    exchanged[k + 1] += retained[k]
+                    if retains[k]:
+                        np.multiply(alpha[k], exchanged[k], out=retained[k + 1], where=keep[k])
+            if empty:
+                states[1:, :2] += 0.0
 
 
 # ---------------------------------------------------------------------------

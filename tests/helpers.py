@@ -409,6 +409,35 @@ def one_shot_evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: n
     return states
 
 
+def always_adding_evolve(g: Digraph, edge_w: np.ndarray, self_w: np.ndarray, alpha: np.ndarray,
+                         state0: np.ndarray) -> np.ndarray:
+    """Reference for protocol._evolve's zero-retained rule: the same block loop, where every round
+    adds the retained substate into the exchanged one, even a block whose alpha is all zero and
+    whose retained rows are all +0.0."""
+    states = np.zeros((len(alpha) + 1,) + state0.shape)
+    states[0] = state0
+    p_k = np.zeros((g.n, g.n))
+    flat, slots = p_k.reshape(-1), g.weight_slots
+    with np.errstate(invalid="ignore", over="ignore"):
+        for first in range(0, len(alpha), ROUND_BLOCK):
+            rounds = slice(first, first + ROUND_BLOCK)
+            block = states[first : first + ROUND_BLOCK + 1]
+            x1, x2 = list(block[:, 0]), list(block[:, 1])
+            exchanged, retained = list(block[:, :2]), list(block[:, 2:])
+            weights = list(np.concatenate([edge_w[rounds], self_w[rounds]], axis=1))
+            block_alpha = alpha[rounds]
+            keep = block_alpha != 0.0
+            retains = keep.any(axis=1).tolist()
+            for k in range(len(block_alpha)):
+                flat[slots] = weights[k]
+                np.dot(p_k, x1[k], x1[k + 1])
+                np.dot(p_k, x2[k], x2[k + 1])
+                exchanged[k + 1] += retained[k]
+                if retains[k]:
+                    np.multiply(block_alpha[k], exchanged[k], out=retained[k + 1], where=keep[k])
+    return states
+
+
 def one_shot_column_sums(trace: Trace) -> np.ndarray:
     """Reference for protocol.column_sums: one bincount over the whole (R, E+n) weight array."""
     g, rounds = trace.graph, trace.n_rounds

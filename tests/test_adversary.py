@@ -361,6 +361,30 @@ def test_equivalent_trace_rejections() -> None:
         equivalent_trace(ps, 1, 5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda t, v: equivalent_trace(t, True, 5, 0.5), "i: must be an integer, got True"),
+        (lambda t, v: equivalent_trace(t, 2.0, 1, 0.5), "i: must be an integer, got 2.0"),
+        (lambda t, v: equivalent_trace(t, 1, "5", 0.5), "m: must be an integer, got '5'"),
+        (lambda t, v: coalition_reconstruct(v, 5.0), "target: must be an integer, got 5.0"),
+        (lambda t, v: coalition_reconstruct(v, True), "target: must be an integer, got True"),
+    ],
+    ids=["i_bool", "i_float", "m_string", "target_float", "target_bool"],
+)
+def test_node_numbers_are_not_coerced(call, needle) -> None:
+    """A node number that is a bool, a float or a string is named and
+    rejected: True had run as node 1, 2.0 had raised numpy's IndexError and
+    target 5.0 had been taken as 5.  A numpy integer is taken."""
+    trace = demo_trace("decomposed", 2, rounds=20)
+    view = build_coalition_view(trace, {1, 2, 4})
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        call(trace, view)
+    assert coalition_reconstruct(view, np.int64(5)) == coalition_reconstruct(view, 5)
+    assert equivalent_trace(trace, np.int64(1), np.int64(5), 0.5).states.tobytes() == \
+        equivalent_trace(trace, 1, 5, 0.5).states.tobytes()
+
+
 def test_equivalent_trace_divisor_guard() -> None:
     trace = demo_trace("decomposed", 3, rounds=10)
     trace.states[0, 0, 4] = 1e-15  # node 5 sends to 1: situation with m in-neighbor

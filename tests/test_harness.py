@@ -23,6 +23,7 @@ from pushsim import (
     demo_digraph,
     load_digraph,
     parse_config,
+    replay,
     run_protocol,
     run_scenario,
 )
@@ -30,7 +31,7 @@ import pushsim
 from pushsim import cli, graph as graphmod
 from pushsim.cli import main as cli_main
 from pushsim.harness import ENV_OUTPUT_ROOT, load_config
-from pushsim.protocol import SeedStreams, Trace, sample_initial_values
+from pushsim.protocol import ROUND_BLOCK, SeedStreams, Trace, sample_initial_values
 from pushsim.traceio import TraceFormatError, read_trace, trace_lines
 
 from helpers import (
@@ -978,6 +979,74 @@ def test_blockwise_replay_check_matches_oracle_on_v2_fixture(tmp_path: Path) -> 
         assert replay_item(trace) == one_shot_replay_consistency(trace)
         assert replay_item(trace)[1] == f"round {index[0]}: transmitted product on edge " \
             f"{trace.graph.sorted_edges[index[1]]} diverges from replay"
+
+
+def later_block_start_one_ulp_off() -> Trace:
+    """A 33-round decomposed run whose state at the start of its second block is one ulp off."""
+    trace = run_protocol(demo_digraph(), np.arange(1.0, 6.0), "decomposed", 33, 100.0, 4)
+    trace.states[ROUND_BLOCK, 0, 2] = np.nextafter(trace.states[ROUND_BLOCK, 0, 2], np.inf)
+    return trace
+
+
+def later_block_start_off_under_a_large_weight() -> Trace:
+    """A 33-round push_sum run from all-zero values whose node-3 value at the
+    start of the second block is 5e-13, within the state tolerance of the
+    replay's 0.0, and whose first out-weight from node 3 in that round is
+    1e3; every later state is the replay's.  The product on that edge is
+    5e-10 where the replay's is 0.0, so the check fails there."""
+    trace = run_protocol(demo_digraph(), np.zeros(5), "push_sum", 33, 100.0, 4)
+    trace.edge_w[ROUND_BLOCK, trace.graph.out_edges[3][0]] = 1e3
+    trace.states[:] = replay(trace).states
+    trace.states[ROUND_BLOCK, 0, 2] = 5e-13
+    return trace
+
+
+def zero_sign_flipped() -> Trace:
+    """A push_sum run from all-zero values, one of whose later zeros is -0.0."""
+    trace = run_protocol(demo_digraph(), np.zeros(5), "push_sum", 20, 100.0, 4)
+    assert not np.signbit(trace.states[:, 0]).any()
+    trace.states[7, 0, 2] = -0.0
+    return trace
+
+
+def run_from_a_nan() -> Trace:
+    """A push_sum run from one NaN value: its NaN states are the replay's bit for bit."""
+    return run_protocol(demo_digraph(), np.array([np.nan, 1.0, 2.0, 3.0, 4.0]), "push_sum", 20, 100.0, 4)
+
+
+def v2_fixture_one_product_off() -> Trace:
+    """The v2 fixture, whose states replay bit for bit, with one recorded product off."""
+    trace = read_trace(V2_FIXTURE)
+    trace.recorded_sent[3, 4, 1] *= 1.5
+    return trace
+
+
+@pytest.mark.parametrize(
+    "make, status",
+    [
+        (later_block_start_one_ulp_off, "pass"),
+        (later_block_start_off_under_a_large_weight, "fail"),
+        (zero_sign_flipped, "pass"),
+        (run_from_a_nan, "fail"),
+        (lambda: read_trace(V2_FIXTURE), "pass"),
+        (v2_fixture_one_product_off, "fail"),
+    ],
+    ids=["block_start_one_ulp", "block_start_large_weight", "zero_sign", "nan_run", "v2_fixture", "v2_product_off"],
+)
+def test_replay_check_where_states_are_nearly_the_replays(make, status) -> None:
+    """Cases next to the rule that passes a block, without deriving its
+    products, when its states are the replay's bit for bit: a later block
+    whose first state differs from the carried replay by one ulp, or by
+    less than the tolerance but under a weight that takes its product past
+    it, a zero whose sign differs from the replay's, a run whose NaN
+    states are the replay's bit for bit but never match, and the v2
+    fixture, whose states replay bit for bit but whose recorded products
+    are still compared.
+    check_invariants gives every check as one_shot_check_invariants does."""
+    trace = make()
+    assert [(item.name, item.status, item.detail) for item in check_invariants(trace).items] == \
+        one_shot_check_invariants(trace)
+    assert replay_item(trace)[0] == status
 
 
 EDGE_NEEDLE = "edges[0]: must be a pair of integers (receiver, sender), got "

@@ -49,6 +49,7 @@ from pushsim.protocol import (
 from pushsim.traceio import ROUND_KEYS, STATE_KEYS, TABLE_CHUNK, trace_lines, write_table
 
 from helpers import (
+    always_adding_evolve,
     block_edge_traces,
     block_edges,
     corrupt_line,
@@ -689,6 +690,57 @@ def test_round_loop_matches_one_shot_oracle_on_every_kind_of_round(trace, data) 
         assert redone.states.tobytes() == expected.tobytes()
     else:
         assert nan_sign_blind(redone.states) == nan_sign_blind(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=block_edge_traces(nodes=(3, 30)), data=st.data())
+def test_round_loop_matches_always_adding_oracle_bit_for_bit(trace, data) -> None:
+    """replay gives always_adding_evolve's bits, NaN payloads and signs of
+    zero included, on hypothesis graphs of both protocols at 1, 15, 16, 17
+    and 33 rounds: from start states whose retained rows hold +0.0, -0.0 or
+    1.0, whose exchanged rows may be all zeros and subnormals of one sign,
+    and whose entries may hold a signed zero, either NaN, an infinity or a
+    subnormal, with alpha as drawn or zero from some round on.  A block
+    whose alpha is all zero and whose retained rows start at +0.0 skips the
+    retained add, so this pins the sign-of-zero argument: a negative
+    subnormal times a weight below 1/2 rounds to -0.0 in the dot, and only
+    the block's last += 0.0 gives back the +0.0 that the adds would make."""
+    g, n = trace.graph, trace.graph.n
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, MADE_NAN, np.float64(np.nan), np.inf, -np.inf])
+    state0, alpha = trace.states[0].copy(), trace.alpha.copy()
+    state0[2:] = data.draw(st.sampled_from([0.0, -0.0, 1.0]), label="retained")
+    for row in (0, 1):
+        if data.draw(st.booleans(), label=f"tiny row {row}"):
+            sign = data.draw(st.sampled_from([-1.0, 1.0]), label=f"row {row} sign")
+            state0[row] = sign * data.draw(arrays(np.float64, n, elements=st.sampled_from([5e-324, 0.0])),
+                                           label=f"row {row}")
+    for _ in range(data.draw(st.integers(0, 4), label="special start entries")):
+        state0[data.draw(st.integers(0, 3)), data.draw(st.integers(0, n - 1))] = data.draw(special, label="entry")
+    alpha[data.draw(st.integers(0, trace.n_rounds), label="alpha zero from"):] = 0.0
+    redone = replay(Trace(trace.protocol, g, trace.x0, trace.seed, trace.spread, trace.edge_w, trace.self_w,
+                          alpha, trace.states), state0)
+    expected = always_adding_evolve(g, trace.edge_w, trace.self_w, alpha, state0)
+    assert np.array_equal(redone.states.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+def test_round_loop_gives_positive_zeros_where_the_retained_add_is_skipped(proto) -> None:
+    """On the 5-node demo graph, from value substates of -0.0 and negative
+    subnormals, a dot with FMA can round a sum to -0.0, which the retained
+    add of +0.0 makes +0.0.  replay gives always_adding_evolve's bits, alpha
+    all zero or zero from round 9 on, and with alpha all zero no -0.0
+    after state 0."""
+    g = demo_digraph()
+    trace = run_protocol(g, np.arange(1.0, 6.0), proto, 33, 100.0, seed=3)
+    state0 = init_push_sum(np.array([-5e-324, -0.0, -5e-324, -5e-324, -0.0]))
+    state0[1] = -state0[0]
+    for alpha in (np.zeros_like(trace.alpha), np.where(np.arange(33)[:, None] < 9, trace.alpha, 0.0)):
+        redone = replay(Trace(proto, g, trace.x0, trace.seed, trace.spread, trace.edge_w, trace.self_w, alpha,
+                              trace.states), state0).states
+        expected = always_adding_evolve(g, trace.edge_w, trace.self_w, alpha, state0)
+        assert np.array_equal(redone.view(np.uint64), expected.view(np.uint64))
+        exchanged = redone[1:, :2]
+        assert alpha.any() or not np.signbit(exchanged[exchanged == 0.0]).any()
 
 
 def test_replay_reproduces_states_exactly() -> None:
